@@ -29,20 +29,18 @@ from .functionals import (
     final_bounds,
     pathwise_kl_mc,
 )
-from .sampler import SamplerConfig, SampleReport, reverse_step, sample, second_order_sample
+from .sampler import SamplerConfig, SampleReport, reverse_step, sample
 from .schedules import (
     CandidateSet,
     InfeasibleError,
     LasConfig,
     Schedule,
     eta_axis,
-    format_timestep_list,
     grid_edm,
     grid_geometric,
     grid_time_uniform,
     las_beam,
     las_exact,
-    parse_timestep_list,
     schedule_objective,
 )
 from .targets import (

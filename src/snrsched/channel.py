@@ -21,7 +21,7 @@ maximum subtracted first, so no overflow can occur at any SNR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,22 +184,16 @@ def posterior(dist: TargetDistribution, point: ChannelPoint) -> PosteriorSummary
     )
 
 
-def _gh_nodes(nodes: int):
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    return x, w / math.sqrt(2.0 * math.pi)
+def _quad_cov_expect(dist: TargetDistribution, t: float):
+    """(E trace, E frob_sq) under X ~ p_t by tensor Gauss-Hermite, dim <= 2.
 
-
-def _default_nodes(dim: int) -> int:
-    return 200 if dim == 1 else 96
-
-
-def _quad_cov_expect(dist: TargetDistribution, t: float, nodes: int | None):
-    """(E trace, E frob_sq) under X ~ p_t by tensor Gauss-Hermite, dim <= 2."""
+    Uses 200 nodes per axis in 1-d and a 96 x 96 tensor grid in 2-d.
+    """
     d = dist.dim
     if d > 2:
         raise ValueError("quadrature policy supports dim <= 2 only")
-    n = nodes or _default_nodes(d)
-    u, w1 = _gh_nodes(n)
+    u, w1 = np.polynomial.hermite_e.hermegauss(200 if d == 1 else 96)
+    w1 = w1 / math.sqrt(2.0 * math.pi)
     if d == 1:
         offsets = u[:, None]
         qw = w1
@@ -266,7 +260,6 @@ def mmse(
     gamma: float,
     policy: str = "auto",
     *,
-    nodes: int | None = None,
     n_samples: int = 200_000,
     seed=0,
 ):
@@ -286,7 +279,7 @@ def mmse(
         s0sq = float(dist.sigmas[0] ** 2)
         return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
     if pol == "quadrature":
-        e_tr, _ = _quad_cov_expect(dist, t, nodes)
+        e_tr, _ = _quad_cov_expect(dist, t)
         return e_tr, 0.0
     (v, se), _ = _mc_cov_expect(dist, t, n_samples, seed)
     return v, se
@@ -297,7 +290,6 @@ def mmse_derivative(
     gamma: float,
     policy: str = "auto",
     *,
-    nodes: int | None = None,
     n_samples: int = 200_000,
     seed=0,
 ):
@@ -312,7 +304,7 @@ def mmse_derivative(
         s0sq = float(dist.sigmas[0] ** 2)
         return -dist.dim * (s0sq / (1.0 + s0sq * gamma)) ** 2, 0.0
     if pol == "quadrature":
-        _, e_fr = _quad_cov_expect(dist, t, nodes)
+        _, e_fr = _quad_cov_expect(dist, t)
         return -e_fr, 0.0
     _, (v, se) = _mc_cov_expect(dist, t, n_samples, seed)
     return -v, se
@@ -350,39 +342,30 @@ class MmseCurve:
 
     ``policy`` is "auto", "closed_form", "quadrature" or "monte_carlo";
     "auto" picks closed form for a single Gaussian, quadrature for dim <= 2
-    and Monte Carlo otherwise. Evaluated knots are cached in ``knots`` as
-    (gamma, mmse, mmse_stderr, dmmse, dmmse_stderr) tuples.
+    and Monte Carlo otherwise.
     """
 
     dist: TargetDistribution
     policy: str = "auto"
-    nodes: int | None = None
     n_samples: int = 200_000
     seed: int = 0
-    knots: list = field(default_factory=list)
 
     def mmse(self, gamma: float):
-        return mmse(
-            self.dist, gamma, self.policy,
-            nodes=self.nodes, n_samples=self.n_samples, seed=self.seed,
-        )
+        return mmse(self.dist, gamma, self.policy, n_samples=self.n_samples, seed=self.seed)
 
     def derivative(self, gamma: float):
         return mmse_derivative(
-            self.dist, gamma, self.policy,
-            nodes=self.nodes, n_samples=self.n_samples, seed=self.seed,
+            self.dist, gamma, self.policy, n_samples=self.n_samples, seed=self.seed
         )
 
     def tabulate(self, gammas) -> list:
-        """Evaluate (mmse, mmse') at each gamma and cache the knots."""
-        new = []
+        """(gamma, mmse, mmse_stderr, dmmse, dmmse_stderr) tuples, one per gamma."""
+        out = []
         for g in np.asarray(gammas, dtype=float):
             v, se = self.mmse(g)
             dv, dse = self.derivative(g)
-            new.append((float(g), v, se, dv, dse))
-        self.knots.extend(new)
-        self.knots.sort(key=lambda k: k[0])
-        return new
+            out.append((float(g), v, se, dv, dse))
+        return out
 
     def integral(self, gamma_lo: float, gamma_hi: float) -> float:
         """Integral of mmse over [gamma_lo, gamma_hi].
@@ -440,7 +423,6 @@ def derivative_ratio_constant(
     gamma_knots,
     policy: str = "auto",
     *,
-    nodes: int | None = None,
     n_samples: int = 100_000,
     seed=0,
 ) -> float:
@@ -460,8 +442,6 @@ def derivative_ratio_constant(
     children = np.random.SeedSequence(seed).spawn(knots.size)
     best = 0.0
     for g, ss in zip(knots, children):
-        dv, _ = mmse_derivative(
-            dist, float(g), policy, nodes=nodes, n_samples=n_samples, seed=ss
-        )
+        dv, _ = mmse_derivative(dist, float(g), policy, n_samples=n_samples, seed=ss)
         best = max(best, float(g) ** 2 * abs(dv) / H**2)
     return best

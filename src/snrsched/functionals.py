@@ -22,7 +22,6 @@ direct Monte-Carlo estimate of the Girsanov drift-mismatch integral
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +59,8 @@ class SnrGrid:
         g = np.asarray(self.gammas, dtype=float)
         if g.ndim != 1 or g.size < 2:
             raise ValueError("an SNR grid needs at least two knots")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("SNR knots must be finite")
         if not g[0] > 0:
             raise ValueError("gamma_0 must be positive")
         if not np.all(np.diff(g) > 0):
@@ -138,6 +139,8 @@ class LossProfile:
         kinds = tuple(self.kinds) if self.kinds else ("x0",) * g.size
         if g.ndim != 1 or g.size < 1 or lo.shape != g.shape or len(kinds) != g.size:
             raise ValueError("gammas, losses and kinds must be 1-d and the same length")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(lo))):
+            raise ValueError("loss-profile gammas and losses must be finite")
         if np.any(g <= 0) or not np.all(np.diff(g) > 0):
             raise ValueError("loss-profile gammas must be positive and strictly increasing")
         if np.any(lo < 0):
@@ -280,13 +283,15 @@ def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
     }
 
 
+_PATH_CHUNK = 20_000
+
+
 def pathwise_kl_mc(
     dist: TargetDistribution,
     grid: SnrGrid,
     n_paths: int,
     substeps: int = 16,
     seed=0,
-    chunk_size: int = 20_000,
 ):
     """Monte-Carlo estimate of the pathwise KL bound (1/2) E int ||delta_s||^2 ds.
 
@@ -298,8 +303,9 @@ def pathwise_kl_mc(
     integral is taken by the trapezoid rule (the integrand vanishes exactly
     at each interval's left endpoint).
 
-    Returns (value, stderr). Deterministic given (seed, n_paths, chunk_size);
-    chunk seeds are derived from the root seed via SeedSequence.spawn.
+    Returns (value, stderr). Deterministic given (seed, n_paths): paths are
+    drawn in chunks of 20 000 whose seeds are spawned from the root seed
+    via SeedSequence.spawn.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -310,12 +316,12 @@ def pathwise_kl_mc(
     t_knots = 1.0 / grid.gammas  # descending from T to delta
     K = grid.K
 
-    n_chunks = -(-n_paths // chunk_size)
+    n_chunks = -(-n_paths // _PATH_CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     totals = np.empty(n_paths)
     done = 0
     for ss in seeds:
-        m = min(chunk_size, n_paths - done)
+        m = min(_PATH_CHUNK, n_paths - done)
         rng = np.random.default_rng(ss)
         Z = dist.sample(m, rng)
         X = Z + math.sqrt(T) * rng.standard_normal(Z.shape)
@@ -361,11 +367,6 @@ class ErrorReport:
             "two_term": self.two_term,
             "provenance": self.provenance,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def error_report(

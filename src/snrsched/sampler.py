@@ -20,7 +20,6 @@ anchor linearly in log-SNR from the two most recent denoiser evaluations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,12 +34,10 @@ __all__ = [
     "SampleReport",
     "reverse_step",
     "sample",
-    "second_order_sample",
 ]
 
 _ORDERS = ("first", "second")
 _INITS = ("exact_forward", "gaussian_prior")
-_DENOISERS = ("oracle", "oracle_plus_noise")
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,8 @@ class SamplerConfig:
     init : "exact_forward" draws Z ~ p and adds variance-T noise (isolates
         discretization error); "gaussian_prior" draws N(0, T + prior
         per-axis variance) and adds a prior-approximation error on top.
-    denoiser : "oracle" or "oracle_plus_noise" (adds isotropic N(0,
-        sigma_err^2 I) to each oracle evaluation).
+    sigma_err : with sigma_err > 0 the denoiser is the oracle plus isotropic
+        N(0, sigma_err^2 I) noise on each evaluation; 0 is the exact oracle.
     final_denoise : also report the NLL after a terminal jump to the
         posterior mean at t = delta; the returned samples stay noisy.
     """
@@ -62,7 +59,6 @@ class SamplerConfig:
     seed: int = 0
     order: str = "first"
     init: str = "exact_forward"
-    denoiser: str = "oracle"
     sigma_err: float = 0.0
     final_denoise: bool = False
 
@@ -73,10 +69,8 @@ class SamplerConfig:
             raise ValueError(f"order must be one of {_ORDERS}")
         if self.init not in _INITS:
             raise ValueError(f"init must be one of {_INITS}")
-        if self.denoiser not in _DENOISERS:
-            raise ValueError(f"denoiser must be one of {_DENOISERS}")
-        if self.sigma_err < 0:
-            raise ValueError("sigma_err must be nonnegative")
+        if not (math.isfinite(self.sigma_err) and self.sigma_err >= 0):
+            raise ValueError("sigma_err must be finite and nonnegative")
 
 
 @dataclass
@@ -101,11 +95,6 @@ class SampleReport:
             "denoised_nll_mean": self.denoised_nll_mean,
             "denoised_nll_stderr": self.denoised_nll_stderr,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def reverse_step(state, t_prev: float, t_next: float, anchor, noise):
@@ -144,16 +133,16 @@ def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:
 
 def _oracle(dist, t, Y, cfg: SamplerConfig, err_rng):
     m = posterior_mean(dist, t, Y)
-    if cfg.denoiser == "oracle_plus_noise" and cfg.sigma_err > 0:
+    if cfg.sigma_err > 0:
         m = m + cfg.sigma_err * err_rng.standard_normal(m.shape)
     return m
 
 
-def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig, order: str):
+def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     t = 1.0 / grid.gammas  # descending from T to delta
     ell = np.log(grid.gammas)  # ascending log-SNR along the run
     K = grid.K
-    if order == "second" and K < 2:
+    if cfg.order == "second" and K < 2:
         raise ValueError("the second-order sampler needs K >= 2")
     # fixed stream split: 0 = initialization, 1 = step noise, 2 = denoiser error
     init_rng, step_rng, err_rng = (
@@ -164,7 +153,7 @@ def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig, order: str
     for k in range(1, K + 1):
         cur_eval = _oracle(dist, t[k - 1], Y, cfg, err_rng)
         anchor = cur_eval
-        if order == "second" and prev_eval is not None:
+        if cfg.order == "second" and prev_eval is not None:
             # extrapolate to the interval midpoint in log-SNR
             slope = (cur_eval - prev_eval) / (ell[k - 1] - ell[k - 2])
             anchor = cur_eval + slope * (0.5 * (ell[k] + ell[k - 1]) - ell[k - 1])
@@ -174,7 +163,7 @@ def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig, order: str
     return Y
 
 
-def _report(dist, grid, cfg, samples, order):
+def _report(dist, grid, cfg, samples):
     nll, se = _nll_stats(dist, samples)
     report = SampleReport(
         nll_mean=nll,
@@ -182,9 +171,8 @@ def _report(dist, grid, cfg, samples, order):
         n_samples=cfg.n_samples,
         gammas=[float(g) for g in grid.gammas],
         config={
-            "order": order,
+            "order": cfg.order,
             "init": cfg.init,
-            "denoiser": cfg.denoiser,
             "sigma_err": cfg.sigma_err,
             "seed": cfg.seed,
             "final_denoise": cfg.final_denoise,
@@ -203,17 +191,9 @@ def sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
 
     Deterministic given (cfg, seed): all randomness flows from
     SeedSequence(cfg.seed) through three fixed substreams. cfg.order picks
-    the first-order or the second-order scheme.
+    the first-order or the second-order scheme; the second order falls back
+    to first order on its first step and draws the same noise, so runs with
+    equal seeds differ only in their anchors.
     """
-    if cfg.order == "second":
-        return second_order_sample(dist, grid, cfg)
-    samples = _run(dist, grid, cfg, "first")
-    return samples, _report(dist, grid, cfg, samples, "first")
-
-
-def second_order_sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
-    """Two-step multistep variant of :func:`sample`; first step falls back to
-    first order. Consumes the same random streams in the same order as the
-    first-order sampler, so runs with equal seeds see identical noise."""
-    samples = _run(dist, grid, cfg, "second")
-    return samples, _report(dist, grid, cfg, samples, "second")
+    samples = _run(dist, grid, cfg)
+    return samples, _report(dist, grid, cfg, samples)

@@ -38,8 +38,6 @@ __all__ = [
     "schedule_objective",
     "las_exact",
     "las_beam",
-    "parse_timestep_list",
-    "format_timestep_list",
 ]
 
 
@@ -117,10 +115,10 @@ class LasConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lambda must be finite and positive")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and nonnegative")
         if self.beam < 1 or self.window < 1:
             raise ValueError("beam width and window radius must be >= 1")
         if self.extra < 0:
@@ -139,6 +137,8 @@ class CandidateSet:
         r = np.asarray(self.risks, dtype=float)
         if g.ndim != 1 or g.size < 2 or r.shape != g.shape:
             raise ValueError("need matching 1-d gammas and risks with at least 2 candidates")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(r))):
+            raise ValueError("candidate gammas and risks must be finite")
         if np.any(g <= 0) or not np.all(np.diff(g) > 0):
             raise ValueError("candidate gammas must be positive and strictly increasing")
         if np.any(r < 0):
@@ -204,6 +204,7 @@ class Schedule:
             "alpha": self.alpha,
             "objective": self.objective,
             "algorithm": self.algorithm,
+            "tie_breaks": self.tie_breaks,
         }
 
     @classmethod
@@ -216,6 +217,7 @@ class Schedule:
             K=int(obj["K"]),
             lam=float(obj["lambda"]),
             alpha=float(obj["alpha"]),
+            tie_breaks=int(obj.get("tie_breaks", 0)),
         )
 
 
@@ -398,24 +400,3 @@ def las_beam(cands: CandidateSet, cfg: LasConfig) -> Schedule:
         k -= 1
     indices.reverse()
     return _make_schedule(cands, indices, cfg, "beam")
-
-
-def parse_timestep_list(text: str) -> list:
-    """Parse a comma-separated noisy-to-clean timestep list into ints.
-
-    Accepts an optional surrounding [ ] and whitespace. The list must be
-    strictly decreasing and nonnegative.
-    """
-    body = text.strip().strip("[]")
-    parts = [p.strip() for p in body.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty timestep list")
-    steps = [int(p) for p in parts]
-    if any(s < 0 for s in steps) or any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("timesteps must be nonnegative and strictly decreasing")
-    return steps
-
-
-def format_timestep_list(steps) -> str:
-    """Inverse of :func:`parse_timestep_list`: comma-joined without spaces."""
-    return ",".join(str(int(s)) for s in steps)

@@ -7,6 +7,9 @@ pathwise KL estimates) can be checked against closed forms or quadrature:
 * :class:`GaussianMixture` -- isotropic mixtures sum_i w_i N(mu_i, sigma_i^2 I).
 * :class:`FiniteDiscrete` -- finitely supported laws sum_i p_i delta_{z_i}.
 
+:func:`build_toy` and :func:`toy_discrete` build the bundled circle8 and
+grid8 toy priors of each family.
+
 The entropy functionals (surprisal, Shannon entropy, order-1/2 Renyi entropy,
 sub-exponential surprisal fit) are defined for the discrete family only;
 differential entropy of the mixture family is deliberately out of scope.
@@ -22,12 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "GaussianMixture",
     "FiniteDiscrete",
     "TargetDistribution",
+    "build_toy",
+    "toy_discrete",
     "InfoProfile",
     "surprisal",
     "shannon_entropy",
@@ -40,9 +44,15 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+
+
 def _check_weights(w: np.ndarray, what: str) -> None:
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d array")
+    _check_finite(w, what)
     if np.any(w <= 0):
         raise ValueError(f"{what} must be strictly positive")
     if abs(math.fsum(w.tolist()) - 1.0) > _WEIGHT_TOL:
@@ -76,6 +86,8 @@ class GaussianMixture:
         _check_weights(w, "mixture weights")
         if mu.shape[0] != w.size or sig.shape != w.shape:
             raise ValueError("weights, means and sigmas must have matching leading size")
+        _check_finite(mu, "component means")
+        _check_finite(sig, "component sigmas")
         if np.any(sig <= 0):
             raise ValueError("component sigmas must be strictly positive")
         object.__setattr__(self, "weights", w)
@@ -101,7 +113,8 @@ class GaussianMixture:
             - 0.5 * sq / var[None, :]
             - 0.5 * d * np.log(2.0 * np.pi * var)[None, :]
         )
-        return logsumexp(logcomp, axis=1)
+        top = logcomp.max(axis=1, keepdims=True)
+        return top[:, 0] + np.log(np.exp(logcomp - top).sum(axis=1))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` exact samples, shape (n, d)."""
@@ -139,11 +152,9 @@ class FiniteDiscrete:
         _check_weights(p, "atom probabilities")
         if z.shape[0] != p.size:
             raise ValueError("points and probs must have matching leading size")
-        # pairwise-distinct atoms; n is small so the quadratic scan is fine
-        for i in range(z.shape[0]):
-            for j in range(i + 1, z.shape[0]):
-                if np.array_equal(z[i], z[j]):
-                    raise ValueError(f"atoms {i} and {j} coincide")
+        _check_finite(z, "atom points")
+        if np.unique(z, axis=0).shape[0] != z.shape[0]:
+            raise ValueError("atoms must be pairwise distinct")
         object.__setattr__(self, "points", z)
         object.__setattr__(self, "probs", p)
 
@@ -171,6 +182,46 @@ class FiniteDiscrete:
 
 
 TargetDistribution = GaussianMixture | FiniteDiscrete
+
+_TOY_WEIGHTS = np.arange(8, 0, -1) / 36.0
+
+
+def _toy_means(name: str, radius: float) -> np.ndarray:
+    if name == "circle8":
+        ang = 2.0 * np.pi * np.arange(8) / 8.0
+        return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if name == "grid8":
+        # 2x4 lattice, row-major with y ascending; scales with radius/4
+        xs = np.array([-3.0, -1.0, 1.0, 3.0])
+        ys = np.array([-2.0, 2.0])
+        pts = [(x, y) for y in ys for x in xs]
+        return (radius / 4.0) * np.array(pts)
+    raise ValueError(f"unknown toy target {name!r}; expected circle8 or grid8")
+
+
+def build_toy(name: str, weights=None, sigma0: float = 0.25, radius: float = 4.0) -> GaussianMixture:
+    """Build the circle8 or grid8 toy prior.
+
+    circle8 places 8 isotropic components on a radius-``radius`` circle at
+    angles 2 pi j / 8; grid8 places them on a 2x4 lattice (x in +-1, +-3 and
+    y in +-2, scaled by radius/4), row-major with y ascending. Default
+    weights are proportional to (8, 7, ..., 1).
+    """
+    if not sigma0 > 0:
+        raise ValueError("sigma0 must be positive")
+    w = _TOY_WEIGHTS if weights is None else np.asarray(weights, dtype=float)
+    if w.size != 8:
+        raise ValueError("toy targets need exactly 8 weights")
+    means = _toy_means(name, radius)
+    return GaussianMixture(weights=w, means=means, sigmas=np.full(8, float(sigma0)))
+
+
+def toy_discrete(name: str, weights=None, radius: float = 4.0) -> FiniteDiscrete:
+    """Discrete companion of a toy prior: atoms at the component means."""
+    w = _TOY_WEIGHTS if weights is None else np.asarray(weights, dtype=float)
+    if w.size != 8:
+        raise ValueError("toy targets need exactly 8 weights")
+    return FiniteDiscrete(points=_toy_means(name, radius), probs=w)
 
 
 def _require_discrete(dist) -> FiniteDiscrete:
@@ -239,11 +290,11 @@ class InfoProfile:
         return self.shannon + 0.5 * self.nu_sq
 
 
-def fit_subexponential(dist: TargetDistribution, b: float, grid_points: int = 41) -> InfoProfile:
+def fit_subexponential(dist: TargetDistribution, b: float) -> InfoProfile:
     """Fit a sub-exponential envelope to the centered surprisal of ``dist``.
 
     Evaluates M(lam) = sum_i p_i exp(lam (iota_i - H)) exactly on a symmetric
-    deterministic grid of ``grid_points`` lambdas covering [-1/b, 1/b]
+    deterministic grid of 41 lambdas covering [-1/b, 1/b]
     (endpoints and 0 included), and returns the smallest nu^2 with
     M(lam) <= exp(nu^2 lam^2) on that grid.
 
@@ -255,13 +306,11 @@ def fit_subexponential(dist: TargetDistribution, b: float, grid_points: int = 41
     d = _require_discrete(dist)
     if not 0 < b <= 2:
         raise ValueError("sub-exponential scale b must lie in (0, 2]")
-    if grid_points < 41:
-        raise ValueError("lambda grid must have at least 41 points")
     H = shannon_entropy(d)
     p = _sorted_by_prob(d)
     iota = -np.log(p)
 
-    half = np.linspace(0.0, 1.0 / b, (grid_points + 1) // 2)
+    half = np.linspace(0.0, 1.0 / b, 21)  # mirrored below: 41 lambdas in all
     lams = np.concatenate([-half[::-1][:-1], half])
 
     nu_sq = 0.0

@@ -205,3 +205,18 @@ def random_candidates(rng, n, gamma_lo=0.5, gamma_hi=200.0):
 def random_probs(rng, n):
     w = rng.gamma(shape=0.6, scale=1.0, size=n) + 1e-12
     return w / w.sum()
+
+
+def isotropic_mixture_log_density(weights, means, sigmas, x):
+    """log sum_i w_i N(x; mu_i, sigma_i^2 I) for one point, in plain floats.
+
+    The largest log-term is factored out before exponentiating, and the
+    remaining sum is taken with math.fsum, so far-tail points stay finite.
+    """
+    d = len(x)
+    terms = []
+    for w, mu, s in zip(weights, means, sigmas):
+        sq = math.fsum((xi - mi) ** 2 for xi, mi in zip(x, mu))
+        terms.append(math.log(w) - 0.5 * sq / s**2 - 0.5 * d * math.log(2.0 * math.pi * s**2))
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))

@@ -405,8 +405,44 @@ def test_verify_all_with_point_mass_target(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_verify_failure_exits_4_and_runs_every_check(tmp_path, capsys, monkeypatch):
+    from snrsched import verify
+
+    def broken_suite(seed):
+        def raises():
+            raise RuntimeError("boom")
+
+        return [
+            verify.Check("always fails", lambda: (False, "nope")),
+            verify.Check("always raises", raises),
+        ]
+
+    monkeypatch.setitem(verify.SUITES, "grids", broken_suite)
+    out = tmp_path / "run"
+    rc = main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)])
+    assert rc == 4
+    text = capsys.readouterr().out
+    assert "[FAIL] grids: always fails (nope)" in text
+    assert "[FAIL] grids: always raises (raised RuntimeError: boom)" in text
+    # the suites after the broken one still ran
+    assert "[PASS] errors:" in text and "[PASS] sampler:" in text
+    results = json.loads((out / "verify.json").read_text())
+    assert [r["ok"] for r in results].count(False) == 2
+    assert f"{len(results) - 2}/{len(results)} checks passed" in text
+
+
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, snrsched.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs():

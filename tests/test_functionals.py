@@ -68,6 +68,8 @@ def test_grid_rejects_non_ascending():
         SnrGrid([2.0, 1.0])
     with pytest.raises(ValueError):
         SnrGrid([-1.0, 1.0])
+    with pytest.raises(ValueError):
+        SnrGrid([1.0, math.inf])
 
 
 def test_grid_is_geometric_flag():
@@ -318,6 +320,18 @@ def test_loss_profile_csv_comments_and_header(tmp_path):
 def test_loss_profile_rejects_descending(tmp_path):
     path = tmp_path / "loss.csv"
     path.write_text("gamma,loss,kind\n4.0,0.5,x0\n1.0,1.0,x0\n")
+    with pytest.raises(ValueError):
+        LossProfile.from_csv(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_loss_profile_rejects_nonfinite(tmp_path, bad):
+    with pytest.raises(ValueError):
+        LossProfile(gammas=np.array([1.0, 4.0]), losses=np.array([1.0, bad]))
+    with pytest.raises(ValueError):
+        LossProfile(gammas=np.array([1.0, bad]), losses=np.array([1.0, 1.0]))
+    path = tmp_path / "loss.csv"
+    path.write_text(f"gamma,loss,kind\n1.0,0.5,x0\n4.0,{bad},eps\n")
     with pytest.raises(ValueError):
         LossProfile.from_csv(path)
 

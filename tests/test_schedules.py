@@ -20,13 +20,11 @@ from snrsched.schedules import (
     LasConfig,
     Schedule,
     eta_axis,
-    format_timestep_list,
     grid_edm,
     grid_geometric,
     grid_time_uniform,
     las_beam,
     las_exact,
-    parse_timestep_list,
     schedule_objective,
 )
 
@@ -329,6 +327,19 @@ def test_schedule_json_round_trip():
         assert back.algorithm == sched.algorithm
         assert back.lam == sched.lam
         assert back.alpha == sched.alpha
+        assert back.tie_breaks == sched.tie_breaks
+
+
+def test_schedule_json_keeps_tie_breaks():
+    cands = CandidateSet(gammas=np.geomspace(1.0, 100.0, 8), risks=np.full(8, 0.5))
+    sched = las_exact(cands, LasConfig(K=4, lam=1.5))
+    assert sched.tie_breaks == 15
+    obj = sched.to_json_dict()
+    assert obj["tie_breaks"] == 15
+    assert Schedule.from_json_dict(obj).tie_breaks == 15
+    # files written before the field existed still load
+    del obj["tie_breaks"]
+    assert Schedule.from_json_dict(obj).tie_breaks == 0
 
 
 def test_schedule_grid_matches_selected_gammas():
@@ -362,6 +373,19 @@ def test_candidate_set_validation():
         CandidateSet(gammas=np.array([1.0, 2.0]), risks=np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
         CandidateSet(gammas=np.array([1.0]), risks=np.array([1.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CandidateSet(gammas=np.array([1.0, 2.0, 4.0]), risks=np.array([0.5, bad, 0.5]))
+        with pytest.raises(ValueError):
+            CandidateSet(gammas=np.array([1.0, 2.0, bad]), risks=np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_las_config_rejects_nonfinite(bad):
+    with pytest.raises(ValueError):
+        LasConfig(K=2, lam=bad)
+    with pytest.raises(ValueError):
+        LasConfig(K=2, alpha=bad)
 
 
 def test_candidate_set_derived_axes():
@@ -370,38 +394,3 @@ def test_candidate_set_derived_axes():
     np.testing.assert_allclose(c.ell, np.log(gam), rtol=1e-15)
     np.testing.assert_allclose(c.eta(2.0), gam / (1.0 + 4.0 * gam), rtol=1e-15)
     assert c.n == 3
-
-
-# ---------------------------------------------------------------------------
-# timestep-list interop
-
-
-DDIM_K10 = "999,746,607,527,462,402,342,280,208,126,0"
-
-
-def test_parse_timestep_list_fixture():
-    steps = parse_timestep_list(DDIM_K10)
-    assert len(steps) == 11
-    assert steps[0] == 999 and steps[-1] == 0
-    assert steps == sorted(steps, reverse=True)
-
-
-def test_parse_accepts_brackets_and_spaces():
-    assert parse_timestep_list("[999, 746, 0]") == [999, 746, 0]
-
-
-def test_format_round_trip():
-    steps = parse_timestep_list(DDIM_K10)
-    assert format_timestep_list(steps) == DDIM_K10
-    assert parse_timestep_list(format_timestep_list(steps)) == steps
-
-
-def test_parse_rejects_bad_lists():
-    with pytest.raises(ValueError):
-        parse_timestep_list("")
-    with pytest.raises(ValueError):
-        parse_timestep_list("5,5,1")
-    with pytest.raises(ValueError):
-        parse_timestep_list("3,7,1")
-    with pytest.raises(ValueError):
-        parse_timestep_list("5,-1")

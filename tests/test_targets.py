@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entropy_oracle, random_probs, renyi_half_oracle, surprisal_mgf
+from oracles import (
+    entropy_oracle,
+    isotropic_mixture_log_density,
+    random_probs,
+    renyi_half_oracle,
+    surprisal_mgf,
+)
 from snrsched import (
     FiniteDiscrete,
     GaussianMixture,
@@ -62,6 +68,60 @@ def test_sigmas_strictly_positive():
 def test_atoms_pairwise_distinct():
     with pytest.raises(ValueError):
         FiniteDiscrete(points=[[1.0], [1.0]], probs=[0.5, 0.5])
+
+
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_weights_reject_nonfinite(bad):
+    with pytest.raises(ValueError):
+        GaussianMixture(weights=[bad, 0.5], means=[[0.0], [1.0]], sigmas=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        FiniteDiscrete(points=[[0.0], [1.0]], probs=[0.5, bad])
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_mixture_rejects_nonfinite_means_and_sigmas(bad):
+    with pytest.raises(ValueError):
+        GaussianMixture(weights=[0.5, 0.5], means=[[0.0, bad], [1.0, 0.0]], sigmas=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        GaussianMixture(weights=[0.5, 0.5], means=[[0.0], [1.0]], sigmas=[1.0, abs(bad)])
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_discrete_rejects_nonfinite_points(bad):
+    with pytest.raises(ValueError):
+        FiniteDiscrete(points=[[0.0, 1.0], [bad, 0.0]], probs=[0.5, 0.5])
+
+
+def test_atoms_distinct_check_finds_any_pair():
+    pts = np.arange(40.0).reshape(20, 2)
+    FiniteDiscrete(points=pts, probs=np.full(20, 0.05))
+    pts[17] = pts[3]
+    with pytest.raises(ValueError):
+        FiniteDiscrete(points=pts, probs=np.full(20, 0.05))
+    # signed zeros are the same atom
+    with pytest.raises(ValueError):
+        FiniteDiscrete(points=[[0.0, 1.0], [-0.0, 1.0]], probs=[0.5, 0.5])
+
+
+def test_log_prob_matches_oracle_including_far_tail():
+    gm = GaussianMixture(
+        weights=[0.2, 0.5, 0.3],
+        means=[[0.0, 0.0], [3.0, -1.0], [-2.0, 4.0]],
+        sigmas=[0.25, 1.0, 0.5],
+    )
+    rng = np.random.default_rng(12)
+    far = np.array([[400.0, -300.0]])  # every component term is below exp's range
+    X = np.concatenate([rng.normal(scale=3.0, size=(50, 2)), far])
+    got = gm.log_prob(X)
+    want = [isotropic_mixture_log_density(gm.weights, gm.means, gm.sigmas, x) for x in X]
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # an unshifted log(sum(exp(.))) would read -inf at the far point
+    assert math.exp(want[-1]) == 0.0
+    np.testing.assert_allclose(gm.log_prob(X[0]), want[:1], rtol=1e-12)
 
 
 def test_cov_trace_two_atoms():
