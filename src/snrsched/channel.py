@@ -11,6 +11,9 @@ together with its derivative, via the identity
 
     -mmse'(gamma) = E[ tr( Cov(Z | X_{1/gamma})^2 ) ].
 
+A finite discrete target is treated as the isotropic mixture whose components
+have zero variance, so one posterior kernel serves both target families.
+
 Three evaluation policies are provided and cross-checked against each other:
 closed form (single Gaussian component), Gauss-Hermite quadrature (exact up
 to quadrature error for dim <= 2), and Monte Carlo with reported standard
@@ -103,40 +106,67 @@ class PosteriorSummary:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
 
 
-def _softmax_rows(logw: np.ndarray) -> np.ndarray:
-    logw = logw - logw.max(axis=1, keepdims=True)
-    w = np.exp(logw)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+def _components(dist: TargetDistribution):
+    """(weights, centers, variances) of ``dist`` as an isotropic mixture.
+
+    A finite discrete target is the mixture whose components have zero
+    variance, so every kernel below serves both target families.
+    """
+    if isinstance(dist, FiniteDiscrete):
+        return dist.probs, dist.points, np.zeros(dist.n_atoms)
+    return dist.weights, dist.means, dist.sigmas**2
 
 
-def _discrete_weights(dist: FiniteDiscrete, t: float, X: np.ndarray) -> np.ndarray:
-    sq = ((X[:, None, :] - dist.points[None, :, :]) ** 2).sum(axis=2)
-    return _softmax_rows(np.log(dist.probs)[None, :] - 0.5 * sq / t)
-
-
-def _gmm_responsibilities(dist: GaussianMixture, t: float, X: np.ndarray) -> np.ndarray:
-    s2 = dist.sigmas**2 + t
-    sq = ((X[:, None, :] - dist.means[None, :, :]) ** 2).sum(axis=2)
+def _responsibilities(comps, t: float, X: np.ndarray) -> np.ndarray:
+    """Posterior component probabilities, shape (m, n), normalized in the log domain."""
+    weights, centers, variances = comps
+    s2 = variances + t
+    sq = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     logr = (
-        np.log(dist.weights)[None, :]
+        np.log(weights)[None, :]
         - 0.5 * sq / s2[None, :]
-        - 0.5 * dist.dim * np.log(s2)[None, :]
+        - 0.5 * centers.shape[1] * np.log(s2)[None, :]
     )
-    return _softmax_rows(logr)
+    r = np.exp(logr - logr.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
+    return r
+
+
+def _component_posteriors(comps, t: float, X: np.ndarray):
+    """Conjugate per-component posterior means (m, n, d) and per-axis variances (n,)."""
+    _, centers, variances = comps
+    s2 = variances + t
+    shrink = (variances / s2)[None, :, None]
+    comp_mean = shrink * X[:, None, :] + (t / s2)[None, :, None] * centers[None, :, :]
+    return comp_mean, variances * t / s2
 
 
 def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
     """Ideal denoiser m_t evaluated at a batch of points, shape (m, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(dist, FiniteDiscrete):
-        return _discrete_weights(dist, t, X) @ dist.points
-    s2 = dist.sigmas**2 + t
-    r = _gmm_responsibilities(dist, t, X)
-    # conjugate per-component posterior means, blended by responsibility
-    shrink = (dist.sigmas**2 / s2)[None, :, None]
-    comp_mean = shrink * X[:, None, :] + (t / s2)[None, :, None] * dist.means[None, :, :]
+    comps = _components(dist)
+    r = _responsibilities(comps, t, X)
+    comp_mean, _ = _component_posteriors(comps, t, X)
     return np.einsum("mi,mid->md", r, comp_mean)
+
+
+def _posterior_moments(dist: TargetDistribution, t: float, X: np.ndarray):
+    """Responsibilities, posterior mean, tr Cov and tr Cov^2 for a batch X.
+
+    Cov is the spread of the component means plus the mean within-component
+    variance (law of total covariance).
+    """
+    comps = _components(dist)
+    r = _responsibilities(comps, t, X)
+    comp_mean, comp_var = _component_posteriors(comps, t, X)
+    mean = np.einsum("mi,mid->md", r, comp_mean)
+    centered = comp_mean - mean[:, None, :]
+    cov = np.einsum("mi,mia,mib->mab", r, centered, centered)
+    idx = np.arange(X.shape[1])
+    cov[:, idx, idx] += (r @ comp_var)[:, None]
+    trace = np.einsum("maa->m", cov)
+    frob_sq = np.einsum("mab,mab->m", cov, cov)
+    return r, mean, trace, frob_sq
 
 
 def posterior_cov_stats(dist: TargetDistribution, t: float, X):
@@ -148,39 +178,15 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(dist, FiniteDiscrete):
-        w = _discrete_weights(dist, t, X)
-        mean = w @ dist.points
-        centered = dist.points[None, :, :] - mean[:, None, :]
-        cov = np.einsum("mi,mia,mib->mab", w, centered, centered)
-    else:
-        s2 = dist.sigmas**2 + t
-        r = _gmm_responsibilities(dist, t, X)
-        shrink = (dist.sigmas**2 / s2)[None, :, None]
-        comp_mean = shrink * X[:, None, :] + (t / s2)[None, :, None] * dist.means[None, :, :]
-        mean = np.einsum("mi,mid->md", r, comp_mean)
-        centered = comp_mean - mean[:, None, :]
-        cov = np.einsum("mi,mia,mib->mab", r, centered, centered)
-        comp_var = dist.sigmas**2 * t / s2  # per-axis posterior variance within a component
-        iso = r @ comp_var
-        idx = np.arange(dist.dim)
-        cov[:, idx, idx] += iso[:, None]
-    trace = np.einsum("maa->m", cov)
-    frob_sq = np.einsum("mab,mab->m", cov, cov)
+    _, _, trace, frob_sq = _posterior_moments(dist, t, X)
     return trace, frob_sq
 
 
 def posterior(dist: TargetDistribution, point: ChannelPoint) -> PosteriorSummary:
     """Full posterior summary at a single channel point."""
-    X = point.x[None, :]
-    if isinstance(dist, FiniteDiscrete):
-        w = _discrete_weights(dist, point.t, X)[0]
-    else:
-        w = _gmm_responsibilities(dist, point.t, X)[0]
-    mean = posterior_mean(dist, point.t, X)[0]
-    trace, frob = posterior_cov_stats(dist, point.t, X)
+    w, mean, trace, frob = _posterior_moments(dist, point.t, point.x[None, :])
     return PosteriorSummary(
-        weights=w, mean=mean, cov_trace=float(trace[0]), cov_frobenius_sq=float(frob[0])
+        weights=w[0], mean=mean[0], cov_trace=float(trace[0]), cov_frobenius_sq=float(frob[0])
     )
 
 
@@ -201,18 +207,21 @@ def _quad_cov_expect(dist: TargetDistribution, t: float):
         ua, ub = np.meshgrid(u, u, indexing="ij")
         offsets = np.stack([ua.ravel(), ub.ravel()], axis=1)
         qw = np.outer(w1, w1).ravel()
-    if isinstance(dist, FiniteDiscrete):
-        centers, scales, probs = dist.points, np.full(dist.n_atoms, math.sqrt(t)), dist.probs
-    else:
-        centers, scales, probs = dist.means, np.sqrt(dist.sigmas**2 + t), dist.weights
+    probs, centers, variances = _components(dist)
     e_tr = 0.0
     e_fr = 0.0
-    for c, s, p in zip(centers, scales, probs):
+    for c, s, p in zip(centers, np.sqrt(variances + t), probs):
         X = c[None, :] + s * offsets
         tr, fr = posterior_cov_stats(dist, t, X)
         e_tr += p * float(qw @ tr)
         e_fr += p * float(qw @ fr)
     return e_tr, e_fr
+
+
+def _mean_se(v: np.ndarray):
+    """Sample mean and its standard error (0 for a single sample)."""
+    se = v.std(ddof=1) / math.sqrt(v.size) if v.size > 1 else 0.0
+    return float(v.mean()), float(se)
 
 
 def _mc_cov_expect(dist: TargetDistribution, t: float, n_samples: int, seed):
@@ -222,20 +231,13 @@ def _mc_cov_expect(dist: TargetDistribution, t: float, n_samples: int, seed):
     rng = np.random.default_rng(seed)
     traces = np.empty(n_samples)
     frobs = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, _CHUNK):
         m = min(_CHUNK, n_samples - done)
         Z = dist.sample(m, rng)
         X = Z + math.sqrt(t) * rng.standard_normal(Z.shape)
         tr, fr = posterior_cov_stats(dist, t, X)
         traces[done : done + m] = tr
         frobs[done : done + m] = fr
-        done += m
-
-    def _mean_se(v):
-        se = v.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
-        return float(v.mean()), float(se)
-
     return _mean_se(traces), _mean_se(frobs)
 
 
@@ -255,6 +257,27 @@ def _resolve_policy(dist, policy: str) -> str:
     return policy
 
 
+def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
+    """((E tr Cov, stderr), (E tr Cov^2, stderr)) at t = 1/gamma under ``policy``.
+
+    Both moments come from one evaluation; stderrs are 0 for the closed_form
+    and quadrature policies.
+    """
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    pol = _resolve_policy(dist, policy)
+    if pol == "closed_form":
+        if not _is_single_gaussian(dist):
+            raise ValueError("closed_form policy applies to single-Gaussian targets only")
+        s0sq = float(dist.sigmas[0] ** 2)
+        tr = dist.dim * s0sq / (1.0 + s0sq * gamma)
+        return (tr, 0.0), (dist.dim * (s0sq / (1.0 + s0sq * gamma)) ** 2, 0.0)
+    if pol == "quadrature":
+        e_tr, e_fr = _quad_cov_expect(dist, 1.0 / gamma)
+        return (e_tr, 0.0), (e_fr, 0.0)
+    return _mc_cov_expect(dist, 1.0 / gamma, n_samples, seed)
+
+
 def mmse(
     dist: TargetDistribution,
     gamma: float,
@@ -269,20 +292,7 @@ def mmse(
     form of E ||Z - m_t(X_t)||^2). stderr is 0 for the closed_form and
     quadrature policies.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    t = 1.0 / gamma
-    pol = _resolve_policy(dist, policy)
-    if pol == "closed_form":
-        if not _is_single_gaussian(dist):
-            raise ValueError("closed_form policy applies to single-Gaussian targets only")
-        s0sq = float(dist.sigmas[0] ** 2)
-        return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
-    if pol == "quadrature":
-        e_tr, _ = _quad_cov_expect(dist, t)
-        return e_tr, 0.0
-    (v, se), _ = _mc_cov_expect(dist, t, n_samples, seed)
-    return v, se
+    return _cov_expect(dist, gamma, policy, n_samples, seed)[0]
 
 
 def mmse_derivative(
@@ -294,19 +304,7 @@ def mmse_derivative(
     seed=0,
 ):
     """Derivative mmse'(gamma) = -E tr(Cov(Z|X_t)^2); returns (value, stderr)."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    t = 1.0 / gamma
-    pol = _resolve_policy(dist, policy)
-    if pol == "closed_form":
-        if not _is_single_gaussian(dist):
-            raise ValueError("closed_form policy applies to single-Gaussian targets only")
-        s0sq = float(dist.sigmas[0] ** 2)
-        return -dist.dim * (s0sq / (1.0 + s0sq * gamma)) ** 2, 0.0
-    if pol == "quadrature":
-        _, e_fr = _quad_cov_expect(dist, t)
-        return -e_fr, 0.0
-    _, (v, se) = _mc_cov_expect(dist, t, n_samples, seed)
+    v, se = _cov_expect(dist, gamma, policy, n_samples, seed)[1]
     return -v, se
 
 
@@ -362,9 +360,8 @@ class MmseCurve:
         """(gamma, mmse, mmse_stderr, dmmse, dmmse_stderr) tuples, one per gamma."""
         out = []
         for g in np.asarray(gammas, dtype=float):
-            v, se = self.mmse(g)
-            dv, dse = self.derivative(g)
-            out.append((float(g), v, se, dv, dse))
+            (v, se), (fr, fse) = _cov_expect(self.dist, g, self.policy, self.n_samples, self.seed)
+            out.append((float(g), v, se, -fr, fse))
         return out
 
     def integral(self, gamma_lo: float, gamma_hi: float) -> float:
@@ -401,21 +398,18 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     vals = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, _CHUNK):
         m = min(_CHUNK, n_samples - done)
         idx = rng.choice(dist.n_atoms, size=m, p=dist.probs)
         Z = dist.points[idx]
         X = Z + math.sqrt(t) * rng.standard_normal(Z.shape)
-        w = _discrete_weights(dist, t, X)
+        w = _responsibilities(_components(dist), t, X)
         u = rng.random(m)
         idx2 = (u[:, None] > np.cumsum(w, axis=1)).sum(axis=1)
         idx2 = np.minimum(idx2, dist.n_atoms - 1)
         diff = dist.points[idx2] - Z
         vals[done : done + m] = ((diff**2).sum(axis=1)) ** 2
-        done += m
-    se = vals.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
-    return float(vals.mean()), float(se)
+    return _mean_se(vals)
 
 
 def derivative_ratio_constant(

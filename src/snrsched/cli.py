@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, verify
 from .channel import MmseCurve
-from .functionals import LossProfile, SnrGrid, combined_objective, error_report, final_bounds
+from .functionals import LossProfile, SnrGrid, combined_objective, error_report
 from .sampler import SamplerConfig, sample
 from .schedules import (
     CandidateSet,
@@ -231,10 +231,6 @@ def cmd_report(args) -> int:
         entry["name"] = name
         entry["K"] = grid.K
         entry["gammas"] = [float(g) for g in grid.gammas]
-        if H is not None:
-            entry["bounds"] = final_bounds(
-                grid, H, args.c_fit, entry["two_term"].get("stat_term", 0.0)
-            )
         if loss is not None:
             entry["combined_objective"] = combined_objective(loss, grid)
         reports.append(entry)

@@ -358,15 +358,19 @@ class ErrorReport:
     kl_path_bound: float
     two_term: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+    _bounds: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "e_disc": self.e_disc,
             "e_apx": self.e_apx,
             "kl_path_bound": self.kl_path_bound,
             "two_term": self.two_term,
             "provenance": self.provenance,
         }
+        if self._bounds:
+            out["bounds"] = self._bounds
+        return out
 
 
 def error_report(
@@ -382,7 +386,8 @@ def error_report(
     Without a loss profile the model is taken to be the exact denoiser, so
     E_apx = 0. When the target's Shannon entropy ``H`` is supplied, the
     two-term KL control from :func:`final_bounds` is attached, with eps_bar
-    the mean of the per-level excess terms.
+    the mean of the per-level excess terms, and the full :func:`final_bounds`
+    result is written under ``"bounds"`` by :meth:`ErrorReport.to_json_dict`.
     """
     curve = _as_curve(dist_or_curve)
     e_disc = disc_error(curve, grid)
@@ -395,14 +400,14 @@ def error_report(
         e_apx = det["value"]
         eps_bar = float(np.mean(det["eps_terms"]))
         apx_prov = "loss_profile"
-    two_term = {}
+    two_term, bounds = {}, {}
     if H is not None:
-        b = final_bounds(grid, H, C_fit, eps_bar)
+        bounds = final_bounds(grid, H, C_fit, eps_bar)
         two_term = {
             "disc_term": math.log(grid.Lambda) ** 2 * (C_fit * H) ** 2 / grid.K,
             "stat_term": math.log(grid.Lambda) * eps_bar,
-            "kl_total": b["kl_total"],
-            "applicable": b["kl_total_applicable"],
+            "kl_total": bounds["kl_total"],
+            "applicable": bounds["kl_total_applicable"],
         }
     return ErrorReport(
         e_disc=e_disc,
@@ -410,4 +415,5 @@ def error_report(
         kl_path_bound=0.5 * (e_disc + e_apx),
         two_term=two_term,
         provenance={"e_disc": "mmse_functional", "e_apx": apx_prov},
+        _bounds=bounds,
     )

@@ -376,7 +376,7 @@ def _error_checks(seed):
     def pathwise():
         two = _two_atoms()
         grid = SnrGrid(np.geomspace(0.5, 8.0, 3))
-        v, se = pathwise_kl_mc(two, grid, n_paths=20_000, substeps=8, seed=seed)
+        v, se = pathwise_kl_mc(two, grid, n_paths=20_000, substeps=64, seed=seed)
         ref = disc_error(MmseCurve(two, "quadrature"), grid)
         return _close(2 * v, ref, 4 * 2 * se + 1e-3, "2 * pathwise KL vs E_disc")
 
@@ -461,8 +461,7 @@ def _target_checks(target, seed):
         return _close(float(p.weights.sum()), 1.0, 1e-10, "posterior weight sum")
 
     def monotone():
-        pol = "auto" if target.dim <= 2 else "monte_carlo"
-        curve = MmseCurve(target, pol, n_samples=20_000, seed=seed)
+        curve = MmseCurve(target, n_samples=20_000, seed=seed)
         knots = [curve.mmse(g) for g in (0.25, 1.0, 4.0, 16.0)]
         for (v1, s1), (v2, s2) in zip(knots, knots[1:]):
             if v1 < v2 - 3 * math.hypot(s1, s2) - 1e-12:

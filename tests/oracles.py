@@ -220,3 +220,35 @@ def isotropic_mixture_log_density(weights, means, sigmas, x):
         terms.append(math.log(w) - 0.5 * sq / s**2 - 0.5 * d * math.log(2.0 * math.pi * s**2))
     top = max(terms)
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+def mixture_posterior_moments(weights, centers, variances, t, x):
+    """Posterior of Z given X_t = Z + sqrt(t) xi = x for an isotropic mixture.
+
+    Component i is N(centers[i], variances[i] I); a zero variance is an atom.
+    Component probabilities are proportional to w_i N(x; c_i, (v_i + t) I),
+    and given component i the posterior is conjugate,
+    N((v_i x + t c_i) / (v_i + t), v_i t / (v_i + t) I). The law of total
+    covariance assembles Cov(Z | x) one component at a time.
+    Returns (probs, mean, tr Cov, tr Cov^2).
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    logp = []
+    for w, c, v in zip(weights, centers, variances):
+        s2 = v + t
+        sq = math.fsum((xi - ci) ** 2 for xi, ci in zip(x, c))
+        logp.append(math.log(w) - 0.5 * sq / s2 - 0.5 * d * math.log(2.0 * math.pi * s2))
+    top = max(logp)
+    unnorm = [math.exp(a - top) for a in logp]
+    total = math.fsum(unnorm)
+    probs = np.array([u / total for u in unnorm])
+    means = [(v * x + t * np.asarray(c, dtype=float)) / (v + t) for c, v in zip(centers, variances)]
+    mean = np.zeros(d)
+    for p, mu in zip(probs, means):
+        mean += p * mu
+    cov = np.zeros((d, d))
+    for p, mu, v in zip(probs, means, variances):
+        dev = mu - mean
+        cov += p * (v * t / (v + t) * np.eye(d) + np.outer(dev, dev))
+    return probs, mean, float(np.trace(cov)), float((cov * cov).sum())

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_diff, two_atom_fourth_moment, two_atom_mmse
+from oracles import (
+    central_diff,
+    mixture_posterior_moments,
+    two_atom_fourth_moment,
+    two_atom_mmse,
+)
 from snrsched import FiniteDiscrete, GaussianMixture, renyi_half_entropy
 from snrsched.channel import (
     ChannelPoint,
@@ -265,3 +270,62 @@ def test_posterior_cov_stats_shapes_and_identity():
     assert np.all(tr >= 0.0)
     # d=1: Frobenius^2 equals trace^2 exactly
     np.testing.assert_allclose(fr, tr**2, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one kernel for both target families, against the per-component oracle
+
+
+def _oracle_cases():
+    """(id, target, weights, centers, variances): atoms and Gaussians, d = 1, 2."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in (1, 2):
+        probs = rng.dirichlet(np.ones(4))
+        centers = rng.normal(size=(4, d))
+        sigmas = rng.uniform(0.2, 1.0, size=4)
+        atoms = FiniteDiscrete(points=centers, probs=probs)
+        gmm = GaussianMixture(weights=probs, means=centers, sigmas=sigmas)
+        cases.append((f"discrete-d{d}", atoms, probs, centers, np.zeros(4)))
+        cases.append((f"gmm-d{d}", gmm, probs, centers, sigmas**2))
+    return cases
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-2, 1.0, 1e2, 1e6])
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_posterior_matches_per_component_oracle(case, t):
+    _, dist, weights, centers, variances = case
+    rng = np.random.default_rng(7)
+    X = dist.sample(6, rng) + math.sqrt(t) * rng.standard_normal((6, dist.dim))
+    tr, fr = posterior_cov_stats(dist, t, X)
+    for i, x in enumerate(X):
+        probs, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
+        s = posterior(dist, ChannelPoint.from_t(t, x))
+        np.testing.assert_allclose(s.weights, probs, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(s.mean, mean, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(
+            [s.cov_trace, s.cov_frobenius_sq, tr[i], fr[i]],
+            [o_tr, o_fr, o_tr, o_fr],
+            rtol=1e-10,
+            atol=1e-14,
+        )
+
+
+def test_tabulate_evaluates_each_knot_once(monkeypatch):
+    import snrsched.channel as channel
+
+    calls = []
+    kernel = channel.posterior_cov_stats
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(channel, "posterior_cov_stats", counting)
+    for policy in ("quadrature", "monte_carlo"):
+        curve = MmseCurve(TWO, policy, n_samples=2000, seed=5)
+        calls.clear()
+        ((g, v, se, dv, dse),) = curve.tabulate([2.0])
+        assert len(calls) == (TWO.n_atoms if policy == "quadrature" else 1)
+        assert (v, se) == curve.mmse(2.0)
+        assert (dv, dse) == curve.derivative(2.0)

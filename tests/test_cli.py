@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_first_order, eta_of
+import snrsched
 from snrsched import shannon_entropy
 from snrsched.cli import build_toy, main, toy_discrete
 from snrsched.targets import target_to_json
@@ -230,6 +232,21 @@ def test_report_exact_loss_zero_apx(tmp_path):
     )
 
 
+def test_report_bounds_share_two_term_kl_total(tmp_path):
+    from snrsched import FiniteDiscrete
+
+    target = tmp_path / "two.json"
+    write_target(target, FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5]))
+    write_loss_csv(tmp_path / "loss.csv", np.geomspace(1.0, 1000.0, 4), [0.9, 0.5, 0.1, 0.01])
+    out = tmp_path / "run"
+    argv = ["report", "--target", str(target), "--baseline", "geometric", "--K", "8",
+            "--loss", str(tmp_path / "loss.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    (entry,) = json.loads((out / "report.json").read_text())
+    assert entry["two_term"]["stat_term"] > 0.0
+    assert entry["bounds"]["kl_total"] == pytest.approx(entry["two_term"]["kl_total"], rel=1e-12)
+
+
 def test_report_k_sweep_slope(tmp_path):
     """E_disc ~ C/K on geometric grids over a moderate SNR span."""
     vals = {}
@@ -405,6 +422,14 @@ def test_verify_all_with_point_mass_target(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_verify_errors_suite_passes_on_every_seed():
+    from snrsched import verify
+
+    for seed in range(8):
+        failed = [r for r in verify.run_checks("errors", None, seed) if not r["ok"]]
+        assert failed == [], (seed, failed)
+
+
 def test_verify_failure_exits_4_and_runs_every_check(tmp_path, capsys, monkeypatch):
     from snrsched import verify
 
@@ -435,21 +460,25 @@ def test_verify_failure_exits_4_and_runs_every_check(tmp_path, capsys, monkeypat
 # entry point
 
 
+def _run_python(*args):
+    """Run a fresh interpreter that imports snrsched from where this suite does."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(snrsched.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = (
         "import sys, snrsched.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "snrsched.cli", "verify", "--suite", "grids"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_python("-m", "snrsched.cli", "verify", "--suite", "grids")
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
