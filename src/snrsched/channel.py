@@ -142,12 +142,17 @@ def _component_posteriors(comps, t: float, X: np.ndarray):
 
 
 def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
-    """Ideal denoiser m_t evaluated at a batch of points, shape (m, d)."""
+    """Ideal denoiser m_t evaluated at a batch of points, shape (m, d).
+
+    The responsibility-weighted conjugate means, sum_i r_i (v_i x + t c_i) / s2_i,
+    taken as two matrix products so no (m, n, d) tensor is built.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     comps = _components(dist)
     r = _responsibilities(comps, t, X)
-    comp_mean, _ = _component_posteriors(comps, t, X)
-    return np.einsum("mi,mid->md", r, comp_mean)
+    _, centers, variances = comps
+    s2 = variances + t
+    return (r @ (variances / s2))[:, None] * X + r @ ((t / s2)[:, None] * centers)
 
 
 def _posterior_moments(dist: TargetDistribution, t: float, X: np.ndarray):

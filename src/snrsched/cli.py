@@ -149,14 +149,7 @@ def cmd_schedule(args) -> int:
     gmin = 1.0 / args.T if args.T is not None else None
     gmax = 1.0 / args.delta if args.delta is not None else None
     cands = CandidateSet.from_profile(profile, gamma_min=gmin, gamma_max=gmax)
-    cfg = LasConfig(
-        K=args.K,
-        lam=args.lam,
-        alpha=args.alpha,
-        beam=args.beam,
-        window=args.window,
-        extra=args.extra,
-    )
+    cfg = LasConfig(K=args.K, lam=args.lam, alpha=args.alpha)
     run.stage("optimize")
     sched = las_exact(cands, cfg) if cfg.alpha == 0 else las_beam(cands, cfg)
     run.stage("write")
@@ -344,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.5)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beam", type=int, default=128)
-    p.add_argument("--window", type=int, default=32)
-    p.add_argument("--extra", type=int, default=0)
     p.add_argument("--T", type=float, default=None, help="trim candidates to gamma >= 1/T")
     p.add_argument("--delta", type=float, default=None, help="trim candidates to gamma <= 1/delta")
     p.add_argument("--out", required=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MmseCurve, posterior_mean
+from .channel import MmseCurve, _mean_se, posterior_mean
 from .targets import TargetDistribution
 
 __all__ = [
@@ -344,9 +344,8 @@ def pathwise_kl_mc(
         totals[done : done + m] = acc
         done += m
 
-    value = 0.5 * float(totals.mean())
-    se = 0.5 * float(totals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return value, se
+    value, se = _mean_se(totals)
+    return 0.5 * value, 0.5 * se
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import posterior_mean
+from .channel import _mean_se, posterior_mean
 from .functionals import SnrGrid
 from .targets import GaussianMixture, TargetDistribution
 
@@ -116,10 +116,7 @@ def reverse_step(state, t_prev: float, t_next: float, anchor, noise):
 def _nll_stats(dist, samples):
     if not isinstance(dist, GaussianMixture):
         return float("nan"), float("nan")
-    nll = -dist.log_prob(samples)
-    n = nll.size
-    se = float(nll.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(nll.mean()), se
+    return _mean_se(-dist.log_prob(samples))
 
 
 def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:

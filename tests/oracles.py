@@ -65,6 +65,29 @@ def brute_second_order(gammas, risks, K, lam, alpha):
     return best_idx, best_val
 
 
+def pair_dp_optimum(gammas, risks, K, lam, alpha):
+    """Optimal second-order objective by the unpruned DP over index pairs.
+
+    V[a, b] is the cheapest path from index 0 whose last two indices are
+    (a, b). Every pair is kept at every step, so after K steps the minimum
+    over paths ending at n - 1 is the exact optimum. Each step builds an
+    (n, n, n) tensor, which suits n up to a few hundred.
+    """
+    g = np.asarray(gammas, dtype=float)
+    L = np.asarray(risks, dtype=float)
+    n = g.size
+    eta = eta_of(g, lam)
+    later = np.arange(n)[:, None] < np.arange(n)[None, :]
+    step = np.where(later, (eta[None, :] - eta[:, None]) * L[:, None], np.inf)
+    h = np.log(g)[None, :] - np.log(g)[:, None]  # h[a, b] = log-SNR step a -> b
+    curv = (h[None, :, :] - h[:, :, None]) ** 2  # curv[a, b, c] = (h[b, c] - h[a, b])^2
+    V = np.full((n, n), np.inf)
+    V[0] = step[0]
+    for _ in range(K - 1):
+        V = (V[:, :, None] + alpha * curv).min(axis=0) + step
+    return float(V[:, -1].min())
+
+
 def ratio_sum(gammas):
     """sum_k (Delta gamma_k / gamma_{k-1})^2, the grid-quality proxy."""
     return math.fsum(((b - a) / a) ** 2 for a, b in zip(gammas, gammas[1:]))

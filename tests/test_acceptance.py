@@ -71,7 +71,7 @@ def test_c01_exact_dp_matches_exhaustive_search():
 
 
 def test_c02_beam_dp_matches_exhaustive_enumeration():
-    """B = n^2, W = n: 50 random instances (n <= 10, K <= 4,
+    """Default config: 50 random instances (n <= 10, K <= 4,
     alpha in {0.1, 1, 12}) match exhaustive second-order enumeration
     exactly; total runtime < 30 s."""
     rng = np.random.default_rng(202)
@@ -83,7 +83,7 @@ def test_c02_beam_dp_matches_exhaustive_enumeration():
         gam, risks = random_candidates(rng, n)
         lam = float(rng.uniform(0.3, 2.5))
         alpha = alphas[trial % 3]
-        cfg = LasConfig(K=K, lam=lam, alpha=alpha, beam=n * n, window=n, extra=0)
+        cfg = LasConfig(K=K, lam=lam, alpha=alpha)
         sched = las_beam(CandidateSet(gammas=gam, risks=risks), cfg)
         best_idx, best_obj = brute_second_order(gam, risks, K, lam, alpha)
         assert tuple(sched.indices) == best_idx

@@ -298,11 +298,13 @@ def test_posterior_matches_per_component_oracle(case, t):
     rng = np.random.default_rng(7)
     X = dist.sample(6, rng) + math.sqrt(t) * rng.standard_normal((6, dist.dim))
     tr, fr = posterior_cov_stats(dist, t, X)
+    means = posterior_mean(dist, t, X)
     for i, x in enumerate(X):
         probs, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
         s = posterior(dist, ChannelPoint.from_t(t, x))
         np.testing.assert_allclose(s.weights, probs, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(s.mean, mean, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(means[i], mean, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(
             [s.cov_trace, s.cov_frobenius_sq, tr[i], fr[i]],
             [o_tr, o_fr, o_tr, o_fr],

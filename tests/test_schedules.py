@@ -1,6 +1,5 @@
-"""Baseline grids, the two schedule DPs, and timestep-list interop."""
+"""Baseline grids and the two schedule DPs."""
 
-import itertools
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from oracles import (
     brute_second_order,
     eta_of,
     first_order_objective,
+    pair_dp_optimum,
     random_candidates,
     second_order_objective,
 )
@@ -195,7 +195,7 @@ def test_las_exact_scale_equivariance():
 
 
 # ---------------------------------------------------------------------------
-# beam-and-window second-order DP
+# second-order pair DP
 
 
 def test_las_beam_tiny_alpha_recovers_exact():
@@ -203,9 +203,7 @@ def test_las_beam_tiny_alpha_recovers_exact():
     gam, risks = random_candidates(rng, 8)
     cands = CandidateSet(gammas=gam, risks=risks)
     exact = las_exact(cands, LasConfig(K=3, lam=1.5))
-    beam = las_beam(
-        cands, LasConfig(K=3, lam=1.5, alpha=1e-12, beam=64, window=8, extra=0)
-    )
+    beam = las_beam(cands, LasConfig(K=3, lam=1.5, alpha=1e-12))
     assert beam.objective == pytest.approx(exact.objective, abs=1e-9)
 
 
@@ -218,11 +216,28 @@ def test_las_beam_exhaustive_small_instances():
         cands = CandidateSet(gammas=gam, risks=risks)
         lam = float(rng.uniform(0.4, 2.0))
         alpha = float(rng.choice([0.1, 1.0, 12.0]))
-        cfg = LasConfig(K=K, lam=lam, alpha=alpha, beam=n * n, window=n, extra=0)
-        sched = las_beam(cands, cfg)
+        sched = las_beam(cands, LasConfig(K=K, lam=lam, alpha=alpha))
         best_idx, best_obj = brute_second_order(gam, risks, K, lam, alpha)
         assert tuple(sched.indices) == best_idx
         assert sched.objective == pytest.approx(best_obj, rel=1e-12, abs=1e-15)
+
+
+def test_las_beam_default_config_matches_brute_force():
+    # a windowed search misses this optimum: (0, 3, 32, 95) vs (0, 3, 48, 95)
+    gam = np.geomspace(0.1, 1e4, 96)
+    risks = np.random.default_rng(0).uniform(0.01, 3.0, 96)
+    sched = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=3, alpha=1e-3))
+    best_idx, best_obj = brute_second_order(gam, risks, 3, 1.5, 1e-3)
+    assert tuple(sched.indices) == best_idx
+    assert sched.objective == pytest.approx(best_obj, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0])
+def test_las_beam_reaches_pair_dp_optimum(alpha):
+    gam = np.geomspace(0.1, 1e4, 128)
+    risks = np.random.default_rng(2).uniform(0.01, 3.0, 128)
+    sched = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=20, alpha=alpha))
+    assert sched.objective == pytest.approx(pair_dp_optimum(gam, risks, 20, 1.5, alpha), rel=1e-12)
 
 
 def test_las_beam_alpha12_smooths_u_shaped_profile():
@@ -232,42 +247,13 @@ def test_las_beam_alpha12_smooths_u_shaped_profile():
     risks = 0.2 + 1.5 * (np.log(gam / 10.0)) ** 2 / 10.0
     cands = CandidateSet(gammas=gam, risks=risks)
     rough = las_exact(cands, LasConfig(K=6, lam=1.5))
-    smooth = las_beam(
-        cands, LasConfig(K=6, lam=1.5, alpha=12.0, beam=576, window=24, extra=0)
-    )
+    smooth = las_beam(cands, LasConfig(K=6, lam=1.5, alpha=12.0))
 
     def penalty(idx):
         h = np.diff(np.log(gam[np.asarray(idx)]))
         return float(np.sum(np.diff(h) ** 2))
 
     assert penalty(smooth.indices) <= penalty(rough.indices) + 1e-12
-
-
-def test_las_beam_monotone_in_beam_and_window():
-    rng = np.random.default_rng(5)
-    gam, risks = random_candidates(rng, 16)
-    cands = CandidateSet(gammas=gam, risks=risks)
-    objs = {}
-    for B, W in itertools.product((2, 8, 256), (2, 6, 16)):
-        cfg = LasConfig(K=5, lam=1.0, alpha=2.0, beam=B, window=W, extra=0)
-        objs[(B, W)] = las_beam(cands, cfg).objective
-    for B1, B2 in ((2, 8), (8, 256)):
-        for W in (2, 6, 16):
-            assert objs[(B2, W)] <= objs[(B1, W)] + 1e-12
-    for W1, W2 in ((2, 6), (6, 16)):
-        for B in (2, 8, 256):
-            assert objs[(B, W2)] <= objs[(B, W1)] + 1e-12
-
-
-def test_las_beam_extra_candidates_accepted():
-    rng = np.random.default_rng(19)
-    gam, risks = random_candidates(rng, 20)
-    cands = CandidateSet(gammas=gam, risks=risks)
-    narrow = las_beam(cands, LasConfig(K=5, lam=1.0, alpha=1.0, beam=16, window=1))
-    wide = las_beam(
-        cands, LasConfig(K=5, lam=1.0, alpha=1.0, beam=16, window=1, extra=8)
-    )
-    assert wide.objective <= narrow.objective + 1e-12
 
 
 def test_las_beam_rejects_zero_alpha():
@@ -286,13 +272,9 @@ def test_las_beam_scale_equivariance():
     rng = np.random.default_rng(55)
     gam, risks = random_candidates(rng, 12)
     c = 3.0
-    a = las_beam(
-        CandidateSet(gammas=gam, risks=risks),
-        LasConfig(K=4, lam=1.2, alpha=2.0, beam=144, window=12),
-    )
+    a = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=4, lam=1.2, alpha=2.0))
     b = las_beam(
-        CandidateSet(gammas=gam, risks=c * risks),
-        LasConfig(K=4, lam=1.2, alpha=c * 2.0, beam=144, window=12),
+        CandidateSet(gammas=gam, risks=c * risks), LasConfig(K=4, lam=1.2, alpha=c * 2.0)
     )
     assert tuple(a.indices) == tuple(b.indices)
     assert b.objective == pytest.approx(c * a.objective, rel=1e-12)
@@ -307,9 +289,7 @@ def every_schedule():
     gam, risks = random_candidates(rng, 11)
     cands = CandidateSet(gammas=gam, risks=risks)
     yield cands, las_exact(cands, LasConfig(K=4, lam=1.5))
-    yield cands, las_beam(
-        cands, LasConfig(K=4, lam=1.5, alpha=3.0, beam=121, window=11)
-    )
+    yield cands, las_beam(cands, LasConfig(K=4, lam=1.5, alpha=3.0))
 
 
 def test_endpoints_pinned():
