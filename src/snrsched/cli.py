@@ -143,6 +143,9 @@ def _config_dict(args) -> dict:
 
 
 def cmd_schedule(args) -> int:
+    for flag, value in (("--T", args.T), ("--delta", args.delta)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
     run = _Run(args.out, "schedule", _config_dict(args))
     run.stage("load")
     profile = LossProfile.from_csv(args.loss)

@@ -210,9 +210,10 @@ def disc_error(dist_or_curve, grid: SnrGrid) -> float:
     """Discretization error E_disc = sum of per-interval mmse area gaps.
 
     Computed as sum_k (gamma_k - gamma_{k-1}) mmse(gamma_{k-1}) minus the
-    integral of mmse over [gamma_0, gamma_K]. Exact for closed-form and
-    quadrature curve policies; noisy (no stderr propagated) for Monte-Carlo
-    backed curves.
+    integral of mmse over [gamma_0, gamma_K] (:meth:`MmseCurve.integral`).
+    Exact for closed-form curves and accurate to the quadrature error for
+    quadrature ones; under Monte Carlo it carries the noise of the K mmse
+    estimates and of the two I estimates, and no stderr is returned.
     """
     curve = _as_curve(dist_or_curve)
     g = grid.gammas

@@ -7,6 +7,8 @@ import pytest
 
 from oracles import (
     central_diff,
+    entropy_oracle,
+    gauss_mmse_integral,
     mixture_posterior_moments,
     two_atom_fourth_moment,
     two_atom_mmse,
@@ -23,6 +25,7 @@ from snrsched.channel import (
     posterior_mean,
     derivative_ratio_constant,
 )
+from snrsched.targets import toy_discrete
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
 POINT = FiniteDiscrete(points=[[2.0, -1.0]], probs=[1.0])
@@ -180,13 +183,36 @@ def test_mmse_curve_integral_single_gaussian():
     assert curve.integral(1.0, 4.0) == pytest.approx(want, rel=1e-12)
 
 
-def test_mmse_curve_integral_two_atom_vs_simpson_free_route():
+@pytest.mark.parametrize("lo, hi", [(0.5, 8.0), (1e-3, 1e4)])
+def test_mmse_curve_integral_two_atom_vs_simpson_free_route(lo, hi):
     from scipy.integrate import quad
 
     curve = MmseCurve(TWO, policy="quadrature")
-    got = curve.integral(0.5, 8.0)
-    want, _ = quad(two_atom_mmse, 0.5, 8.0, limit=200, epsrel=1e-10)
-    assert got == pytest.approx(want, rel=1e-5)
+    got = curve.integral(lo, hi)
+    want, _ = quad(
+        lambda u: two_atom_mmse(math.exp(u)) * math.exp(u),
+        math.log(lo),
+        math.log(hi),
+        limit=400,
+        epsabs=0.0,
+        epsrel=1e-12,
+    )
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("dist", [TWO, toy_discrete("circle8")], ids=["two_atom", "circle8"])
+def test_mmse_integral_over_all_snr_is_twice_entropy(dist):
+    # I(0) = 0 and I(inf) = H for a discrete target; the cut at gamma = 1e-8
+    # leaves out about gamma_lo * tr Cov of the integral
+    got = MmseCurve(dist).integral(1e-8, 1e8)
+    assert abs(got - 2.0 * entropy_oracle(dist.probs)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mmse_curve_integral_monte_carlo_single_gaussian(seed):
+    curve = MmseCurve(single_gauss(1.0, d=3), policy="monte_carlo", seed=seed)
+    want = gauss_mmse_integral(1.0, 3, 1.0, 100.0)
+    assert curve.integral(1.0, 100.0) == pytest.approx(want, rel=3e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,10 @@ def test_schedule_exit_codes(tmp_path):
     small = tmp_path / "small.csv"
     write_loss_csv(small, [1.0, 2.0, 4.0], [1.0, 1.0, 1.0])
     assert main(["schedule", "--loss", str(small), "--K", "5", "--out", str(tmp_path / "c")]) == 3
+    # non-positive trims: 1/T would divide by zero or keep every candidate
+    for flag, value in (("--T", "0"), ("--delta", "0"), ("--T", "-1")):
+        argv = ["schedule", "--loss", str(small), "--K", "1", flag, value]
+        assert main(argv + ["--out", str(tmp_path / "d")]) == 2
 
 
 # ---------------------------------------------------------------------------
