@@ -7,12 +7,9 @@ loss-adaptive dynamic programs), and an exact-transition reverse sampler.
 """
 
 from .channel import (
-    ChannelPoint,
     MmseCurve,
-    PosteriorSummary,
     mmse,
     mmse_derivative,
-    posterior,
     posterior_fourth_moment,
     posterior_mean,
     derivative_ratio_constant,

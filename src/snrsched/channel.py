@@ -30,16 +30,13 @@ maximum subtracted first, so no overflow can occur at any SNR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .targets import FiniteDiscrete, GaussianMixture, TargetDistribution, shannon_entropy
 
 __all__ = [
-    "ChannelPoint",
-    "PosteriorSummary",
-    "posterior",
     "posterior_mean",
     "posterior_cov_stats",
     "mmse",
@@ -50,66 +47,6 @@ __all__ = [
 ]
 
 _CHUNK = 65536
-
-
-@dataclass(frozen=True)
-class ChannelPoint:
-    """A channel observation: noise variance ``t`` and observed vector ``x``.
-
-    The SNR ``gamma`` is the derived quantity 1/t, so gamma * t = 1 holds by
-    construction. Use :meth:`from_t` or :meth:`from_gamma` to build one.
-    """
-
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("noise scale t must be positive")
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / self.t
-
-    @classmethod
-    def from_t(cls, t: float, x) -> "ChannelPoint":
-        return cls(t=float(t), x=x)
-
-    @classmethod
-    def from_gamma(cls, gamma: float, x) -> "ChannelPoint":
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        return cls(t=1.0 / float(gamma), x=x)
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Posterior over atoms/components at one channel point.
-
-    Attributes
-    ----------
-    weights : (n,) array
-        Posterior probabilities; sum to 1 within 1e-10.
-    mean : (d,) array
-        Posterior mean m_t(x).
-    cov_trace : float
-        tr Cov(Z | X_t = x).
-    cov_frobenius_sq : float
-        tr( Cov(Z | X_t = x)^2 ); never exceeds cov_trace^2.
-    """
-
-    weights: np.ndarray
-    mean: np.ndarray
-    cov_trace: float
-    cov_frobenius_sq: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError("posterior weights must sum to 1 within 1e-10")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
 
 
 def _components(dist: TargetDistribution):
@@ -124,7 +61,13 @@ def _components(dist: TargetDistribution):
 
 
 def _responsibilities(comps, t: float, X: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities, shape (m, n), normalized in the log domain."""
+    """Posterior component probabilities, shape (m, n), normalized in the log domain.
+
+    Rejects a noise scale ``t`` that is not positive and finite, for which the
+    weights would be nan or silently wrong.
+    """
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"noise scale t must be positive and finite, got {t!r}")
     weights, centers, variances = comps
     s2 = variances + t
     sq = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -138,20 +81,12 @@ def _responsibilities(comps, t: float, X: np.ndarray) -> np.ndarray:
     return r
 
 
-def _component_posteriors(comps, t: float, X: np.ndarray):
-    """Conjugate per-component posterior means (m, n, d) and per-axis variances (n,)."""
-    _, centers, variances = comps
-    s2 = variances + t
-    shrink = (variances / s2)[None, :, None]
-    comp_mean = shrink * X[:, None, :] + (t / s2)[None, :, None] * centers[None, :, :]
-    return comp_mean, variances * t / s2
-
-
 def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
     """Ideal denoiser m_t evaluated at a batch of points, shape (m, d).
 
     The responsibility-weighted conjugate means, sum_i r_i (v_i x + t c_i) / s2_i,
-    taken as two matrix products so no (m, n, d) tensor is built.
+    taken as two matrix products so no (m, n, d) tensor is built. Raises
+    ValueError unless ``t`` is positive and finite.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     comps = _components(dist)
@@ -161,27 +96,12 @@ def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
     return (r @ (variances / s2))[:, None] * X + r @ ((t / s2)[:, None] * centers)
 
 
-def _posterior_moments(dist: TargetDistribution, t: float, X: np.ndarray):
-    """Responsibilities, posterior mean, tr Cov and tr Cov^2 for a batch X.
-
-    Cov is the spread of the component means plus the mean within-component
-    variance (law of total covariance).
-    """
-    comps = _components(dist)
-    r = _responsibilities(comps, t, X)
-    comp_mean, comp_var = _component_posteriors(comps, t, X)
-    mean = np.einsum("mi,mid->md", r, comp_mean)
-    centered = comp_mean - mean[:, None, :]
-    cov = np.einsum("mi,mia,mib->mab", r, centered, centered)
-    idx = np.arange(X.shape[1])
-    cov[:, idx, idx] += (r @ comp_var)[:, None]
-    trace = np.einsum("maa->m", cov)
-    frob_sq = np.einsum("mab,mab->m", cov, cov)
-    return r, mean, trace, frob_sq
-
-
 def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     """Batched posterior covariance summaries.
+
+    Cov is the spread of the conjugate per-component posterior means plus the
+    mean within-component variance v_i t / s2_i (law of total covariance).
+    Raises ValueError unless ``t`` is positive and finite.
 
     Returns
     -------
@@ -189,16 +109,20 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, _, trace, frob_sq = _posterior_moments(dist, t, X)
+    comps = _components(dist)
+    r = _responsibilities(comps, t, X)
+    _, centers, variances = comps
+    s2 = variances + t
+    shrink = (variances / s2)[None, :, None]
+    comp_mean = shrink * X[:, None, :] + (t / s2)[None, :, None] * centers[None, :, :]
+    mean = np.einsum("mi,mid->md", r, comp_mean)
+    centered = comp_mean - mean[:, None, :]
+    cov = np.einsum("mi,mia,mib->mab", r, centered, centered)
+    idx = np.arange(X.shape[1])
+    cov[:, idx, idx] += (r @ (variances * t / s2))[:, None]
+    trace = np.einsum("maa->m", cov)
+    frob_sq = np.einsum("mab,mab->m", cov, cov)
     return trace, frob_sq
-
-
-def posterior(dist: TargetDistribution, point: ChannelPoint) -> PosteriorSummary:
-    """Full posterior summary at a single channel point."""
-    w, mean, trace, frob = _posterior_moments(dist, point.t, point.x[None, :])
-    return PosteriorSummary(
-        weights=w[0], mean=mean[0], cov_trace=float(trace[0]), cov_frobenius_sq=float(frob[0])
-    )
 
 
 def _quad_expect(dist: TargetDistribution, t: float, f):
@@ -335,22 +259,30 @@ def mmse_derivative(
     return -v, se
 
 
-@dataclass
+@dataclass(frozen=True)
 class MmseCurve:
     """Evaluable mmse curve for one target under a fixed evaluation policy.
 
     ``policy`` is "auto", "closed_form", "quadrature" or "monte_carlo";
     "auto" picks closed form for a single Gaussian, quadrature for dim <= 2
-    and Monte Carlo otherwise.
+    and Monte Carlo otherwise. :meth:`mmse` remembers its value at each gamma,
+    since every evaluation at one gamma uses the same seed and gives the same
+    result; the curve is frozen so that memo cannot go stale.
     """
 
     dist: TargetDistribution
     policy: str = "auto"
     n_samples: int = 200_000
     seed: int = 0
+    _mmse_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mmse(self, gamma: float):
-        return mmse(self.dist, gamma, self.policy, n_samples=self.n_samples, seed=self.seed)
+        key = float(gamma)
+        if key not in self._mmse_memo:
+            self._mmse_memo[key] = mmse(
+                self.dist, gamma, self.policy, n_samples=self.n_samples, seed=self.seed
+            )
+        return self._mmse_memo[key]
 
     def derivative(self, gamma: float):
         return mmse_derivative(

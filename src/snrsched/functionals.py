@@ -154,11 +154,8 @@ class LossProfile:
 
     @property
     def x0_losses(self) -> np.ndarray:
-        out = self.losses.copy()
-        for i, k in enumerate(self.kinds):
-            if k == "eps":
-                out[i] = out[i] / self.gammas[i]
-        return out
+        is_eps = np.array(self.kinds) == "eps"
+        return np.where(is_eps, eps_to_x0(self.losses, self.gammas), self.losses)
 
     def x0_at(self, gamma):
         """x0 risk at gamma, interpolated linearly in log(gamma) between knots."""

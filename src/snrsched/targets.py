@@ -313,19 +313,12 @@ def fit_subexponential(dist: TargetDistribution, b: float) -> InfoProfile:
     half = np.linspace(0.0, 1.0 / b, 21)  # mirrored below: 41 lambdas in all
     lams = np.concatenate([-half[::-1][:-1], half])
 
+    mgf = [math.fsum(pi * math.exp(lam * (io - H)) for pi, io in zip(p, iota)) for lam in lams]
     nu_sq = 0.0
-    for lam in lams:
-        if lam == 0.0:
-            continue
-        m = math.fsum(pi * math.exp(lam * (io - H)) for pi, io in zip(p, iota))
-        nu_sq = max(nu_sq, math.log(m) / lam**2)
-
-    mgf_ok = True
-    for lam in lams:
-        m = math.fsum(pi * math.exp(lam * (io - H)) for pi, io in zip(p, iota))
-        if m > math.exp(nu_sq * lam**2) * (1.0 + 1e-12):
-            mgf_ok = False
-            break
+    for lam, m in zip(lams, mgf):
+        if lam != 0.0:
+            nu_sq = max(nu_sq, math.log(m) / lam**2)
+    mgf_ok = all(m <= math.exp(nu_sq * lam**2) * (1.0 + 1e-12) for lam, m in zip(lams, mgf))
 
     return InfoProfile(
         shannon=H,

@@ -15,11 +15,11 @@ from oracles import (
 )
 from snrsched import FiniteDiscrete, GaussianMixture, renyi_half_entropy
 from snrsched.channel import (
-    ChannelPoint,
     MmseCurve,
+    _components,
+    _responsibilities,
     mmse,
     mmse_derivative,
-    posterior,
     posterior_cov_stats,
     posterior_fourth_moment,
     posterior_mean,
@@ -36,47 +36,43 @@ def single_gauss(sigma0, d=1):
 
 
 # ---------------------------------------------------------------------------
-# channel points
-
-
-def test_channel_point_gamma_t_inverse():
-    p = ChannelPoint.from_gamma(4.0, np.array([0.5]))
-    assert p.t == 0.25
-    assert abs(p.gamma * p.t - 1.0) <= 1e-12
-    q = ChannelPoint.from_t(0.25, np.array([0.5]))
-    assert q.gamma == p.gamma
-
-
-def test_channel_point_requires_positive_time():
-    with pytest.raises(ValueError):
-        ChannelPoint.from_t(0.0, np.array([0.0]))
-    with pytest.raises(ValueError):
-        ChannelPoint.from_gamma(-1.0, np.array([0.0]))
-
-
-# ---------------------------------------------------------------------------
 # posteriors
 
 
+def _weights(dist, t, x):
+    return _responsibilities(_components(dist), t, np.atleast_2d(x))[0]
+
+
+@pytest.mark.parametrize("t", [0.0, -0.01, math.nan, math.inf])
+@pytest.mark.parametrize("dist", [TWO, single_gauss(0.25)], ids=["discrete", "gmm"])
+def test_kernel_rejects_bad_noise_scale(dist, t):
+    X = np.array([[0.3]])
+    with pytest.raises(ValueError):
+        posterior_mean(dist, t, X)
+    with pytest.raises(ValueError):
+        posterior_cov_stats(dist, t, X)
+
+
 def test_two_atom_posterior_symmetry():
-    s = posterior(TWO, ChannelPoint.from_t(1.0, np.array([0.0])))
-    np.testing.assert_allclose(s.weights, [0.5, 0.5], atol=1e-15)
-    assert s.mean[0] == pytest.approx(0.0, abs=1e-15)
+    x = np.array([0.0])
+    np.testing.assert_allclose(_weights(TWO, 1.0, x), [0.5, 0.5], atol=1e-15)
+    assert posterior_mean(TWO, 1.0, x)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_two_atom_posterior_tanh():
     # m_t(x) = tanh(x/t) for unit atoms; tanh(2) at t=0.5, x=1
-    s = posterior(TWO, ChannelPoint.from_t(0.5, np.array([1.0])))
-    assert s.mean[0] == pytest.approx(math.tanh(2.0), abs=1e-12)
-    assert s.mean[0] == pytest.approx(0.964028, abs=1e-6)
+    m = posterior_mean(TWO, 0.5, np.array([1.0]))[0, 0]
+    assert m == pytest.approx(math.tanh(2.0), abs=1e-12)
+    assert m == pytest.approx(0.964028, abs=1e-6)
 
 
 def test_single_gaussian_conjugate_mean():
     g = single_gauss(0.7, d=2)
     x = np.array([1.3, -0.4])
     for t in (0.1, 1.0, 5.0):
-        s = posterior(g, ChannelPoint.from_t(t, x))
-        np.testing.assert_allclose(s.mean, 0.7**2 / (0.7**2 + t) * x, atol=1e-12)
+        np.testing.assert_allclose(
+            posterior_mean(g, t, x)[0], 0.7**2 / (0.7**2 + t) * x, atol=1e-12
+        )
 
 
 def test_posterior_weights_normalized_no_overflow():
@@ -84,9 +80,9 @@ def test_posterior_weights_normalized_no_overflow():
     pts = np.array([[-8.0], [0.0], [8.0]])
     d = FiniteDiscrete(points=pts, probs=[0.2, 0.5, 0.3])
     for t in (1e-8, 1.0, 1e6):
-        s = posterior(d, ChannelPoint.from_t(t, np.array([7.5])))
-        assert abs(s.weights.sum() - 1.0) <= 1e-10
-        assert np.all(np.isfinite(s.weights))
+        w = _weights(d, t, np.array([7.5]))
+        assert abs(w.sum() - 1.0) <= 1e-10
+        assert np.all(np.isfinite(w))
 
 
 def test_posterior_summary_inequalities():
@@ -96,14 +92,14 @@ def test_posterior_summary_inequalities():
     d = FiniteDiscrete(points=pts, probs=probs)
     for _ in range(6):
         x = rng.normal(size=2) * 2.0
-        s = posterior(d, ChannelPoint.from_t(0.5, x))
-        assert s.cov_trace >= 0.0
-        assert s.cov_frobenius_sq <= s.cov_trace**2 + 1e-12
+        (tr,), (fr,) = posterior_cov_stats(d, 0.5, x)
+        assert tr >= 0.0
+        assert fr <= tr**2 + 1e-12
         # trace^2 is in turn dominated by the posterior fourth moment about
         # the posterior mean, checked by enumeration
-        dev = pts - s.mean[None, :]
-        fourth = float(np.sum(s.weights * np.sum(dev * dev, axis=1) ** 2))
-        assert s.cov_trace**2 <= fourth + 1e-12
+        dev = pts - posterior_mean(d, 0.5, x)
+        fourth = float(np.sum(_weights(d, 0.5, x) * np.sum(dev * dev, axis=1) ** 2))
+        assert tr**2 <= fourth + 1e-12
 
 
 def test_posterior_mean_batched_matches_pointwise():
@@ -111,8 +107,30 @@ def test_posterior_mean_batched_matches_pointwise():
     X = rng.normal(size=(32, 1))
     batch = posterior_mean(TWO, 0.5, X)
     for i in range(0, 32, 7):
-        single = posterior(TWO, ChannelPoint.from_t(0.5, X[i])).mean
+        single = posterior_mean(TWO, 0.5, X[i])[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
+
+
+def test_posterior_dimension_free_under_isometric_embedding():
+    # a 6-atom d=2 target mapped into d=256 by an orthogonal map: the noise on
+    # the 254 extra axes is independent of Z, so the posterior does not change
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(6, 2)) * 2.0
+    probs = rng.dirichlet(np.ones(6))
+    Q, _ = np.linalg.qr(rng.normal(size=(256, 256)))
+    low = FiniteDiscrete(points=pts, probs=probs)
+    high = FiniteDiscrete(points=pts @ Q[:, :2].T, probs=probs)
+    for t in np.geomspace(1e-6, 1e6, 13):
+        Z = low.sample(8, rng)
+        X = Z + math.sqrt(t) * rng.standard_normal(Z.shape)
+        Y = X @ Q[:, :2].T + math.sqrt(t) * rng.standard_normal((8, 254)) @ Q[:, 2:].T
+        np.testing.assert_allclose(
+            posterior_mean(high, t, Y), posterior_mean(low, t, X) @ Q[:, :2].T,
+            rtol=1e-9, atol=1e-9 * float(np.abs(pts).max()),
+        )
+        np.testing.assert_allclose(
+            posterior_cov_stats(high, t, Y)[0], posterior_cov_stats(low, t, X)[0], rtol=1e-9
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +343,12 @@ def test_posterior_matches_per_component_oracle(case, t):
     X = dist.sample(6, rng) + math.sqrt(t) * rng.standard_normal((6, dist.dim))
     tr, fr = posterior_cov_stats(dist, t, X)
     means = posterior_mean(dist, t, X)
+    resp = _responsibilities(_components(dist), t, X)
     for i, x in enumerate(X):
         probs, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
-        s = posterior(dist, ChannelPoint.from_t(t, x))
-        np.testing.assert_allclose(s.weights, probs, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(s.mean, mean, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(resp[i], probs, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(means[i], mean, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(
-            [s.cov_trace, s.cov_frobenius_sq, tr[i], fr[i]],
-            [o_tr, o_fr, o_tr, o_fr],
-            rtol=1e-10,
-            atol=1e-14,
-        )
+        np.testing.assert_allclose([tr[i], fr[i]], [o_tr, o_fr], rtol=1e-10, atol=1e-14)
 
 
 def test_tabulate_evaluates_each_knot_once(monkeypatch):

@@ -398,6 +398,47 @@ def test_mmse_table_single_gaussian_closed_form(tmp_path):
 # verify subcommand
 
 
+VERIFY_ROWS = [
+    ("entropy", "uniform8 entropies equal log 8"),
+    ("entropy", "entropy ordering H <= H_1/2 <= log n"),
+    ("entropy", "sub-exponential fit bounds the Renyi gap"),
+    ("entropy", "mean surprisal equals H"),
+    ("entropy", "permutation determinism"),
+    ("mmse", "two-atom symmetry point"),
+    ("mmse", "two-atom tanh posterior mean"),
+    ("mmse", "single-Gaussian conjugate mean"),
+    ("mmse", "mmse derivative matches finite differences"),
+    ("mmse", "posterior moment inequalities"),
+    ("mmse", "mmse nonincreasing"),
+    ("mmse", "mmse below prior variance"),
+    ("mmse", "fourth moment dominates tr(Cov^2)"),
+    ("dp", "first-order DP vs brute force"),
+    ("dp", "second-order DP vs brute force"),
+    ("dp", "endpoint pinning"),
+    ("dp", "constant-risk tie break"),
+    ("grids", "builder endpoints"),
+    ("grids", "geometric grid has equal log steps"),
+    ("grids", "EDM rho=1 linear in sigma"),
+    ("grids", "geometric optimality (random probes)"),
+    ("grids", "Lambda equals product of ratios"),
+    ("errors", "closed-form discretization constant"),
+    ("errors", "objective decomposition identity"),
+    ("errors", "exact-loss profile has zero E_apx"),
+    ("errors", "eps to x0 conversion"),
+    ("errors", "final bounds arithmetic"),
+    ("errors", "pathwise KL MC vs area gap"),
+    ("sampler", "reverse step moments"),
+    ("sampler", "point-mass contraction"),
+    ("sampler", "seed determinism"),
+    ("sampler", "single-Gaussian terminal law"),
+    ("sampler", "second order equals first on constant denoiser"),
+    ("target", "posterior weights normalize"),
+    ("target", "mmse nonincreasing"),
+    ("target", "discretization error nonnegative"),
+    ("target", "entropy ordering"),
+]
+
+
 def test_verify_dp_suite(tmp_path, capsys):
     rc = main(["verify", "--suite", "dp", "--seed", "0"])
     assert rc == 0
@@ -422,7 +463,8 @@ def test_verify_all_with_point_mass_target(tmp_path, capsys):
     assert rc == 0
     results = json.loads((out / "verify.json").read_text())
     assert all(r["ok"] for r in results)
-    assert any(r["suite"] == "target" for r in results)
+    # every row of the table, in order; the last row applies to discrete targets only
+    assert [(r["suite"], r["label"]) for r in results] == VERIFY_ROWS
     assert "checks passed" in capsys.readouterr().out
 
 
@@ -434,19 +476,37 @@ def test_verify_errors_suite_passes_on_every_seed():
         assert failed == [], (seed, failed)
 
 
+def test_verify_mixture_target_skips_discrete_only_row():
+    from snrsched import GaussianMixture, verify
+
+    gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0], [1.0]], sigmas=[0.5, 0.5])
+    results = verify.run_checks("grids", gmm, 0)
+    assert [(r["suite"], r["label"]) for r in results] == [
+        row for row in VERIFY_ROWS if row[0] == "grids"
+    ] + VERIFY_ROWS[-4:-1]
+    assert all(r["ok"] for r in results)
+
+
+def test_verify_rejects_unknown_suite():
+    from snrsched import verify
+
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_checks("target", None, 0)
+
+
 def test_verify_failure_exits_4_and_runs_every_check(tmp_path, capsys, monkeypatch):
     from snrsched import verify
 
-    def broken_suite(seed):
-        def raises():
-            raise RuntimeError("boom")
+    def raises(rng, seed):
+        raise RuntimeError("boom")
 
-        return [
-            verify.Check("always fails", lambda: (False, "nope")),
-            verify.Check("always raises", raises),
-        ]
-
-    monkeypatch.setitem(verify.SUITES, "grids", broken_suite)
+    broken = [
+        ("grids", "always fails", lambda rng, seed: (False, "nope")),
+        ("grids", "always raises", raises),
+    ]
+    rows = [row for row in verify._CHECKS if row[0] != "grids"]
+    at = next(i for i, row in enumerate(rows) if row[0] == "errors")
+    monkeypatch.setattr(verify, "_CHECKS", rows[:at] + broken + rows[at:])
     out = tmp_path / "run"
     rc = main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)])
     assert rc == 4

@@ -381,3 +381,25 @@ def test_error_report_json_round_trip():
     obj = rep.to_json_dict()
     assert obj["e_disc"] == 0.25
     assert obj["kl_path_bound"] == 0.375
+
+
+def test_error_report_evaluates_each_distinct_gamma_once(monkeypatch):
+    import snrsched.channel as channel
+
+    calls = []
+    oracle = channel._cov_expect
+
+    def counting(dist, gamma, *args):
+        calls.append(float(gamma))
+        return oracle(dist, gamma, *args)
+
+    monkeypatch.setattr(channel, "_cov_expect", counting)
+    curve = MmseCurve(TWO, "quadrature")
+    loss = LossProfile(gammas=np.geomspace(1.0, 9.0, 5), losses=np.full(5, 2.0))
+    grids = [SnrGrid([1.0, 2.0, 4.0, 8.0]), SnrGrid([1.0, 3.0, 9.0])]
+    reports = [error_report(curve, grid, loss) for grid in grids]
+    # disc_error and apx_error both need mmse at gamma_0..gamma_{K-1}, and the
+    # grids share gamma_0 = 1: four distinct gammas in all
+    assert sorted(calls) == [1.0, 2.0, 3.0, 4.0]
+    fresh = [error_report(MmseCurve(TWO, "quadrature"), grid, loss) for grid in grids]
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in fresh]
