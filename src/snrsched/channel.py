@@ -18,7 +18,16 @@ I(Z; X_{1/gamma}), so the integral of mmse over [gamma_0, gamma_1] is
 I(inf) = H, its Shannon entropy, so the integral over all SNR is 2H.
 
 A finite discrete target is treated as the isotropic mixture whose components
-have zero variance, so one posterior kernel serves both target families.
+have zero variance, so one posterior kernel serves both target families. The
+component posterior is the softmax of the logits of
+:func:`snrsched.targets._component_logits`, which ``GaussianMixture.log_prob``
+also sums: each squared distance |x - c_i|^2 comes from one matrix product,
+|x|^2 - 2 x.c_i + |c_i|^2, so no (m, n, d) array is built at any dimension.
+That expansion cancels terms of size |x|^2 and |c_i|^2 to leave a small
+distance, so its rounding error scales with them; both x and the centers are
+centered on the weighted center mean first, which bounds the error by the
+centers' spread instead of their distance from the origin (atoms near
+1e3 + N(0, I) would otherwise lose ~1e-9 in the posterior mean).
 
 Three evaluation policies are provided and cross-checked against each other:
 closed form (single Gaussian component), Gauss-Hermite quadrature (exact up
@@ -34,7 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .targets import FiniteDiscrete, GaussianMixture, TargetDistribution, shannon_entropy
+from .targets import (
+    FiniteDiscrete,
+    GaussianMixture,
+    TargetDistribution,
+    _component_logits,
+    shannon_entropy,
+)
 
 __all__ = [
     "posterior_mean",
@@ -63,20 +78,18 @@ def _components(dist: TargetDistribution):
 def _responsibilities(comps, t: float, X: np.ndarray) -> np.ndarray:
     """Posterior component probabilities, shape (m, n), normalized in the log domain.
 
-    Rejects a noise scale ``t`` that is not positive and finite, for which the
-    weights would be nan or silently wrong.
+    The softmax over components of :func:`_component_logits` with
+    s2_i = v_i + t, the variance of X_t given component i; the largest logit
+    is subtracted before exponentiating. Rejects a noise scale ``t`` that is
+    not positive and finite, for which the weights would be nan or silently
+    wrong.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"noise scale t must be positive and finite, got {t!r}")
     weights, centers, variances = comps
-    s2 = variances + t
-    sq = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    logr = (
-        np.log(weights)[None, :]
-        - 0.5 * sq / s2[None, :]
-        - 0.5 * centers.shape[1] * np.log(s2)[None, :]
-    )
-    r = np.exp(logr - logr.max(axis=1, keepdims=True))
+    r = _component_logits(weights, centers, variances + t, X)
+    r -= r.max(axis=1, keepdims=True)
+    np.exp(r, out=r)
     r /= r.sum(axis=1, keepdims=True)
     return r
 

@@ -277,9 +277,10 @@ def cmd_simulate(args) -> int:
     samples, report = sample(target, grid, cfg)
     run.stage("write")
     header = [f"x{i}" for i in range(samples.shape[1])]
-    _write_csv(
-        run.path("samples.csv"), header, ((_fmt(v) for v in row) for row in samples)
-    )
+    # _fmt's "%.17g" over a whole row at once gives the same bytes in about
+    # half the time; converting row by row keeps no list of every value alive
+    line = ",".join(["%.17g"] * samples.shape[1])
+    _write_csv(run.path("samples.csv"), header, ([line % tuple(row.tolist())] for row in samples))
     rep = report.to_json_dict()
     rep["schedule"] = name
     _write_json(run.path("sample_report.json"), rep)

@@ -59,6 +59,32 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must sum to 1 within {_WEIGHT_TOL}")
 
 
+def _component_logits(weights, centers, s2, X) -> np.ndarray:
+    """(m, n) logits log w_i - |x - c_i|^2 / (2 s2_i) - (d/2) log s2_i.
+
+    These are the log-weights of the components N(c_i, s2_i I) at each row of
+    ``X`` (m, d), up to the shared -(d/2) log 2 pi. The squared distances come
+    from one matrix product, |x|^2 - 2 x.c + |c|^2 clipped at 0, so no
+    (m, n, d) array is built. The expansion cancels its terms against each
+    other and so rounds at about eps (|x|^2 + |c|^2); X and the centers are
+    first centered on the weighted center mean, which keeps that error at the
+    scale of the centers' spread rather than of their distance from the origin.
+
+    The result is the transpose of a C-ordered (n, m) array, so reductions
+    over components (axis 1) run along contiguous memory.
+    """
+    mu = weights @ centers
+    Xc = X - mu
+    Cc = centers - mu
+    sq = (-2.0 * Cc) @ Xc.T
+    sq += np.einsum("md,md->m", Xc, Xc)
+    sq += np.einsum("nd,nd->n", Cc, Cc)[:, None]
+    np.maximum(sq, 0.0, out=sq)
+    sq *= (-0.5 / s2)[:, None]
+    sq += (np.log(weights) - 0.5 * centers.shape[1] * np.log(s2))[:, None]
+    return sq.T
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Isotropic Gaussian mixture sum_i w_i N(mu_i, sigma_i^2 I_d).
@@ -103,18 +129,17 @@ class GaussianMixture:
         return self.weights.size
 
     def log_prob(self, x) -> np.ndarray:
-        """Exact log-density at points ``x`` of shape (m, d) or (d,)."""
+        """Exact log-density at points ``x`` of shape (m, d) or (d,).
+
+        The log-sum-exp of :func:`_component_logits`, with the largest logit
+        factored out so far-tail points stay finite, minus (d/2) log 2 pi.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        d = self.dim
-        var = self.sigmas**2
-        sq = ((x[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
-        logcomp = (
-            np.log(self.weights)[None, :]
-            - 0.5 * sq / var[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi * var)[None, :]
-        )
-        top = logcomp.max(axis=1, keepdims=True)
-        return top[:, 0] + np.log(np.exp(logcomp - top).sum(axis=1))
+        logits = _component_logits(self.weights, self.means, self.sigmas**2, x)
+        top = logits.max(axis=1, keepdims=True)
+        logits -= top
+        np.exp(logits, out=logits)
+        return top[:, 0] + np.log(logits.sum(axis=1)) - 0.5 * self.dim * math.log(2.0 * math.pi)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` exact samples, shape (n, d)."""
@@ -153,7 +178,10 @@ class FiniteDiscrete:
         if z.shape[0] != p.size:
             raise ValueError("points and probs must have matching leading size")
         _check_finite(z, "atom points")
-        if np.unique(z, axis=0).shape[0] != z.shape[0]:
+        # equal rows are adjacent once sorted lexicographically; unlike
+        # np.unique(axis=0), this loads no numpy.ma, and -0.0 == 0.0
+        zs = z[np.lexsort(z.T[::-1])]
+        if np.any(np.all(zs[1:] == zs[:-1], axis=1)):
             raise ValueError("atoms must be pairwise distinct")
         object.__setattr__(self, "points", z)
         object.__setattr__(self, "probs", p)

@@ -1,6 +1,7 @@
 """Exact Bayes machinery for the additive Gaussian channel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     central_diff,
     entropy_oracle,
     gauss_mmse_integral,
+    isotropic_mixture_log_density,
     mixture_posterior_moments,
     two_atom_fourth_moment,
     two_atom_mmse,
@@ -349,6 +351,49 @@ def test_posterior_matches_per_component_oracle(case, t):
         np.testing.assert_allclose(resp[i], probs, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(means[i], mean, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose([tr[i], fr[i]], [o_tr, o_fr], rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0])
+@pytest.mark.parametrize("d", [2, 16, 256])
+@pytest.mark.parametrize("family", ["discrete", "gmm"])
+def test_kernel_precise_far_from_origin(family, d, t):
+    # centers at 1e3 + N(0, I): expanding |x - c|^2 as |x|^2 - 2 x.c + |c|^2
+    # without centering first loses ~1e-9 in the mean and ~1e-3 in log p here
+    rng = np.random.default_rng(d)
+    centers = 1e3 + rng.normal(size=(5, d))
+    weights = rng.dirichlet(np.ones(5))
+    variances = np.zeros(5) if family == "discrete" else np.full(5, 0.3**2)
+    if family == "discrete":
+        dist = FiniteDiscrete(points=centers, probs=weights)
+    else:
+        dist = GaussianMixture(weights=weights, means=centers, sigmas=np.full(5, 0.3))
+    X = dist.sample(8, rng) + math.sqrt(t) * rng.standard_normal((8, d))
+    means = posterior_mean(dist, t, X)
+    sig_t = np.sqrt(variances + t)
+    log_p = GaussianMixture(weights, centers, sig_t).log_prob(X)
+    for i, x in enumerate(X):
+        _, mean, _, _ = mixture_posterior_moments(weights, centers, variances, t, x)
+        np.testing.assert_allclose(means[i], mean, rtol=0.0, atol=1e-10)
+        want = isotropic_mixture_log_density(weights, centers, sig_t, x)
+        assert log_p[i] == pytest.approx(want, rel=1e-12, abs=1e-10)
+
+
+def test_kernel_builds_no_component_by_dimension_tensor():
+    # an (m, n, d) float64 temporary would need m n d 8 bytes; allow a quarter
+    m, n, d = 4096, 64, 64
+    rng = np.random.default_rng(3)
+    gm = GaussianMixture(
+        weights=np.full(n, 1.0 / n), means=rng.normal(size=(n, d)), sigmas=np.full(n, 0.5)
+    )
+    X = rng.normal(size=(m, d))
+    for call in (lambda: posterior_mean(gm, 0.5, X), lambda: gm.log_prob(X)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * d * 8 / 4
 
 
 def test_tabulate_evaluates_each_knot_once(monkeypatch):

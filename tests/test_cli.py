@@ -331,6 +331,19 @@ def test_simulate_reproduces_artifacts_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_samples_csv_writes_each_value_as_fmt(tmp_path, monkeypatch):
+    import snrsched.cli as cli
+
+    rng = np.random.default_rng(4)
+    arr = rng.normal(size=(400, 2)) * 10.0 ** rng.integers(-300, 300, size=(400, 2))
+    arr[:4] = [[-0.0, 0.0], [1 / 3, -2.5e-7], [math.inf, -math.inf], [math.nan, 1e16]]
+    real = cli.sample
+    monkeypatch.setattr(cli, "sample", lambda *a: (arr, real(*a)[1]))
+    assert main(simulate_args(tmp_path, "run")) == 0
+    want = "x0,x1\n" + "".join(f"{cli._fmt(a)},{cli._fmt(b)}\n" for a, b in arr)
+    assert (tmp_path / "run" / "samples.csv").read_text() == want
+
+
 def test_manifest_lists_hashes_that_match(tmp_path):
     assert main(simulate_args(tmp_path, "run")) == 0
     out = tmp_path / "run"
@@ -536,6 +549,18 @@ def test_cli_import_leaves_scipy_unloaded():
     code = (
         "import sys, snrsched.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_discrete_target_leaves_numpy_ma_unloaded():
+    # the distinct-atoms check must not pull in numpy.ma (np.unique(axis=0) does)
+    code = (
+        "import sys, snrsched.cli; "
+        "snrsched.FiniteDiscrete(points=[[0.0], [1.0]], probs=[0.5, 0.5]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
     )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
