@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,6 +139,21 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     return trace, frob_sq
 
 
+@lru_cache(maxsize=None)
+def _standard_normal_nodes(d: int):
+    """Read-only tensor Gauss-Hermite (offsets, weights) for N(0, I_d), built once per d."""
+    u, w1 = np.polynomial.hermite_e.hermegauss(200 if d == 1 else 96)
+    w1 = w1 / math.sqrt(2.0 * math.pi)
+    if d == 1:
+        offsets, qw = u[:, None], w1
+    else:
+        ua, ub = np.meshgrid(u, u, indexing="ij")
+        offsets = np.stack([ua.ravel(), ub.ravel()], axis=1)
+        qw = np.outer(w1, w1).ravel()
+    offsets.flags.writeable = qw.flags.writeable = False
+    return offsets, qw
+
+
 def _quad_expect(dist: TargetDistribution, t: float, f):
     """(E f_k(X), 0.0) pairs under X ~ p_t by tensor Gauss-Hermite, dim <= 2.
 
@@ -147,15 +163,7 @@ def _quad_expect(dist: TargetDistribution, t: float, f):
     d = dist.dim
     if d > 2:
         raise ValueError("quadrature policy supports dim <= 2 only")
-    u, w1 = np.polynomial.hermite_e.hermegauss(200 if d == 1 else 96)
-    w1 = w1 / math.sqrt(2.0 * math.pi)
-    if d == 1:
-        offsets = u[:, None]
-        qw = w1
-    else:
-        ua, ub = np.meshgrid(u, u, indexing="ij")
-        offsets = np.stack([ua.ravel(), ub.ravel()], axis=1)
-        qw = np.outer(w1, w1).ravel()
+    offsets, qw = _standard_normal_nodes(d)
     probs, centers, variances = _components(dist)
     acc = 0.0
     for c, s, p in zip(centers, np.sqrt(variances + t), probs):

@@ -265,8 +265,10 @@ def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
     (Delta gamma_k / gamma_{k-1})^2, its geometric-grid value
     (C^2 H^2 / 2) K (Lambda^{1/K} - 1)^2, and the two-term KL control
     log(Lambda) (C^2 H^2 log(Lambda)/K + eps_bar), which requires
-    K >= log(Lambda) to be applicable.
+    K >= log(Lambda) to be applicable. H and C_fit must be finite and >= 0.
     """
+    if not (math.isfinite(H) and H >= 0 and math.isfinite(C_fit) and C_fit >= 0):
+        raise ValueError(f"H and C_fit must be finite and nonnegative, got {H!r} and {C_fit!r}")
     g = grid.gammas
     K = grid.K
     c2h2 = (C_fit * H) ** 2

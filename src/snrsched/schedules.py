@@ -245,9 +245,13 @@ def las_exact(cands: CandidateSet, cfg: LasConfig) -> Schedule:
     """Globally optimal first-order schedule by dynamic programming.
 
     Requires cfg.alpha == 0. dp[k, j] is the best cost of reaching candidate
-    j in exactly k transitions from candidate 0; loop bounds keep every
-    partial path extendable to the pinned endpoint n - 1. Ties are broken
-    toward the smallest predecessor index, so the output is deterministic.
+    j in exactly k transitions from candidate 0. Predecessors are smaller
+    than j, so one ascending pass over j fills column j from one (stages, j)
+    block of costs dp[k - 1, i] + (eta_j - eta_i) L_i in a reused buffer:
+    the live stages, which can still reach the pinned endpoint n - 1, and
+    stage K at j = n - 1. The path is read back by recomputing those costs
+    at each of the K steps. Ties go to the smallest predecessor (the first
+    minimum); ``tie_breaks`` counts the extra equal-cost predecessors.
     """
     if cfg.alpha != 0:
         raise ValueError("las_exact requires alpha = 0; use las_beam for alpha > 0")
@@ -257,31 +261,21 @@ def las_exact(cands: CandidateSet, cfg: LasConfig) -> Schedule:
     end = n - 1
     eta = cands.eta(cfg.lam)
     L = cands.risks
-    if K == 1:
-        return _make_schedule(cands, [0, end], cfg, "exact")
-
-    dp = np.full((K, n), np.inf)
-    par = np.full((K, n), -1, dtype=int)
+    dp = np.full((K + 1, n), np.inf)
+    dp[0, 0] = 0.0
+    block = np.empty((K, n))
     ties = 0
-    dp[1, 1 : end - (K - 1) + 1] = (eta[1 : end - (K - 1) + 1] - eta[0]) * L[0]
-    par[1, 1 : end - (K - 1) + 1] = 0
-    for k in range(2, K):
-        max_j = end - (K - k)
-        for j in range(k, max_j + 1):
-            cand = dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j]
-            best = int(np.argmin(cand))  # first minimum = smallest predecessor
-            dp[k, j] = cand[best]
-            par[k, j] = best
-            ties += int(np.sum(cand == cand[best])) - 1
+    for j in range(1, n):
+        lo, hi = max(1, K - (end - j)), K if j == end else min(j, K - 1)
+        cost = block[: hi - lo + 1, :j]
+        np.add(dp[lo - 1 : hi, :j], (eta[j] - eta[:j]) * L[:j], out=cost)
+        dp[lo : hi + 1, j] = best = cost.min(axis=1)
+        ties += int(np.count_nonzero(cost == best[:, None])) - best.size
 
-    cand = dp[K - 1, :end] + (eta[end] - eta[:end]) * L[:end]
-    cur = int(np.argmin(cand))
-    ties += int(np.sum(cand == cand[cur])) - 1
-
-    indices = [end, cur]
-    for k in range(K - 1, 0, -1):
-        cur = int(par[k, cur])
-        indices.append(cur)
+    indices = [end]
+    for k in range(K, 0, -1):
+        j = indices[-1]
+        indices.append(int(np.argmin(dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j])))
     indices.reverse()
     return _make_schedule(cands, indices, cfg, "exact", tie_breaks=ties)
 

@@ -92,12 +92,7 @@ def _random_discrete(rng, n=None, d=1) -> FiniteDiscrete:
     return FiniteDiscrete(points=pts, probs=p)
 
 
-def _two_atoms() -> FiniteDiscrete:
-    # built on use: FiniteDiscrete's distinct-atom check imports numpy.ma,
-    # which would add ~1 MiB and its load time to every CLI start
-    return FiniteDiscrete(points=np.array([[-1.0], [1.0]]), probs=np.array([0.5, 0.5]))
-
-
+_TWO_ATOMS = FiniteDiscrete(points=np.array([[-1.0], [1.0]]), probs=np.array([0.5, 0.5]))
 _GAUSS = GaussianMixture(weights=[1.0], means=[[0.0]], sigmas=[1.0])
 
 
@@ -166,17 +161,16 @@ def _permutation(rng, seed):
 
 @_check("mmse", "two-atom symmetry point")
 def _symmetry(rng, seed):
-    two = _two_atoms()
     X = np.array([[0.0]])
-    weights = _responsibilities(_components(two), 1.0, X)[0]
-    mean = posterior_mean(two, 1.0, X)[0]
+    weights = _responsibilities(_components(_TWO_ATOMS), 1.0, X)[0]
+    mean = posterior_mean(_TWO_ATOMS, 1.0, X)[0]
     ok = abs(mean[0]) <= 1e-12 and abs(weights[0] - 0.5) <= 1e-12
     return ok, f"mean {mean[0]:.3g}, weights {weights}"
 
 
 @_check("mmse", "two-atom tanh posterior mean")
 def _tanh_formula(rng, seed):
-    mean = posterior_mean(_two_atoms(), 0.5, [[1.0]])[0]
+    mean = posterior_mean(_TWO_ATOMS, 0.5, [[1.0]])[0]
     return _close(mean[0], math.tanh(2.0), 1e-12, "m_t(1) at t=0.5")
 
 
@@ -192,11 +186,11 @@ def _conjugacy(rng, seed):
 
 @_check("mmse", "mmse derivative matches finite differences")
 def _cov_identity(rng, seed):
-    two = _two_atoms()
     for g in (0.5, 2.0, 8.0):
-        dv = mmse_derivative(two, g, "quadrature")[0]
+        dv = mmse_derivative(_TWO_ATOMS, g, "quadrature")[0]
         h = 1e-4 * g
-        fd = (mmse(two, g + h, "quadrature")[0] - mmse(two, g - h, "quadrature")[0]) / (2 * h)
+        fd = mmse(_TWO_ATOMS, g + h, "quadrature")[0] - mmse(_TWO_ATOMS, g - h, "quadrature")[0]
+        fd /= 2 * h
         if abs(dv - fd) > 1e-3 * max(abs(fd), 1e-12):
             return False, f"gamma={g}: -E tr(Cov^2)={dv:.6g} vs fd={fd:.6g}"
     return True, "matches finite differences at gamma in {0.5, 2, 8}"
@@ -217,27 +211,24 @@ def _moment_chain(rng, seed):
 
 @_check("mmse", "mmse nonincreasing")
 def _mmse_monotone(rng, seed):
-    two = _two_atoms()
-    vals = [mmse(two, g, "quadrature")[0] for g in (0.25, 1.0, 4.0, 16.0)]
+    vals = [mmse(_TWO_ATOMS, g, "quadrature")[0] for g in (0.25, 1.0, 4.0, 16.0)]
     ok = all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     return ok, f"mmse knots {['%.4g' % v for v in vals]}"
 
 
 @_check("mmse", "mmse below prior variance")
 def _data_processing(rng, seed):
-    two = _two_atoms()
     for g in (0.1, 1.0, 10.0):
-        if mmse(two, g, "quadrature")[0] > two.cov_trace() + 1e-12:
+        if mmse(_TWO_ATOMS, g, "quadrature")[0] > _TWO_ATOMS.cov_trace() + 1e-12:
             return False, f"mmse({g}) exceeds prior variance"
     return True, "mmse <= prior covariance trace"
 
 
 @_check("mmse", "fourth moment dominates tr(Cov^2)")
 def _fourth_moment_chain(rng, seed):
-    two = _two_atoms()
     t = 0.25
-    tr_fr = mmse_derivative(two, 1.0 / t, "quadrature")[0]
-    v4, se = posterior_fourth_moment(two, t, 50_000, rng.integers(2**32))
+    tr_fr = mmse_derivative(_TWO_ATOMS, 1.0 / t, "quadrature")[0]
+    v4, se = posterior_fourth_moment(_TWO_ATOMS, t, 50_000, rng.integers(2**32))
     return _leq(abs(tr_fr), v4 + 3 * se, "E tr(Cov^2) <= E|Z'-Z|^4")
 
 
@@ -379,10 +370,9 @@ def _bounds(rng, seed):
 
 @_check("errors", "pathwise KL MC vs area gap")
 def _pathwise(rng, seed):
-    two = _two_atoms()
     grid = SnrGrid(np.geomspace(0.5, 8.0, 3))
-    v, se = pathwise_kl_mc(two, grid, n_paths=20_000, substeps=64, seed=seed)
-    ref = disc_error(MmseCurve(two, "quadrature"), grid)
+    v, se = pathwise_kl_mc(_TWO_ATOMS, grid, n_paths=20_000, substeps=64, seed=seed)
+    ref = disc_error(MmseCurve(_TWO_ATOMS, "quadrature"), grid)
     return _close(2 * v, ref, 4 * 2 * se + 1e-3, "2 * pathwise KL vs E_disc")
 
 

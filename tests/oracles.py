@@ -54,6 +54,36 @@ def brute_first_order(gammas, risks, K, lam):
     return best_idx, best_val
 
 
+def first_order_dp(gammas, risks, K, lam):
+    """Optimal first-order (indices, ties) by a plain stage-major DP.
+
+    dp[k][j] is the cheapest path from index 0 to j in k steps. Stages
+    1..K-1 fill the live band k <= j <= end - (K - k), and stage K fills
+    only (K, end). Each cell sums ``dp + (eta_j - eta_i) * L_i`` in that
+    float order and takes the first minimum, i.e. the smallest predecessor;
+    ``ties`` counts the extra equal-cost predecessors over all filled cells.
+    """
+    n = len(gammas)
+    end = n - 1
+    eta = [eta_of(float(g), lam) for g in gammas]
+    L = [float(r) for r in risks]
+    dp = [[math.inf] * n for _ in range(K + 1)]
+    par = [[-1] * n for _ in range(K + 1)]
+    dp[0][0] = 0.0
+    ties = 0
+    for k in range(1, K + 1):
+        for j in [end] if k == K else range(k, end - (K - k) + 1):
+            costs = [dp[k - 1][i] + (eta[j] - eta[i]) * L[i] for i in range(j)]
+            best = min(costs)
+            dp[k][j] = best
+            par[k][j] = costs.index(best)
+            ties += costs.count(best) - 1
+    indices = [end]
+    for k in range(K, 0, -1):
+        indices.append(par[k][indices[-1]])
+    return tuple(reversed(indices)), ties
+
+
 def brute_second_order(gammas, risks, K, lam, alpha):
     n = len(gammas)
     best_idx, best_val = None, math.inf

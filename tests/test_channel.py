@@ -20,6 +20,7 @@ from snrsched.channel import (
     MmseCurve,
     _components,
     _responsibilities,
+    _standard_normal_nodes,
     mmse,
     mmse_derivative,
     posterior_cov_stats,
@@ -162,6 +163,18 @@ def test_mmse_two_atom_against_independent_quadrature():
     for g in (0.25, 0.5, 2.0, 8.0):
         v, _ = mmse(TWO, g, "quadrature")
         assert v == pytest.approx(two_atom_mmse(g), rel=2e-5)
+
+
+def test_quadrature_nodes_built_once_and_read_only():
+    # the cache hands the same arrays to every caller, so none may write them
+    for d, size in ((1, 200), (2, 96 * 96)):
+        offsets, qw = _standard_normal_nodes(d)
+        assert _standard_normal_nodes(d)[0] is offsets
+        assert offsets.shape == (size, d) and qw.shape == (size,)
+        assert qw.sum() == pytest.approx(1.0, rel=1e-12)
+        for arr in (offsets, qw):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_mmse_monte_carlo_rejects_empty():

@@ -289,6 +289,25 @@ def test_report_rejects_unknown_target(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--entropy", "nan"), ("--entropy", "inf"),
+                                         ("--entropy", "-1"), ("--c-fit", "nan")])
+def test_report_rejects_bad_bound_constants(tmp_path, flag, value):
+    from snrsched import FiniteDiscrete
+
+    # the discrete target supplies H itself, so --c-fit is checked on it
+    if flag == "--c-fit":
+        target = tmp_path / "two.json"
+        write_target(target, FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5]))
+        target = str(target)
+    else:
+        target = single_gauss_file(tmp_path)
+    out = tmp_path / "run"
+    argv = ["report", "--target", target, "--baseline", "geometric", "--K", "4",
+            flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 

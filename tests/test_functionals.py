@@ -222,6 +222,13 @@ def test_final_bounds_geo_term_81():
     assert out["disc_bound"] == pytest.approx(81.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("H, C_fit", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                                       (1.0, math.nan), (1.0, -math.inf), (1.0, -0.5)])
+def test_final_bounds_rejects_nonfinite_or_negative_constants(H, C_fit):
+    with pytest.raises(ValueError):
+        final_bounds(SnrGrid([1.0, 10.0, 100.0]), H=H, C_fit=C_fit, eps_bar=0.0)
+
+
 def test_final_bounds_geometric_equality():
     grid = SnrGrid(np.geomspace(0.5, 500.0, 11))
     out = final_bounds(grid, H=0.9, C_fit=1.3, eps_bar=0.1)

@@ -1,6 +1,7 @@
 """Baseline grids and the two schedule DPs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     brute_first_order,
     brute_second_order,
     eta_of,
+    first_order_dp,
     first_order_objective,
     pair_dp_optimum,
     random_candidates,
@@ -161,6 +163,44 @@ def test_las_exact_matches_exhaustive_100_instances():
         best_idx, best_obj = brute_first_order(gam, risks, 3, lam)
         assert tuple(sched.indices) == best_idx
         assert sched.objective == pytest.approx(best_obj, rel=1e-12, abs=1e-15)
+
+
+def test_las_exact_matches_stage_major_dp_indices_and_ties():
+    # half the instances are tie-heavy: risks in {0, 0.5, 1}, or constant
+    # risk on geometric knots, so equal-cost predecessors are common
+    rng = np.random.default_rng(8)
+    for case in range(1200):
+        n = int(rng.integers(2, 31))
+        K = int(rng.integers(1, n))
+        lam = float(rng.choice([0.3, 1.5, 4.0]))
+        if case % 4 < 2:
+            gam, risks = random_candidates(rng, n)
+        elif case % 4 == 2:
+            gam, _ = random_candidates(rng, n)
+            risks = rng.choice([0.0, 0.5, 1.0], size=n)
+        else:
+            gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
+            risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
+        sched = las_exact(CandidateSet(gammas=gam, risks=risks), LasConfig(K=K, lam=lam))
+        want_idx, want_ties = first_order_dp(gam, risks, K, lam)
+        assert (tuple(sched.indices), sched.tie_breaks) == (want_idx, want_ties), (n, K, lam, case)
+
+
+def test_las_exact_memory_stays_near_its_tables():
+    # one (K + 1, n) cost table and one (K, n) scratch block; a fresh block
+    # per target or a predecessor table pushes the peak over the bound
+    n, K = 4096, 32
+    rng = np.random.default_rng(5)
+    gam, risks = random_candidates(rng, n, gamma_lo=0.01, gamma_hi=1e4)
+    cands = CandidateSet(gammas=gam, risks=risks)
+    cfg = LasConfig(K=K, lam=1.5)
+    tracemalloc.start()
+    try:
+        las_exact(cands, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (K + 1) * n * 8
 
 
 def test_las_exact_objective_recomputes():
