@@ -180,7 +180,7 @@ def _mean_se(v: np.ndarray):
 def _mc_expect(dist: TargetDistribution, t: float, f, n_samples: int, seed):
     """Monte-Carlo (E f_k(X), stderr) pairs under X ~ p_t; ``f`` as in :func:`_quad_expect`."""
     if n_samples < 1:
-        raise ValueError("monte_carlo policy needs n_samples >= 1")
+        raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     chunks = []
     for done in range(0, n_samples, _CHUNK):
@@ -305,11 +305,6 @@ class MmseCurve:
             )
         return self._mmse_memo[key]
 
-    def derivative(self, gamma: float):
-        return mmse_derivative(
-            self.dist, gamma, self.policy, n_samples=self.n_samples, seed=self.seed
-        )
-
     def tabulate(self, gammas) -> list:
         """(gamma, mmse, mmse_stderr, dmmse, dmmse_stderr) tuples, one per gamma."""
         out = []
@@ -339,30 +334,24 @@ class MmseCurve:
 def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, seed):
     """Monte-Carlo estimate of E ||Z' - Z||^4 for an independent posterior draw Z'.
 
-    Per sample: Z ~ p, X = Z + sqrt(t) xi, and Z' is drawn from the posterior
-    over atoms given X, independently of Z. Finite discrete targets only.
-    Returns (value, stderr).
+    Given X = Z + sqrt(t) xi, Z and Z' are independent draws from the
+    posterior w(X) over atoms, so the moment is the conditional form
+    E_X sum_ij w_i(X) w_j(X) |z_i - z_j|^4, which :func:`_mc_expect`
+    averages over X. Finite discrete targets only. Returns (value, stderr).
     """
     if not isinstance(dist, FiniteDiscrete):
         raise TypeError("posterior_fourth_moment requires a FiniteDiscrete target")
     if not t > 0:
         raise ValueError("t must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_samples)
-    for done in range(0, n_samples, _CHUNK):
-        m = min(_CHUNK, n_samples - done)
-        idx = rng.choice(dist.n_atoms, size=m, p=dist.probs)
-        Z = dist.points[idx]
-        X = Z + math.sqrt(t) * rng.standard_normal(Z.shape)
-        w = _responsibilities(_components(dist), t, X)
-        u = rng.random(m)
-        idx2 = (u[:, None] > np.cumsum(w, axis=1)).sum(axis=1)
-        idx2 = np.minimum(idx2, dist.n_atoms - 1)
-        diff = dist.points[idx2] - Z
-        vals[done : done + m] = ((diff**2).sum(axis=1)) ** 2
-    return _mean_se(vals)
+    z = dist.points
+    d4 = (((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)) ** 2
+    comps = _components(dist)
+
+    def f(X):
+        w = _responsibilities(comps, t, X)
+        return (((w @ d4) * w).sum(axis=1),)
+
+    return _mc_expect(dist, t, f, n_samples, seed)[0]
 
 
 def derivative_ratio_constant(

@@ -322,11 +322,10 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def _add_endpoint_flags(p, with_K=True):
+def _add_endpoint_flags(p):
     p.add_argument("--T", type=float, default=1.0, help="largest noise variance (default 1.0)")
     p.add_argument("--delta", type=float, default=1e-3, help="smallest noise variance (default 1e-3)")
-    if with_K:
-        p.add_argument("--K", type=int, default=8, help="number of steps (default 8)")
+    p.add_argument("--K", type=int, default=8, help="number of steps (default 8)")
     p.add_argument("--rho", type=float, default=7.0, help="EDM exponent (default 7)")
 
 

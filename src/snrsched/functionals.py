@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import MmseCurve, _mean_se, posterior_mean
+from .sampler import reverse_step
 from .targets import TargetDistribution
 
 __all__ = [
@@ -98,9 +99,10 @@ class SnrGrid:
         """Reverse-time knots s_k = T - 1/gamma_k, ascending from 0 to T - delta."""
         return self.T - 1.0 / self.gammas
 
-    def is_geometric(self, rel_tol: float = 1e-9) -> bool:
+    def is_geometric(self) -> bool:
+        """True when every step ratio is within 1e-9 relative of their mean."""
         r = self.ratios
-        return bool(np.all(np.abs(r - r.mean()) <= rel_tol * r.mean()))
+        return bool(np.all(np.abs(r - r.mean()) <= 1e-9 * r.mean()))
 
 
 _KINDS = ("x0", "eps")
@@ -258,6 +260,13 @@ def combined_objective(loss: LossProfile, grid: SnrGrid) -> float:
     return float(np.diff(g) @ np.array([loss.x0_at(x) for x in g[:-1]]))
 
 
+def _check_bound_constants(**constants) -> None:
+    """Raise ValueError unless every given bound constant is finite and >= 0."""
+    for name, v in constants.items():
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+
+
 def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
     """Closed-form discretization/KL upper bounds for a grid.
 
@@ -267,8 +276,7 @@ def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
     log(Lambda) (C^2 H^2 log(Lambda)/K + eps_bar), which requires
     K >= log(Lambda) to be applicable. H and C_fit must be finite and >= 0.
     """
-    if not (math.isfinite(H) and H >= 0 and math.isfinite(C_fit) and C_fit >= 0):
-        raise ValueError(f"H and C_fit must be finite and nonnegative, got {H!r} and {C_fit!r}")
+    _check_bound_constants(H=H, C_fit=C_fit)
     g = grid.gammas
     K = grid.K
     c2h2 = (C_fit * H) ** 2
@@ -298,10 +306,11 @@ def pathwise_kl_mc(
     delta_s is the drift mismatch between the exact reverse process and the
     frozen-denoiser process, evaluated with the exact denoiser, so the
     estimate converges to E_disc / 2. Per path the exact reverse trajectory
-    is simulated at ``substeps`` equally spaced sub-times per grid interval
-    by descending Brownian bridges anchored at the sampled Z, and the time
-    integral is taken by the trapezoid rule (the integrand vanishes exactly
-    at each interval's left endpoint).
+    is simulated at ``substeps`` equally spaced sub-times per grid interval.
+    Given the sampled Z it is the Brownian bridge back to Z, whose transition
+    is the frozen-anchor step :func:`snrsched.sampler.reverse_step` with
+    anchor Z. The time integral is taken by the trapezoid rule (the
+    integrand vanishes exactly at each interval's left endpoint).
 
     Returns (value, stderr). Deterministic given (seed, n_paths): paths are
     drawn in chunks of 20 000 whose seeds are spawned from the root seed
@@ -333,10 +342,7 @@ def pathwise_kl_mc(
             for j in range(1, substeps + 1):
                 s = s_knots[k - 1] + j * ds
                 t_next = T - s
-                # Brownian bridge between (0, Z) and (t_cur, X), descending in t
-                mean = Z + (t_next / t_cur) * (X - Z)
-                std = math.sqrt(t_next * (t_cur - t_next) / t_cur)
-                X = mean + std * rng.standard_normal(X.shape)
+                X = reverse_step(X, t_cur, t_next, Z, rng.standard_normal(X.shape))
                 t_cur = t_next
                 f = ((posterior_mean(dist, t_cur, X) - anchor) ** 2).sum(axis=1) / t_cur**2
                 weight = 0.5 if j == substeps else 1.0  # f = 0 at j = 0
@@ -387,7 +393,12 @@ def error_report(
     two-term KL control from :func:`final_bounds` is attached, with eps_bar
     the mean of the per-level excess terms, and the full :func:`final_bounds`
     result is written under ``"bounds"`` by :meth:`ErrorReport.to_json_dict`.
+    ``C_fit``, and ``H`` when given, must be finite and >= 0; they are checked
+    before any oracle work.
     """
+    _check_bound_constants(C_fit=C_fit)
+    if H is not None:
+        _check_bound_constants(H=H)
     curve = _as_curve(dist_or_curve)
     e_disc = disc_error(curve, grid)
     if loss is None:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _mean_se, posterior_mean
-from .functionals import SnrGrid
 from .targets import GaussianMixture, TargetDistribution
 
 __all__ = [

@@ -284,17 +284,19 @@ def las_beam(cands: CandidateSet, cfg: LasConfig) -> Schedule:
     """Globally optimal second-order schedule by a DP over index pairs.
 
     Requires cfg.alpha > 0. V[a, b] is the best cost of reaching candidate b
-    with previous candidate a; each stage extends every pair by c > b,
+    with previous candidate a; stage 1 fills (0, b), and each later stage
+    extends every pair by c > b,
 
         V'[b, c] = min_a V[a, b] + (eta_c - eta_b) L_b
                    + alpha ((ell_c - ell_b) - (ell_b - ell_a))^2,
 
     with numpy over (a, c) for one b at a time, so no n^3 temporary is built.
-    Every pair is kept, so the result is exact. Ties go to the smallest a,
-    and in the final pick to the smallest b. Time is O(K n^3) and memory
-    O(K n^2) (int32 predecessors): about 0.1 s at n = 128 and 20 s at
-    n = 1024 with K = 20. The name and the "beam" label are kept for
-    existing callers and schedule files.
+    Stage K is the same step with c pinned to the endpoint, so K = 1 needs
+    no case of its own. Every pair is kept, so the result is exact. Ties go
+    to the smallest a, and in the final pick over V[:, end] to the smallest
+    b. Time is O(K n^3) and memory O(K n^2) (int32 predecessors): about
+    0.1 s at n = 128 and 20 s at n = 1024 with K = 20. The name and the
+    "beam" label are kept for existing callers and schedule files.
     """
     if not cfg.alpha > 0:
         raise ValueError("las_beam requires alpha > 0; use las_exact for alpha = 0")
@@ -306,19 +308,17 @@ def las_beam(cands: CandidateSet, cfg: LasConfig) -> Schedule:
     ell = cands.ell
     L = cands.risks
     alpha = cfg.alpha
-    if K == 1:
-        return _make_schedule(cands, [0, end], cfg, "beam")
 
     # stage k holds pairs (a, b) at positions (k - 1, k); loop bounds keep
     # every pair extendable to the pinned endpoint
     V = np.full((n, n), np.inf)
     V[0, 1 : end - (K - 1) + 1] = (eta[1 : end - (K - 1) + 1] - eta[0]) * L[0]
-    par = np.zeros((K, n, n), dtype=np.int32)
-    for k in range(2, K):
-        max_c = end - (K - k)
+    par = np.zeros((K + 1, n, n), dtype=np.int32)
+    for k in range(2, K + 1):
+        hi_c = end - (K - k)
         nxt = np.full((n, n), np.inf)
-        for b in range(k - 1, max_c):
-            a, c = slice(k - 2, b), slice(b + 1, max_c + 1)
+        for b in range(k - 1, hi_c):
+            a, c = slice(k - 2, b), slice(end if k == K else b + 1, hi_c + 1)
             cost = V[a, b, None] + (eta[c] - eta[b]) * L[b] + alpha * (
                 (ell[c] - ell[b])[None, :] - (ell[b] - ell[a])[:, None]
             ) ** 2
@@ -326,14 +326,10 @@ def las_beam(cands: CandidateSet, cfg: LasConfig) -> Schedule:
             par[k, b, c] = np.argmin(cost, axis=0) + (k - 2)  # first minimum = smallest a
         V = nxt
 
-    total = V[:end, :end] + (eta[end] - eta[:end]) * L[:end] + alpha * (
-        (ell[end] - ell[:end])[None, :] - (ell[:end][None, :] - ell[:end][:, None])
-    ) ** 2
-    # b-major flat argmin: the smallest b among the minima, then the smallest a
-    b, a = divmod(int(np.argmin(total.T)), end)
-    indices = [end, b, a]
-    for k in range(K - 1, 1, -1):
-        a, b = int(par[k, a, b]), a
-        indices.append(a)
+    b, c = int(np.argmin(V[:, end])), end
+    indices = [end, b]
+    for k in range(K, 1, -1):
+        b, c = int(par[k, b, c]), b
+        indices.append(b)
     indices.reverse()
     return _make_schedule(cands, indices, cfg, "beam")

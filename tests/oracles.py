@@ -118,6 +118,49 @@ def pair_dp_optimum(gammas, risks, K, lam, alpha):
     return float(V[:, -1].min())
 
 
+def pair_dp(gammas, risks, K, lam, alpha):
+    """Optimal second-order indices by a plain stage-major DP over index pairs.
+
+    V[a][b] is the cheapest path from index 0 whose last step goes a -> b.
+    Stage 1 fills (0, b) for b <= end - (K - 1). Stage k >= 2 extends each
+    pair (a, b) to (b, c) with b < c <= end - (K - k), so stage K fills only
+    c = end. Each cell sums ``V + (eta_c - eta_b) * L_b + alpha * dh^2``,
+    dh = (ell_c - ell_b) - (ell_b - ell_a), in that float order and keeps the
+    first minimum, i.e. the smallest a; the final pick over (b, end) keeps
+    the smallest b. ell comes from np.log over the whole array, so it rounds
+    as the package's does.
+    """
+    n = len(gammas)
+    end = n - 1
+    eta = [eta_of(float(g), lam) for g in gammas]
+    ell = [float(x) for x in np.log(np.asarray(gammas, dtype=float))]
+    L = [float(r) for r in risks]
+    V = [[math.inf] * n for _ in range(n)]
+    for b in range(1, end - (K - 1) + 1):
+        V[0][b] = (eta[b] - eta[0]) * L[0]
+    par = {}
+    for k in range(2, K + 1):
+        hi = end - (K - k)
+        nxt = [[math.inf] * n for _ in range(n)]
+        for b in range(k - 1, hi):
+            for c in [end] if k == K else range(b + 1, hi + 1):
+                step = (eta[c] - eta[b]) * L[b]
+                for a in range(b):
+                    dh = (ell[c] - ell[b]) - (ell[b] - ell[a])
+                    cost = V[a][b] + step + alpha * (dh * dh)
+                    if cost < nxt[b][c]:
+                        nxt[b][c] = cost
+                        par[k, b, c] = a
+        V = nxt
+    last = [V[b][end] for b in range(end)]
+    b, c = last.index(min(last)), end
+    indices = [end, b]
+    for k in range(K, 1, -1):
+        b, c = par[k, b, c], b
+        indices.append(b)
+    return tuple(reversed(indices))
+
+
 def ratio_sum(gammas):
     """sum_k (Delta gamma_k / gamma_{k-1})^2, the grid-quality proxy."""
     return math.fsum(((b - a) / a) ** 2 for a, b in zip(gammas, gammas[1:]))

@@ -308,6 +308,28 @@ def test_report_rejects_bad_bound_constants(tmp_path, flag, value):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--entropy", "--c-fit"])
+def test_report_rejects_bound_constants_before_oracle_work(tmp_path, monkeypatch, flag):
+    # circle8 is a mixture, so with --c-fit alone no bound reads C_fit; a nan
+    # is still a configuration error, caught before the first posterior call
+    from snrsched import channel
+
+    calls = []
+    kernel = channel.posterior_cov_stats
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(channel, "posterior_cov_stats", counting)
+    out = tmp_path / "run"
+    argv = ["report", "--target", "circle8", "--baseline", "geometric", "--K", "4",
+            flag, "nan", "--out", str(out)]
+    assert main(argv) == 2
+    assert calls == []
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 

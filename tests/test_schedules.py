@@ -12,6 +12,7 @@ from oracles import (
     eta_of,
     first_order_dp,
     first_order_objective,
+    pair_dp,
     pair_dp_optimum,
     random_candidates,
     second_order_objective,
@@ -270,6 +271,27 @@ def test_las_beam_default_config_matches_brute_force():
     best_idx, best_obj = brute_second_order(gam, risks, 3, 1.5, 1e-3)
     assert tuple(sched.indices) == best_idx
     assert sched.objective == pytest.approx(best_obj, rel=1e-12)
+
+
+def test_las_beam_matches_stage_major_pair_dp_indices():
+    # half the instances are tie-heavy: risks in {0, 0.5, 1}, or constant
+    # risk on geometric knots; 31 of them have equal-cost final picks
+    rng = np.random.default_rng(9)
+    for case in range(1000):
+        n = int(rng.integers(2, 17))
+        K = int(rng.integers(1, n))
+        lam = float(rng.choice([0.3, 1.5, 4.0]))
+        alpha = float(rng.choice([1e-3, 0.1, 1.0, 12.0]))
+        if case % 4 < 2:
+            gam, risks = random_candidates(rng, n)
+        elif case % 4 == 2:
+            gam, _ = random_candidates(rng, n)
+            risks = rng.choice([0.0, 0.5, 1.0], size=n)
+        else:
+            gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
+            risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
+        sched = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=K, lam=lam, alpha=alpha))
+        assert tuple(sched.indices) == pair_dp(gam, risks, K, lam, alpha), (n, K, lam, alpha, case)
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 1.0])
