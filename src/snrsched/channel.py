@@ -29,6 +29,13 @@ centered on the weighted center mean first, which bounds the error by the
 centers' spread instead of their distance from the origin (atoms near
 1e3 + N(0, I) would otherwise lose ~1e-9 in the posterior mean).
 
+Both covariance moments come from the squared pair distances D_ij of the
+per-component conjugate posterior means: tr Cov is (1/2) sum_ij r_i r_j D_ij
+plus the mean within-component variance, a sum of non-negative terms that
+does not cancel at high SNR, and tr Cov^2 comes from the Gram of the centered
+means, the r-weighted double centering of D. :func:`mmse` averages the trace
+alone. No array of size m n d, m d^2 or n^2 d is built.
+
 Three evaluation policies are provided and cross-checked against each other:
 closed form (single Gaussian component), Gauss-Hermite quadrature (exact up
 to quadrature error for dim <= 2), and Monte Carlo with reported standard
@@ -110,12 +117,66 @@ def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
     return (r @ (variances / s2))[:, None] * X + r @ ((t / s2)[:, None] * centers)
 
 
+def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray):
+    """tr Cov(Z | X_t = x) from the pair distances of the conjugate means.
+
+    Given component i the posterior mean is mu_i = a_i x + (t / s2_i) c_i with
+    a_i = v_i / s2_i. Centering x and the centers on the weighted center mean,
+    as :func:`_component_logits` does, leaves mu_i = a_i x~ + e_i with
+    e_i = (t / s2_i) c~_i, whose squared pair distances are
+
+        D_ij = |x~|^2 (a_i - a_j)^2 + 2 (a_i - a_j) x~.(e_i - e_j) + |e_i - e_j|^2.
+
+    The spread of the mu_i under the responsibilities r has trace
+    (1/2) sum_ij r_i r_j D_ij = (1/2) r.(D r): a weighted sum of non-negative
+    pair distances, which does not cancel when one component dominates. D r
+    takes only products of fixed (n, n) tables with (n, m) arrays, and its
+    x-dependent terms are needed only when the a_i differ (unequal component
+    variances).
+    The within-component variance adds d tau, with tau = sum_i r_i a_i t.
+
+    Arrays are component-major, (n, m), so elementwise work runs along rows.
+    Returns (trace, r, D r, tau, E, tilt): E is the (n, n) table
+    |e_i - e_j|^2, and tilt is None when the a_i are all equal, else
+    (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
+    """
+    comps = _components(dist)
+    r = _responsibilities(comps, t, X).T
+    weights, centers, variances = comps
+    s2 = variances + t
+    a = variances / s2
+    mu = weights @ centers
+    e = (t / s2)[:, None] * (centers - mu)
+    # row by row, so no (n, n, d) array of differences is built
+    E = np.stack([np.einsum("nd,nd->n", e - ei, e - ei) for ei in e])
+    Dr = E @ r
+    tilt = None
+    if np.any(a != a[0]):
+        Xc = X - mu
+        xx = np.einsum("md,md->m", Xc, Xc)
+        P = e @ Xc.T
+        g = a[:, None] - a[None, :]
+        Dr += xx * ((g * g) @ r) + 2.0 * (P * (g @ r) - g @ (r * P))
+        tilt = xx, P, g
+    tau = (a * t) @ r
+    trace = 0.5 * np.einsum("im,im->m", r, Dr) + dist.dim * tau
+    return trace, r, Dr, tau, E, tilt
+
+
 def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     """Batched posterior covariance summaries.
 
-    Cov is the spread of the conjugate per-component posterior means plus the
-    mean within-component variance v_i t / s2_i (law of total covariance).
-    Raises ValueError unless ``t`` is positive and finite.
+    Cov is the spread S of the conjugate per-component posterior means plus
+    the mean within-component variance tau = sum_i r_i v_i t / s2_i (law of
+    total covariance). The trace is the pair-distance form of
+    :func:`_pair_spread`, so it equals what :func:`mmse` averages bit for bit.
+    With y_i the mean of component i minus the posterior mean,
+    S = sum_i r_i y_i y_i^T, so tr S^2 = sum_ij r_i r_j B_ij^2 where
+    B_ij = y_i.y_j is the r-weighted double centering of the pair distances,
+    B_ij = (u_i + u_j - D_ij) / 2 with u = D r - (r.D r) / 2; then
+    tr Cov^2 = tr S^2 + 2 tau tr S + d tau^2. The largest temporaries are
+    (n, n, m); nothing of size m n d or m d^2 is built. Raises ValueError
+    unless ``t`` is positive and finite.
 
     Returns
     -------
@@ -123,20 +184,24 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    comps = _components(dist)
-    r = _responsibilities(comps, t, X)
-    _, centers, variances = comps
-    s2 = variances + t
-    shrink = (variances / s2)[None, :, None]
-    comp_mean = shrink * X[:, None, :] + (t / s2)[None, :, None] * centers[None, :, :]
-    mean = np.einsum("mi,mid->md", r, comp_mean)
-    centered = comp_mean - mean[:, None, :]
-    cov = np.einsum("mi,mia,mib->mab", r, centered, centered)
-    idx = np.arange(X.shape[1])
-    cov[:, idx, idx] += (r @ (variances * t / s2))[:, None]
-    trace = np.einsum("maa->m", cov)
-    frob_sq = np.einsum("mab,mab->m", cov, cov)
-    return trace, frob_sq
+    trace, r, Dr, tau, E, tilt = _pair_spread(dist, t, X)
+    rDr = np.einsum("im,im->m", r, Dr)
+    u = Dr - 0.5 * rDr
+    # minus twice the Gram, D_ij - u_i - u_j, built in one (n, n, m) buffer
+    if tilt is None:
+        B2 = E[:, :, None] - u[:, None, :]
+    else:
+        xx, P, g = tilt
+        B2 = g[:, :, None] * xx
+        B2 += 2.0 * P[:, None, :]
+        B2 -= 2.0 * P[None, :, :]
+        B2 *= g[:, :, None]
+        B2 += E[:, :, None]
+        B2 -= u[:, None, :]
+    B2 -= u[None, :, :]
+    B2 *= B2
+    spread_sq = 0.25 * np.einsum("im,im->m", r, np.einsum("ijm,jm->im", B2, r))
+    return trace, spread_sq + tau * (rDr + dist.dim * tau)
 
 
 @lru_cache(maxsize=None)
@@ -212,10 +277,28 @@ def _resolve_policy(dist, policy: str, gamma: float) -> str:
     return policy
 
 
+def _expect(dist: TargetDistribution, t: float, pol: str, f, n_samples: int, seed):
+    """(E f_k(X), stderr) pairs under X ~ p_t by the resolved quadrature or Monte-Carlo policy."""
+    if pol == "quadrature":
+        return _quad_expect(dist, t, f)
+    return _mc_expect(dist, t, f, n_samples, seed)
+
+
+def _trace_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
+    """(E tr Cov, stderr) at t = 1/gamma under ``policy``; stderr is 0 unless Monte Carlo."""
+    pol = _resolve_policy(dist, policy, gamma)
+    if pol == "closed_form":
+        s0sq = float(dist.sigmas[0] ** 2)
+        return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
+    t = 1.0 / gamma
+    return _expect(dist, t, pol, lambda X: (_pair_spread(dist, t, X)[0],), n_samples, seed)[0]
+
+
 def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
     """((E tr Cov, stderr), (E tr Cov^2, stderr)) at t = 1/gamma under ``policy``.
 
-    Both moments come from one evaluation; stderrs are 0 for the closed_form
+    Both moments come from one evaluation, and the first equals
+    :func:`_trace_expect`'s bit for bit; stderrs are 0 for the closed_form
     and quadrature policies.
     """
     pol = _resolve_policy(dist, policy, gamma)
@@ -224,10 +307,7 @@ def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: 
         tr = dist.dim * s0sq / (1.0 + s0sq * gamma)
         return (tr, 0.0), (dist.dim * (s0sq / (1.0 + s0sq * gamma)) ** 2, 0.0)
     t = 1.0 / gamma
-    f = lambda X: posterior_cov_stats(dist, t, X)
-    if pol == "quadrature":
-        return _quad_expect(dist, t, f)
-    return _mc_expect(dist, t, f, n_samples, seed)
+    return _expect(dist, t, pol, lambda X: posterior_cov_stats(dist, t, X), n_samples, seed)
 
 
 def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
@@ -242,11 +322,7 @@ def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, s
     t = 1.0 / gamma
     weights, centers, variances = _components(dist)
     p_t = GaussianMixture(weights, centers, np.sqrt(variances + t))
-    f = lambda X: (p_t.log_prob(X),)
-    if pol == "quadrature":
-        ((log_p, se),) = _quad_expect(dist, t, f)
-    else:
-        ((log_p, se),) = _mc_expect(dist, t, f, n_samples, seed)
+    ((log_p, se),) = _expect(dist, t, pol, lambda X: (p_t.log_prob(X),), n_samples, seed)
     return -log_p - 0.5 * dist.dim * math.log(2.0 * math.pi * math.e * t), se
 
 
@@ -262,9 +338,9 @@ def mmse(
 
     The value is E tr Cov(Z | X_t) with t = 1/gamma (the conditional-variance
     form of E ||Z - m_t(X_t)||^2). stderr is 0 for the closed_form and
-    quadrature policies.
+    quadrature policies. Only the trace is computed, not tr Cov^2.
     """
-    return _cov_expect(dist, gamma, policy, n_samples, seed)[0]
+    return _trace_expect(dist, gamma, policy, n_samples, seed)
 
 
 def mmse_derivative(
@@ -286,9 +362,12 @@ class MmseCurve:
 
     ``policy`` is "auto", "closed_form", "quadrature" or "monte_carlo";
     "auto" picks closed form for a single Gaussian, quadrature for dim <= 2
-    and Monte Carlo otherwise. :meth:`mmse` remembers its value at each gamma,
-    since every evaluation at one gamma uses the same seed and gives the same
-    result; the curve is frozen so that memo cannot go stale.
+    and Monte Carlo otherwise. An unknown policy, "closed_form" for a target
+    that is not a single Gaussian, or ``n_samples < 1`` raises ValueError
+    here rather than at the first evaluation. :meth:`mmse` remembers its
+    value at each gamma, since every evaluation at one gamma uses the same
+    seed and gives the same result; the curve is frozen so that memo cannot
+    go stale.
     """
 
     dist: TargetDistribution
@@ -296,6 +375,11 @@ class MmseCurve:
     n_samples: int = 200_000
     seed: int = 0
     _mmse_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _resolve_policy(self.dist, self.policy, 1.0)
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
 
     def mmse(self, gamma: float):
         key = float(gamma)

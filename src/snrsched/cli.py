@@ -293,6 +293,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mmse_table(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     run = _Run(args.out, "mmse-table", _config_dict(args))
     run.stage("load")
     target = _load_target(args.target)

@@ -210,6 +210,23 @@ def test_mmse_curve_monotone_and_bounded():
     assert all(0.0 <= v <= TWO.cov_trace() + 1e-12 for v in vals)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"policy": "bogus"},
+        {"policy": "closed_form"},
+        {"policy": "monte_carlo", "n_samples": 0},
+        {"policy": "quadrature", "n_samples": 0},
+        {"policy": "auto", "n_samples": -5},
+    ],
+    ids=["unknown-policy", "closed-form-on-atoms", "mc-zero", "quad-zero", "auto-negative"],
+)
+def test_mmse_curve_rejects_bad_settings_at_construction(kwargs):
+    # an unusable curve fails where it is built, not at its first evaluation
+    with pytest.raises(ValueError):
+        MmseCurve(TWO, **kwargs)
+
+
 def test_mmse_curve_integral_single_gaussian():
     curve = MmseCurve(single_gauss(1.0))
     want = math.log((1 + 4.0) / (1 + 1.0))
@@ -336,7 +353,10 @@ def test_posterior_cov_stats_shapes_and_identity():
 
 
 def _oracle_cases():
-    """(id, target, weights, centers, variances): atoms and Gaussians, d = 1, 2."""
+    """(id, target, weights, centers, variances): atoms and Gaussians, d = 1, 2.
+
+    The "far" cases put atoms and unequal-sigma components at 1e3 + N(0, I).
+    """
     rng = np.random.default_rng(11)
     cases = []
     for d in (1, 2):
@@ -347,11 +367,38 @@ def _oracle_cases():
         gmm = GaussianMixture(weights=probs, means=centers, sigmas=sigmas)
         cases.append((f"discrete-d{d}", atoms, probs, centers, np.zeros(4)))
         cases.append((f"gmm-d{d}", gmm, probs, centers, sigmas**2))
+    for d in (1, 2):
+        probs = rng.dirichlet(np.ones(5))
+        centers = 1e3 + rng.normal(size=(5, d))
+        sigmas = rng.uniform(0.2, 1.0, size=5)
+        atoms = FiniteDiscrete(points=centers, probs=probs)
+        gmm = GaussianMixture(weights=probs, means=centers, sigmas=sigmas)
+        cases.append((f"far-discrete-d{d}", atoms, probs, centers, np.zeros(5)))
+        cases.append((f"far-gmm-d{d}", gmm, probs, centers, sigmas**2))
     return cases
 
 
-@pytest.mark.parametrize("t", [1e-6, 1e-2, 1.0, 1e2, 1e6])
-@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def _tiny_trace_case():
+    # rows drawn near the atom at (1, 0) see the atom at (-1, 0) with
+    # posterior weight exp(-2000) = 0, and the nearby third atom, of prior
+    # weight 1e-287, with weight ~1e-287: tr Cov is ~1e-290 there. The center
+    # mean sits near the origin, so a variance form E|Z|^2 - |E Z|^2 would
+    # subtract two numbers near 1 and return 0 or rounding noise
+    probs = np.array([0.5, 0.5, 1e-287])
+    centers = np.array([[-1.0, 0.0], [1.0, 0.0], [1.01, 0.02]])
+    atoms = FiniteDiscrete(points=centers, probs=probs)
+    return ("tiny-trace", atoms, probs, centers, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "case, t",
+    [
+        pytest.param(case, t, id=f"{case[0]}-{t}")
+        for t in (1e-6, 1e-2, 1.0, 1e2, 1e6)
+        for case in _oracle_cases()
+    ]
+    + [pytest.param(_tiny_trace_case(), 1e-3, id="tiny-trace-0.001")],
+)
 def test_posterior_matches_per_component_oracle(case, t):
     _, dist, weights, centers, variances = case
     rng = np.random.default_rng(7)
@@ -359,11 +406,15 @@ def test_posterior_matches_per_component_oracle(case, t):
     tr, fr = posterior_cov_stats(dist, t, X)
     means = posterior_mean(dist, t, X)
     resp = _responsibilities(_components(dist), t, X)
+    assert np.all(tr >= 0.0)
     for i, x in enumerate(X):
         probs, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
         np.testing.assert_allclose(resp[i], probs, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(means[i], mean, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose([tr[i], fr[i]], [o_tr, o_fr], rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(tr[i], o_tr, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(fr[i], o_fr, rtol=1e-10, atol=1e-14)
+    if case[0] == "tiny-trace":
+        assert 1e-300 < tr.max() < 1e-280
 
 
 @pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0])
@@ -409,6 +460,28 @@ def test_kernel_builds_no_component_by_dimension_tensor():
         assert peak < m * n * d * 8 / 4
 
 
+@pytest.mark.parametrize("family", ["discrete", "gmm"])
+def test_cov_stats_build_no_component_by_dimension_tensor(family):
+    # the trace and tr Cov^2 come from (n, m) and (n, n, m) arrays; an
+    # (m, n, d) or (m, d, d) temporary would need m n d 8 or m d d 8 bytes
+    m, n, d = 2048, 6, 256
+    rng = np.random.default_rng(4)
+    centers = rng.normal(size=(n, d))
+    weights = np.full(n, 1.0 / n)
+    if family == "discrete":
+        dist = FiniteDiscrete(points=centers, probs=weights)
+    else:
+        dist = GaussianMixture(weights=weights, means=centers, sigmas=np.linspace(0.3, 0.8, n))
+    X = dist.sample(m, rng) + rng.normal(size=(m, d))
+    tracemalloc.start()
+    try:
+        posterior_cov_stats(dist, 0.5, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * d * 8 / 4
+
+
 def test_tabulate_evaluates_each_knot_once(monkeypatch):
     import snrsched.channel as channel
 
@@ -427,3 +500,18 @@ def test_tabulate_evaluates_each_knot_once(monkeypatch):
         assert len(calls) == (TWO.n_atoms if policy == "quadrature" else 1)
         assert (v, se) == curve.mmse(2.0)
         assert (dv, dse) == mmse_derivative(TWO, 2.0, policy, n_samples=2000, seed=5)
+
+
+@pytest.mark.parametrize("policy", ["quadrature", "monte_carlo"])
+def test_tabulate_mmse_column_is_the_trace_only_mmse(policy):
+    # mmse averages the trace alone, tabulate both moments from one kernel
+    # call; the two share the trace code, so the columns agree bit for bit,
+    # also for unequal variances, where the trace has x-dependent terms
+    unequal = GaussianMixture(
+        weights=[0.2, 0.5, 0.3], means=[[0.0, 1.0], [2.0, -1.0], [-1.5, 0.5]], sigmas=[0.3, 0.6, 1.1]
+    )
+    gammas = [0.3, 2.0, 40.0]
+    for dist in (TWO, toy_discrete("circle8"), unequal):
+        curve = MmseCurve(dist, policy, n_samples=3000, seed=9)
+        rows = curve.tabulate(gammas)
+        assert [(v, se) for _, v, se, _, _ in rows] == [curve.mmse(g) for g in gammas]

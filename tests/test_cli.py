@@ -315,13 +315,13 @@ def test_report_rejects_bound_constants_before_oracle_work(tmp_path, monkeypatch
     from snrsched import channel
 
     calls = []
-    kernel = channel.posterior_cov_stats
+    kernel = channel._pair_spread
 
     def counting(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(channel, "posterior_cov_stats", counting)
+    monkeypatch.setattr(channel, "_pair_spread", counting)
     out = tmp_path / "run"
     argv = ["report", "--target", "circle8", "--baseline", "geometric", "--K", "4",
             flag, "nan", "--out", str(out)]
@@ -446,6 +446,26 @@ def test_mmse_table_single_gaussian_closed_form(tmp_path):
         g, m = float(row[0]), float(row[1])
         assert m == pytest.approx(1.0 / (1.0 + g), rel=1e-10)
         assert float(row[3]) == pytest.approx(-1.0 / (1.0 + g) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_mmse_table_rejects_empty_table_before_oracle_work(tmp_path, monkeypatch, capsys, points):
+    from snrsched import channel
+
+    calls = []
+    kernel = channel.posterior_cov_stats
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(channel, "posterior_cov_stats", counting)
+    out = tmp_path / "run"
+    argv = ["mmse-table", "--target", "circle8", "--points", points, "--out", str(out)]
+    assert main(argv) == 2
+    assert calls == []
+    assert not (out / "mmse.csv").exists()
+    assert "--points" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Discretization/approximation error functionals and their identities."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     GAUSS_GRID_124_DISC,
@@ -394,13 +398,13 @@ def test_error_report_evaluates_each_distinct_gamma_once(monkeypatch):
     import snrsched.channel as channel
 
     calls = []
-    oracle = channel._cov_expect
+    oracle = channel._trace_expect
 
     def counting(dist, gamma, *args):
         calls.append(float(gamma))
         return oracle(dist, gamma, *args)
 
-    monkeypatch.setattr(channel, "_cov_expect", counting)
+    monkeypatch.setattr(channel, "_trace_expect", counting)
     curve = MmseCurve(TWO, "quadrature")
     loss = LossProfile(gammas=np.geomspace(1.0, 9.0, 5), losses=np.full(5, 2.0))
     grids = [SnrGrid([1.0, 2.0, 4.0, 8.0]), SnrGrid([1.0, 3.0, 9.0])]
@@ -410,3 +414,67 @@ def test_error_report_evaluates_each_distinct_gamma_once(monkeypatch):
     assert sorted(calls) == [1.0, 2.0, 3.0, 4.0]
     fresh = [error_report(MmseCurve(TWO, "quadrature"), grid, loss) for grid in grids]
     assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in fresh]
+
+
+# ---------------------------------------------------------------------------
+# CSV round trip and non-finite input, as properties
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _loss_fields(draw):
+    """(gammas, losses, kinds) of a valid loss profile with 1-8 knots."""
+    gammas = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                min_size=1,
+                max_size=8,
+                unique=True,
+            )
+        )
+    )
+    n = len(gammas)
+    losses = draw(
+        st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n)
+    )
+    kinds = draw(st.lists(st.sampled_from(["x0", "eps"]), min_size=n, max_size=n))
+    return np.array(gammas), np.array(losses), tuple(kinds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_loss_fields())
+def test_loss_profile_csv_round_trip_property(fields):
+    profile = LossProfile(*fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loss.csv"
+        profile.to_csv(path)
+        back = LossProfile.from_csv(path)
+    assert back.gammas.tobytes() == profile.gammas.tobytes()
+    assert back.losses.tobytes() == profile.losses.tobytes()
+    assert back.kinds == profile.kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_loss_fields(), st.booleans(), st.integers(0, 10**6), _NON_FINITE)
+def test_loss_profile_rejects_non_finite_property(fields, in_gammas, pos, bad):
+    gammas, losses, kinds = fields
+    target = gammas if in_gammas else losses
+    target[pos % target.size] = bad
+    with pytest.raises(ValueError):
+        LossProfile(gammas, losses, kinds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=2, max_size=8, unique=True),
+    st.integers(0, 10**6),
+    _NON_FINITE,
+)
+def test_snr_grid_rejects_non_finite_property(knots, pos, bad):
+    knots = sorted(knots)
+    SnrGrid(knots)
+    knots[pos % len(knots)] = bad
+    with pytest.raises(ValueError):
+        SnrGrid(knots)

@@ -1,10 +1,13 @@
 """Baseline grids and the two schedule DPs."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_first_order,
@@ -436,3 +439,31 @@ def test_candidate_set_derived_axes():
     np.testing.assert_allclose(c.ell, np.log(gam), rtol=1e-15)
     np.testing.assert_allclose(c.eta(2.0), gam / (1.0 + 4.0 * gam), rtol=1e-15)
     assert c.n == 3
+
+
+@st.composite
+def _schedules(draw):
+    K = draw(st.integers(1, 6))
+    indices = draw(st.lists(st.integers(0, 10**6), min_size=K + 1, max_size=K + 1, unique=True))
+    indices.sort()
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return Schedule(
+        indices=indices,
+        gammas=np.array(draw(st.lists(finite, min_size=K + 1, max_size=K + 1))),
+        objective=draw(finite),
+        algorithm=draw(st.text(max_size=12)),
+        K=K,
+        lam=draw(finite),
+        alpha=draw(finite),
+        tie_breaks=draw(st.integers(0, 10**9)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_schedules())
+def test_schedule_json_round_trip_property(sched):
+    text = json.dumps(sched.to_json_dict())
+    back = Schedule.from_json_dict(json.loads(text))
+    assert json.dumps(back.to_json_dict()) == text
+    assert back.gammas.tobytes() == sched.gammas.tobytes()
+    assert (back.indices, back.K, back.tie_breaks) == (sched.indices, sched.K, sched.tie_breaks)

@@ -1,5 +1,6 @@
 """Target distributions and their information functionals."""
 
+import json
 import math
 
 import numpy as np
@@ -312,3 +313,59 @@ def test_entropy_range_property(raw):
     h = shannon_entropy(d)
     assert -1e-12 <= h <= math.log(len(p)) + 1e-9
     assert h == pytest.approx(entropy_oracle(p), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# JSON round trip and non-finite input, as properties
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _target_fields(draw):
+    """(family, weights, centers, sigmas) of a valid target with n <= 5, d <= 3."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    rows = draw(st.lists(st.tuples(*[_FINITE] * d), min_size=n, max_size=n, unique=True))
+    sigmas = draw(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    family = draw(st.sampled_from(["discrete", "gmm"]))
+    return family, raw / raw.sum(), np.array(rows, dtype=float), np.array(sigmas)
+
+
+def _build_target(family, weights, centers, sigmas):
+    if family == "discrete":
+        return FiniteDiscrete(points=centers, probs=weights)
+    return GaussianMixture(weights=weights, means=centers, sigmas=sigmas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_target_fields())
+def test_target_json_round_trip_property(fields):
+    dist = _build_target(*fields)
+    text = json.dumps(target_to_json(dist))
+    back = target_from_json(json.loads(text))
+    assert type(back) is type(dist)
+    assert json.dumps(target_to_json(back)) == text
+    for name in ("weights", "means", "sigmas") if fields[0] == "gmm" else ("probs", "points"):
+        assert getattr(back, name).tobytes() == getattr(dist, name).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_target_fields(), st.integers(0, 2), st.integers(0, 10**6), _NON_FINITE)
+def test_target_constructors_reject_non_finite_property(fields, which, pos, bad):
+    family, weights, centers, sigmas = fields
+    arrays = [weights.copy(), centers.copy(), sigmas.copy()]
+    if family == "discrete":
+        which = which % 2
+    arr = arrays[which].reshape(-1)
+    arr[pos % arr.size] = bad
+    with pytest.raises(ValueError):
+        _build_target(family, *arrays)
