@@ -15,7 +15,6 @@ from .channel import (
     derivative_ratio_constant,
 )
 from .functionals import (
-    ErrorReport,
     LossProfile,
     SnrGrid,
     apx_error,
@@ -43,7 +42,6 @@ from .schedules import (
 from .targets import (
     FiniteDiscrete,
     GaussianMixture,
-    InfoProfile,
     TargetDistribution,
     fit_subexponential,
     renyi_half_entropy,

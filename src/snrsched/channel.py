@@ -284,21 +284,11 @@ def _expect(dist: TargetDistribution, t: float, pol: str, f, n_samples: int, see
     return _mc_expect(dist, t, f, n_samples, seed)
 
 
-def _trace_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
-    """(E tr Cov, stderr) at t = 1/gamma under ``policy``; stderr is 0 unless Monte Carlo."""
-    pol = _resolve_policy(dist, policy, gamma)
-    if pol == "closed_form":
-        s0sq = float(dist.sigmas[0] ** 2)
-        return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
-    t = 1.0 / gamma
-    return _expect(dist, t, pol, lambda X: (_pair_spread(dist, t, X)[0],), n_samples, seed)[0]
-
-
 def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
     """((E tr Cov, stderr), (E tr Cov^2, stderr)) at t = 1/gamma under ``policy``.
 
     Both moments come from one evaluation, and the first equals
-    :func:`_trace_expect`'s bit for bit; stderrs are 0 for the closed_form
+    :func:`mmse`'s bit for bit; stderrs are 0 for the closed_form
     and quadrature policies.
     """
     pol = _resolve_policy(dist, policy, gamma)
@@ -340,7 +330,12 @@ def mmse(
     form of E ||Z - m_t(X_t)||^2). stderr is 0 for the closed_form and
     quadrature policies. Only the trace is computed, not tr Cov^2.
     """
-    return _trace_expect(dist, gamma, policy, n_samples, seed)
+    pol = _resolve_policy(dist, policy, gamma)
+    if pol == "closed_form":
+        s0sq = float(dist.sigmas[0] ** 2)
+        return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
+    t = 1.0 / gamma
+    return _expect(dist, t, pol, lambda X: (_pair_spread(dist, t, X)[0],), n_samples, seed)[0]
 
 
 def mmse_derivative(

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible optimization,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -45,9 +46,9 @@ from .schedules import (
     las_beam,
     las_exact,
 )
-from .targets import FiniteDiscrete, build_toy, shannon_entropy, target_from_json, toy_discrete
+from .targets import FiniteDiscrete, build_toy, shannon_entropy, target_from_json
 
-__all__ = ["build_toy", "toy_discrete", "main"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,7 @@ def cmd_report(args) -> int:
     run.stage("compute")
     reports = []
     for name, grid in named:
-        rep = error_report(curve, grid, loss, H=H, C_fit=args.c_fit)
-        entry = rep.to_json_dict()
+        entry = error_report(curve, grid, loss, H=H, C_fit=args.c_fit)
         entry["name"] = name
         entry["K"] = grid.K
         entry["gammas"] = [float(g) for g in grid.gammas]
@@ -281,7 +281,7 @@ def cmd_simulate(args) -> int:
     # half the time; converting row by row keeps no list of every value alive
     line = ",".join(["%.17g"] * samples.shape[1])
     _write_csv(run.path("samples.csv"), header, ([line % tuple(row.tolist())] for row in samples))
-    rep = report.to_json_dict()
+    rep = dataclasses.asdict(report)
     rep["schedule"] = name
     _write_json(run.path("sample_report.json"), rep)
     run.finish()
@@ -295,7 +295,11 @@ def cmd_simulate(args) -> int:
 def cmd_mmse_table(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    run = _Run(args.out, "mmse-table", _config_dict(args))
+    if not (np.isfinite(args.gamma_min) and args.gamma_min > 0):
+        raise ValueError(f"--gamma-min must be finite and positive, got {args.gamma_min!r}")
+    if not (np.isfinite(args.gamma_max) and args.gamma_max > args.gamma_min):
+        raise ValueError(f"--gamma-max must be finite and above --gamma-min, got {args.gamma_max!r}")
+    run =_Run(args.out, "mmse-table", _config_dict(args))
     run.stage("load")
     target = _load_target(args.target)
     curve = MmseCurve(target, policy=args.policy, n_samples=args.samples, seed=args.seed)

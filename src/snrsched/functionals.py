@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .targets import TargetDistribution
 __all__ = [
     "SnrGrid",
     "LossProfile",
-    "ErrorReport",
     "eps_to_x0",
     "disc_error",
     "apx_error",
@@ -98,11 +97,6 @@ class SnrGrid:
     def times(self) -> np.ndarray:
         """Reverse-time knots s_k = T - 1/gamma_k, ascending from 0 to T - delta."""
         return self.T - 1.0 / self.gammas
-
-    def is_geometric(self) -> bool:
-        """True when every step ratio is within 1e-9 relative of their mean."""
-        r = self.ratios
-        return bool(np.all(np.abs(r - r.mean()) <= 1e-9 * r.mean()))
 
 
 _KINDS = ("x0", "eps")
@@ -220,34 +214,20 @@ def disc_error(dist_or_curve, grid: SnrGrid) -> float:
     return riemann - curve.integral(g[0], g[-1])
 
 
-def apx_error(loss: LossProfile, dist_or_curve, grid: SnrGrid, *, detail: bool = False):
+def _excess(loss: LossProfile, curve: MmseCurve, g: np.ndarray) -> np.ndarray:
+    """Per-level excess max(0, L_x0(gamma_{k-1}) - mmse(gamma_{k-1})), length K."""
+    return np.maximum([loss.x0_at(x) - curve.mmse(x)[0] for x in g[:-1]], 0.0)
+
+
+def apx_error(loss: LossProfile, dist_or_curve, grid: SnrGrid) -> float:
     """Approximation error E_apx from a loss profile and an mmse oracle.
 
     E_apx = sum_k (gamma_k - gamma_{k-1}) * max(0, L_x0(gamma_{k-1}) -
     mmse(gamma_{k-1})). Negative excesses (possible when the profile was
-    estimated by Monte Carlo) are clamped at zero and counted. With
-    ``detail=True`` also reports the per-level terms eps_k = gamma_{k-1} *
-    excess and, on geometric grids, the equivalent form
-    (Lambda^{1/K} - 1) * sum_k eps_k.
+    estimated by Monte Carlo) are clamped at zero.
     """
-    curve = _as_curve(dist_or_curve)
     g = grid.gammas
-    excess = np.array([loss.x0_at(x) - curve.mmse(x)[0] for x in g[:-1]])
-    clamped = int((excess < 0).sum())
-    excess = np.maximum(excess, 0.0)
-    value = float(np.diff(g) @ excess)
-    if not detail:
-        return value
-    eps_terms = g[:-1] * excess
-    geo = None
-    if grid.is_geometric():
-        geo = float((grid.Lambda ** (1.0 / grid.K) - 1.0) * eps_terms.sum())
-    return {
-        "value": value,
-        "eps_terms": eps_terms,
-        "geometric_form": geo,
-        "n_clamped": clamped,
-    }
+    return float(np.diff(g) @ _excess(loss, _as_curve(dist_or_curve), g))
 
 
 def combined_objective(loss: LossProfile, grid: SnrGrid) -> float:
@@ -354,30 +334,6 @@ def pathwise_kl_mc(
     return 0.5 * value, 0.5 * se
 
 
-@dataclass
-class ErrorReport:
-    """E_disc, E_apx and the derived KL bound for one (target, grid, loss) triple."""
-
-    e_disc: float
-    e_apx: float
-    kl_path_bound: float
-    two_term: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    _bounds: dict = field(default_factory=dict, repr=False)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "e_disc": self.e_disc,
-            "e_apx": self.e_apx,
-            "kl_path_bound": self.kl_path_bound,
-            "two_term": self.two_term,
-            "provenance": self.provenance,
-        }
-        if self._bounds:
-            out["bounds"] = self._bounds
-        return out
-
-
 def error_report(
     dist_or_curve,
     grid: SnrGrid,
@@ -385,45 +341,49 @@ def error_report(
     *,
     H: float | None = None,
     C_fit: float = 1.0,
-) -> ErrorReport:
-    """Assemble an :class:`ErrorReport` in the MMSE-functional route.
+) -> dict:
+    """E_disc, E_apx and the derived KL bound for one (target, grid, loss) triple.
 
-    Without a loss profile the model is taken to be the exact denoiser, so
-    E_apx = 0. When the target's Shannon entropy ``H`` is supplied, the
-    two-term KL control from :func:`final_bounds` is attached, with eps_bar
-    the mean of the per-level excess terms, and the full :func:`final_bounds`
-    result is written under ``"bounds"`` by :meth:`ErrorReport.to_json_dict`.
-    ``C_fit``, and ``H`` when given, must be finite and >= 0; they are checked
-    before any oracle work.
+    Returns the ``report.json`` entry: ``e_disc``, ``e_apx``,
+    ``kl_path_bound`` = (E_disc + E_apx) / 2, ``two_term`` and
+    ``provenance``, all in the MMSE-functional route. Without a loss profile
+    the model is taken to be the exact denoiser, so E_apx = 0. When the
+    target's Shannon entropy ``H`` is supplied, ``two_term`` holds the
+    two-term KL control from :func:`final_bounds`, with eps_bar the mean of
+    the per-level excess terms eps_k = gamma_{k-1} * excess, and the full
+    :func:`final_bounds` result is added under ``"bounds"``; otherwise
+    ``two_term`` is empty. ``C_fit``, and ``H`` when given, must be finite
+    and >= 0; they are checked before any oracle work.
     """
     _check_bound_constants(C_fit=C_fit)
     if H is not None:
         _check_bound_constants(H=H)
     curve = _as_curve(dist_or_curve)
+    g = grid.gammas
     e_disc = disc_error(curve, grid)
     if loss is None:
         e_apx = 0.0
         eps_bar = 0.0
         apx_prov = "exact_denoiser"
     else:
-        det = apx_error(loss, curve, grid, detail=True)
-        e_apx = det["value"]
-        eps_bar = float(np.mean(det["eps_terms"]))
+        excess = _excess(loss, curve, g)
+        e_apx = float(np.diff(g) @ excess)
+        eps_bar = float(np.mean(g[:-1] * excess))
         apx_prov = "loss_profile"
-    two_term, bounds = {}, {}
+    out = {
+        "e_disc": e_disc,
+        "e_apx": e_apx,
+        "kl_path_bound": 0.5 * (e_disc + e_apx),
+        "two_term": {},
+        "provenance": {"e_disc": "mmse_functional", "e_apx": apx_prov},
+    }
     if H is not None:
         bounds = final_bounds(grid, H, C_fit, eps_bar)
-        two_term = {
+        out["two_term"] = {
             "disc_term": math.log(grid.Lambda) ** 2 * (C_fit * H) ** 2 / grid.K,
             "stat_term": math.log(grid.Lambda) * eps_bar,
             "kl_total": bounds["kl_total"],
             "applicable": bounds["kl_total_applicable"],
         }
-    return ErrorReport(
-        e_disc=e_disc,
-        e_apx=e_apx,
-        kl_path_bound=0.5 * (e_disc + e_apx),
-        two_term=two_term,
-        provenance={"e_disc": "mmse_functional", "e_apx": apx_prov},
-        _bounds=bounds,
-    )
+        out["bounds"] = bounds
+    return out

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# functionals imports this module, so only the module object, not SnrGrid,
+# exists yet; the annotations read functionals.SnrGrid when resolved
+from . import functionals
 from .channel import _mean_se, posterior_mean
 from .targets import GaussianMixture, TargetDistribution
 
@@ -84,17 +87,6 @@ class SampleReport:
     denoised_nll_mean: float | None = None
     denoised_nll_stderr: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nll_mean": self.nll_mean,
-            "nll_stderr": self.nll_stderr,
-            "n_samples": self.n_samples,
-            "gammas": self.gammas,
-            "config": self.config,
-            "denoised_nll_mean": self.denoised_nll_mean,
-            "denoised_nll_stderr": self.denoised_nll_stderr,
-        }
-
 
 def reverse_step(state, t_prev: float, t_next: float, anchor, noise):
     """One exact frozen-drift transition from noise scale t_prev down to t_next.
@@ -134,7 +126,7 @@ def _oracle(dist, t, Y, cfg: SamplerConfig, err_rng):
     return m
 
 
-def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
+def _run(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig):
     t = 1.0 / grid.gammas  # descending from T to delta
     ell = np.log(grid.gammas)  # ascending log-SNR along the run
     K = grid.K
@@ -182,7 +174,7 @@ def _report(dist, grid, cfg, samples):
     return report
 
 
-def sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
+def sample(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig):
     """Run the sampler over the grid; returns (samples at t = delta, report).
 
     Deterministic given (cfg, seed): all randomness flows from

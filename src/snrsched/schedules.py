@@ -165,7 +165,11 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class Schedule:
-    """An optimized schedule: candidate indices, their SNRs, and the objective."""
+    """An optimized schedule: candidate indices, their SNRs, and the objective.
+
+    Needs K + 1 strictly increasing indices, K + 1 finite gammas and a finite
+    objective, so ``schedule.json`` never holds NaN or Infinity.
+    """
 
     indices: tuple
     gammas: np.ndarray
@@ -180,8 +184,13 @@ class Schedule:
         idx = tuple(int(i) for i in self.indices)
         if len(idx) != self.K + 1 or any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("indices must be strictly increasing with length K + 1")
+        g = np.asarray(self.gammas, dtype=float)
+        if g.shape != (self.K + 1,):
+            raise ValueError("gammas must be 1-d with length K + 1")
+        if not (np.all(np.isfinite(g)) and math.isfinite(self.objective)):
+            raise ValueError("schedule gammas and objective must be finite")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "gammas", np.asarray(self.gammas, dtype=float))
+        object.__setattr__(self, "gammas", g)
 
     def grid(self) -> SnrGrid:
         return SnrGrid(self.gammas)

@@ -32,7 +32,6 @@ __all__ = [
     "TargetDistribution",
     "build_toy",
     "toy_discrete",
-    "InfoProfile",
     "surprisal",
     "shannon_entropy",
     "renyi_half_entropy",
@@ -212,44 +211,37 @@ class FiniteDiscrete:
 TargetDistribution = GaussianMixture | FiniteDiscrete
 
 _TOY_WEIGHTS = np.arange(8, 0, -1) / 36.0
+_TOY_SIGMA = 0.25
+_TOY_RADIUS = 4.0
 
 
-def _toy_means(name: str, radius: float) -> np.ndarray:
+def _toy_means(name: str) -> np.ndarray:
     if name == "circle8":
         ang = 2.0 * np.pi * np.arange(8) / 8.0
-        return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        return _TOY_RADIUS * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     if name == "grid8":
-        # 2x4 lattice, row-major with y ascending; scales with radius/4
+        # 2x4 lattice, row-major with y ascending
         xs = np.array([-3.0, -1.0, 1.0, 3.0])
         ys = np.array([-2.0, 2.0])
-        pts = [(x, y) for y in ys for x in xs]
-        return (radius / 4.0) * np.array(pts)
+        return np.array([(x, y) for y in ys for x in xs])
     raise ValueError(f"unknown toy target {name!r}; expected circle8 or grid8")
 
 
-def build_toy(name: str, weights=None, sigma0: float = 0.25, radius: float = 4.0) -> GaussianMixture:
+def build_toy(name: str) -> GaussianMixture:
     """Build the circle8 or grid8 toy prior.
 
-    circle8 places 8 isotropic components on a radius-``radius`` circle at
-    angles 2 pi j / 8; grid8 places them on a 2x4 lattice (x in +-1, +-3 and
-    y in +-2, scaled by radius/4), row-major with y ascending. Default
-    weights are proportional to (8, 7, ..., 1).
+    circle8 places 8 isotropic components of standard deviation 0.25 on a
+    radius-4 circle at angles 2 pi j / 8; grid8 places them on a 2x4 lattice
+    (x in +-1, +-3 and y in +-2), row-major with y ascending. The weights
+    are proportional to (8, 7, ..., 1).
     """
-    if not sigma0 > 0:
-        raise ValueError("sigma0 must be positive")
-    w = _TOY_WEIGHTS if weights is None else np.asarray(weights, dtype=float)
-    if w.size != 8:
-        raise ValueError("toy targets need exactly 8 weights")
-    means = _toy_means(name, radius)
-    return GaussianMixture(weights=w, means=means, sigmas=np.full(8, float(sigma0)))
+    means = _toy_means(name)
+    return GaussianMixture(weights=_TOY_WEIGHTS, means=means, sigmas=np.full(8, _TOY_SIGMA))
 
 
-def toy_discrete(name: str, weights=None, radius: float = 4.0) -> FiniteDiscrete:
+def toy_discrete(name: str) -> FiniteDiscrete:
     """Discrete companion of a toy prior: atoms at the component means."""
-    w = _TOY_WEIGHTS if weights is None else np.asarray(weights, dtype=float)
-    if w.size != 8:
-        raise ValueError("toy targets need exactly 8 weights")
-    return FiniteDiscrete(points=_toy_means(name, radius), probs=w)
+    return FiniteDiscrete(points=_toy_means(name), probs=_TOY_WEIGHTS)
 
 
 def _require_discrete(dist) -> FiniteDiscrete:

@@ -45,7 +45,7 @@ from snrsched import (
     sample,
     shannon_entropy,
 )
-from snrsched.cli import build_toy, toy_discrete
+from snrsched.targets import build_toy, toy_discrete
 
 TWO_ATOM = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
 

@@ -13,9 +13,8 @@ import pytest
 
 from oracles import brute_first_order, eta_of
 import snrsched
-from snrsched import shannon_entropy
-from snrsched.cli import build_toy, main, toy_discrete
-from snrsched.targets import target_to_json
+from snrsched.cli import main
+from snrsched.targets import build_toy, target_to_json
 
 
 def write_loss_csv(path, gammas, losses, kind="x0"):
@@ -65,14 +64,8 @@ def test_grid8_lattice():
     assert len(xs) == 4 and len(ys) == 2
 
 
-def test_uniform_weights_give_ln8_entropy():
-    disc = toy_discrete("circle8", weights=[0.125] * 8)
-    assert shannon_entropy(disc) == pytest.approx(math.log(8.0), rel=1e-12)
-
-
 def test_toy_rejects_wrong_weight_count():
-    with pytest.raises(ValueError):
-        build_toy("circle8", weights=[0.5, 0.5])
+    # build_toy takes no weights, so an unknown name is its only bad input
     with pytest.raises(ValueError):
         build_toy("hexagon3")
 
@@ -249,6 +242,31 @@ def test_report_bounds_share_two_term_kl_total(tmp_path):
     (entry,) = json.loads((out / "report.json").read_text())
     assert entry["two_term"]["stat_term"] > 0.0
     assert entry["bounds"]["kl_total"] == pytest.approx(entry["two_term"]["kl_total"], rel=1e-12)
+
+
+@pytest.mark.parametrize("entropy", [None, "0.8"], ids=["no_entropy", "entropy"])
+def test_report_json_entry_key_set(tmp_path, entropy):
+    gam = np.geomspace(1.0, 1000.0, 9)
+    write_loss_csv(tmp_path / "loss.csv", gam, [1.0 / (1.0 + g) + 0.01 for g in gam])
+    out = tmp_path / "run"
+    argv = ["report", "--target", single_gauss_file(tmp_path), "--baseline", "geometric",
+            "--K", "8", "--loss", str(tmp_path / "loss.csv"), "--out", str(out)]
+    if entropy is not None:
+        argv += ["--entropy", entropy]
+    assert main(argv) == 0
+    (entry,) = json.loads((out / "report.json").read_text())
+    keys = {"name", "K", "gammas", "e_disc", "e_apx", "kl_path_bound", "combined_objective",
+            "two_term", "provenance"}
+    if entropy is None:
+        assert set(entry) == keys
+        assert entry["two_term"] == {}
+    else:
+        assert set(entry) == keys | {"bounds"}
+        assert set(entry["two_term"]) == {"disc_term", "stat_term", "kl_total", "applicable"}
+        assert set(entry["bounds"]) == {
+            "disc_bound", "geo_disc_bound", "kl_total", "kl_total_applicable"
+        }
+    assert entry["provenance"] == {"e_disc": "mmse_functional", "e_apx": "loss_profile"}
 
 
 def test_report_k_sweep_slope(tmp_path):
@@ -448,8 +466,9 @@ def test_mmse_table_single_gaussian_closed_form(tmp_path):
         assert float(row[3]) == pytest.approx(-1.0 / (1.0 + g) ** 2, rel=1e-10)
 
 
-@pytest.mark.parametrize("points", ["0", "-3"])
-def test_mmse_table_rejects_empty_table_before_oracle_work(tmp_path, monkeypatch, capsys, points):
+@pytest.fixture
+def cov_kernel_calls(monkeypatch):
+    """A list that grows by one on each posterior_cov_stats call."""
     from snrsched import channel
 
     calls = []
@@ -460,12 +479,34 @@ def test_mmse_table_rejects_empty_table_before_oracle_work(tmp_path, monkeypatch
         return kernel(*args)
 
     monkeypatch.setattr(channel, "posterior_cov_stats", counting)
+    return calls
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_mmse_table_rejects_empty_table_before_oracle_work(tmp_path, cov_kernel_calls, capsys, points):
     out = tmp_path / "run"
     argv = ["mmse-table", "--target", "circle8", "--points", points, "--out", str(out)]
     assert main(argv) == 2
-    assert calls == []
+    assert cov_kernel_calls == []
     assert not (out / "mmse.csv").exists()
     assert "--points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gamma_min, gamma_max, flag",
+    [("10", "1", "--gamma-max"), ("0", "1000", "--gamma-min"), ("1", "inf", "--gamma-max"),
+     ("nan", "10", "--gamma-min")],
+)
+def test_mmse_table_rejects_bad_gamma_range_before_oracle_work(
+    tmp_path, cov_kernel_calls, capsys, gamma_min, gamma_max, flag
+):
+    out = tmp_path / "run"
+    argv = ["mmse-table", "--target", "circle8", "--gamma-min", gamma_min,
+            "--gamma-max", gamma_max, "--out", str(out)]
+    assert main(argv) == 2
+    assert cov_kernel_calls == []
+    assert not out.exists()
+    assert flag in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Reverse-process simulation: per-step law, marginals, NLL behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_report_fields_and_json():
     assert math.isfinite(rep.nll_mean)
     assert rep.nll_stderr >= 0.0
     assert len(rep.gammas) == 7
-    obj = rep.to_json_dict()
+    obj = dataclasses.asdict(rep)
     assert obj["config"]["seed"] == 2
     assert obj["denoised_nll_mean"] is None
 

@@ -387,6 +387,24 @@ def test_schedule_json_keeps_tie_breaks():
     assert Schedule.from_json_dict(obj).tie_breaks == 0
 
 
+@pytest.mark.parametrize(
+    "gammas, objective",
+    [
+        ([math.nan, 2.0], 1.0),
+        ([1.0, math.inf], 1.0),
+        ([1.0, 2.0], math.nan),
+        ([1.0, 2.0], -math.inf),
+        ([1.0, 2.0, 3.0, 4.0], 1.0),
+        ([1.0], 1.0),
+    ],
+    ids=["nan_gamma", "inf_gamma", "nan_objective", "inf_objective", "long_gammas", "short_gammas"],
+)
+def test_schedule_rejects_nonfinite_or_missized_data(gammas, objective):
+    with pytest.raises(ValueError):
+        Schedule(indices=(0, 1), gammas=gammas, objective=objective, algorithm="exact",
+                 K=1, lam=1.5, alpha=0.0)
+
+
 def test_schedule_grid_matches_selected_gammas():
     for cands, sched in every_schedule():
         np.testing.assert_array_equal(
