@@ -27,7 +27,6 @@ from .functionals import (
 )
 from .sampler import SamplerConfig, SampleReport, reverse_step, sample
 from .schedules import (
-    CandidateSet,
     InfeasibleError,
     LasConfig,
     Schedule,
@@ -50,5 +49,8 @@ from .targets import (
     target_from_json,
     target_to_json,
 )
+
+# perfbench/selftest.py still builds the DP input as CandidateSet(gammas, risks)
+CandidateSet = LossProfile
 
 __version__ = "0.1.0"

@@ -36,7 +36,6 @@ from .channel import MmseCurve
 from .functionals import LossProfile, SnrGrid, combined_objective, error_report
 from .sampler import SamplerConfig, sample
 from .schedules import (
-    CandidateSet,
     InfeasibleError,
     LasConfig,
     Schedule,
@@ -91,7 +90,6 @@ class _Run:
         self.timings = {}
         self._t0 = time.perf_counter()
         self._stage = None
-        os.makedirs(outdir, exist_ok=True)
 
     def stage(self, name: str) -> None:
         now = time.perf_counter()
@@ -100,6 +98,8 @@ class _Run:
         self._stage, self._t0 = name, now
 
     def path(self, name: str):
+        """Path of a new artifact; the first one creates --out, so a failed run leaves none."""
+        os.makedirs(self.outdir, exist_ok=True)
         p = os.path.join(self.outdir, name)
         self.artifacts.append(p)
         return p
@@ -150,12 +150,15 @@ def cmd_schedule(args) -> int:
     run = _Run(args.out, "schedule", _config_dict(args))
     run.stage("load")
     profile = LossProfile.from_csv(args.loss)
-    gmin = 1.0 / args.T if args.T is not None else None
-    gmax = 1.0 / args.delta if args.delta is not None else None
-    cands = CandidateSet.from_profile(profile, gamma_min=gmin, gamma_max=gmax)
+    keep = np.ones(profile.n, dtype=bool)
+    if args.T is not None:
+        keep &= profile.gammas >= 1.0 / args.T * (1 - 1e-12)
+    if args.delta is not None:
+        keep &= profile.gammas <= 1.0 / args.delta * (1 + 1e-12)
+    profile = LossProfile(gammas=profile.gammas[keep], losses=profile.losses[keep])
     cfg = LasConfig(K=args.K, lam=args.lam, alpha=args.alpha)
     run.stage("optimize")
-    sched = las_exact(cands, cfg) if cfg.alpha == 0 else las_beam(cands, cfg)
+    sched = las_exact(profile, cfg) if cfg.alpha == 0 else las_beam(profile, cfg)
     run.stage("write")
     _write_json(run.path("schedule.json"), sched.to_json_dict())
     run.finish()

@@ -44,6 +44,18 @@ __all__ = [
 ]
 
 
+def _knots(gammas, what: str) -> np.ndarray:
+    """``gammas`` as a float array: 1-d, at least 2 finite, positive, strictly increasing values."""
+    g = np.asarray(gammas, dtype=float)
+    if g.ndim != 1 or g.size < 2:
+        raise ValueError(f"{what} needs at least two knots")
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{what} needs finite knots")
+    if not (g[0] > 0 and np.all(np.diff(g) > 0)):
+        raise ValueError(f"{what} needs positive, strictly increasing knots")
+    return g
+
+
 @dataclass(frozen=True)
 class SnrGrid:
     """Strictly increasing SNR knots gamma_0 < ... < gamma_K.
@@ -56,16 +68,7 @@ class SnrGrid:
     gammas: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float)
-        if g.ndim != 1 or g.size < 2:
-            raise ValueError("an SNR grid needs at least two knots")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("SNR knots must be finite")
-        if not g[0] > 0:
-            raise ValueError("gamma_0 must be positive")
-        if not np.all(np.diff(g) > 0):
-            raise ValueError("SNR knots must be strictly increasing")
-        object.__setattr__(self, "gammas", g)
+        object.__setattr__(self, "gammas", _knots(self.gammas, "an SNR grid"))
 
     @property
     def K(self) -> int:
@@ -99,9 +102,6 @@ class SnrGrid:
         return self.T - 1.0 / self.gammas
 
 
-_KINDS = ("x0", "eps")
-
-
 def eps_to_x0(loss_eps, gamma):
     """Convert an eps-prediction MSE to the x0-prediction MSE at SNR gamma.
 
@@ -117,41 +117,27 @@ def eps_to_x0(loss_eps, gamma):
 
 @dataclass(frozen=True)
 class LossProfile:
-    """Per-SNR model risk knots; the sole input the schedule optimizer needs.
+    """Model x0 risk at SNR knots; the sole input the schedule optimizer needs.
 
-    Each knot is (gamma, loss, kind) with kind "x0" or "eps". eps-kind rows
-    are converted to x0 risks by the SNR factor on access. Between knots the
-    x0 risk is interpolated linearly in log(gamma); no extrapolation outside
-    the knot range is ever performed.
+    Needs at least 2 finite, positive, strictly increasing knots and finite,
+    nonnegative losses. Between knots the x0 risk is interpolated linearly
+    in log(gamma); no extrapolation outside the knot range is ever performed.
     """
 
     gammas: np.ndarray
     losses: np.ndarray
-    kinds: tuple = ()
 
     def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float)
+        g = _knots(self.gammas, "a loss profile")
         lo = np.asarray(self.losses, dtype=float)
-        kinds = tuple(self.kinds) if self.kinds else ("x0",) * g.size
-        if g.ndim != 1 or g.size < 1 or lo.shape != g.shape or len(kinds) != g.size:
-            raise ValueError("gammas, losses and kinds must be 1-d and the same length")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(lo))):
-            raise ValueError("loss-profile gammas and losses must be finite")
-        if np.any(g <= 0) or not np.all(np.diff(g) > 0):
-            raise ValueError("loss-profile gammas must be positive and strictly increasing")
-        if np.any(lo < 0):
-            raise ValueError("losses must be nonnegative")
-        for k in kinds:
-            if k not in _KINDS:
-                raise ValueError(f"unknown loss kind {k!r}; expected one of {_KINDS}")
+        if lo.shape != g.shape or not np.all(np.isfinite(lo)) or np.any(lo < 0):
+            raise ValueError("losses must be finite, nonnegative and one per knot")
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "losses", lo)
-        object.__setattr__(self, "kinds", kinds)
 
     @property
-    def x0_losses(self) -> np.ndarray:
-        is_eps = np.array(self.kinds) == "eps"
-        return np.where(is_eps, eps_to_x0(self.losses, self.gammas), self.losses)
+    def n(self) -> int:
+        return self.gammas.size
 
     def x0_at(self, gamma):
         """x0 risk at gamma, interpolated linearly in log(gamma) between knots."""
@@ -161,7 +147,7 @@ class LossProfile:
                 f"gamma outside profile range [{self.gammas[0]:g}, {self.gammas[-1]:g}]; "
                 "no extrapolation"
             )
-        out = np.interp(np.log(g), np.log(self.gammas), self.x0_losses)
+        out = np.interp(np.log(g), np.log(self.gammas), self.losses)
         return float(out) if out.ndim == 0 else out
 
     @classmethod
@@ -173,6 +159,7 @@ class LossProfile:
 
     @classmethod
     def from_csv(cls, path) -> "LossProfile":
+        """Read a ``gamma,loss,kind`` CSV; rows of kind eps become x0 risks loss / gamma."""
         gammas, losses, kinds = [], [], []
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
@@ -184,13 +171,21 @@ class LossProfile:
             gammas.append(float(r[0]))
             losses.append(float(r[1]))
             kinds.append(r[2].strip())
-        return cls(gammas=np.array(gammas), losses=np.array(losses), kinds=tuple(kinds))
+        for k in kinds:
+            if k not in ("x0", "eps"):
+                raise ValueError(f"unknown loss kind {k!r}; expected one of ('x0', 'eps')")
+        g = _knots(gammas, "a loss profile")
+        lo = np.array(losses)
+        # dividing only the eps rows keeps large x0 losses from overflowing
+        eps = np.array(kinds) == "eps"
+        lo[eps] = eps_to_x0(lo[eps], g[eps])
+        return cls(gammas=g, losses=lo)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("gamma,loss,kind\n")
-            for g, lo, k in zip(self.gammas, self.losses, self.kinds):
-                fh.write(f"{g:.17g},{lo:.17g},{k}\n")
+            for g, lo in zip(self.gammas, self.losses):
+                fh.write(f"{g:.17g},{lo:.17g},x0\n")
 
 
 def _as_curve(dist_or_curve) -> MmseCurve:

@@ -181,7 +181,10 @@ def sample(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConf
     SeedSequence(cfg.seed) through three fixed substreams. cfg.order picks
     the first-order or the second-order scheme; the second order falls back
     to first order on its first step and draws the same noise, so runs with
-    equal seeds differ only in their anchors.
+    equal seeds differ only in their anchors. Raises ValueError if any
+    sample is not finite, as on a grid whose T overflows the kernel.
     """
     samples = _run(dist, grid, cfg)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("the sampler produced non-finite samples")
     return samples, _report(dist, grid, cfg, samples)

@@ -2,14 +2,14 @@
 
 Baseline grids (time-uniform, geometric in log-SNR, EDM-style rho spacing)
 are built directly from the endpoints (T, delta). The loss-adaptive schedule
-(LAS) instead selects K+1 of n candidate SNRs, with endpoints pinned, to
-minimize the surrogate objective
+(LAS) instead selects K+1 of the n knots of a loss profile, with endpoints
+pinned, to minimize the surrogate objective
 
     sum_{k=1..K} (eta_{i_k} - eta_{i_{k-1}}) L(i_{k-1})
         + alpha sum_{k=2..K} (h_k - h_{k-1})^2,
 
 where eta(gamma) = gamma / (1 + lambda^2 gamma) is the regularized SNR axis,
-L(i) is the model's x0-prediction risk at candidate i, and h_k are log-SNR
+L(i) is the model's x0-prediction risk at knot i, and h_k are log-SNR
 steps. With alpha = 0 the objective is first-order and solved exactly by an
 O(K n^2) dynamic program; with alpha > 0 consecutive steps couple and an
 O(K n^3) dynamic program over (previous, current) index pairs solves it
@@ -28,7 +28,6 @@ from .functionals import LossProfile, SnrGrid
 __all__ = [
     "InfeasibleError",
     "LasConfig",
-    "CandidateSet",
     "Schedule",
     "eta_axis",
     "grid_time_uniform",
@@ -117,53 +116,6 @@ class LasConfig:
 
 
 @dataclass(frozen=True)
-class CandidateSet:
-    """Candidate SNRs (strictly ascending) with their risks L(i) >= 0."""
-
-    gammas: np.ndarray
-    risks: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float)
-        r = np.asarray(self.risks, dtype=float)
-        if g.ndim != 1 or g.size < 2 or r.shape != g.shape:
-            raise ValueError("need matching 1-d gammas and risks with at least 2 candidates")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(r))):
-            raise ValueError("candidate gammas and risks must be finite")
-        if np.any(g <= 0) or not np.all(np.diff(g) > 0):
-            raise ValueError("candidate gammas must be positive and strictly increasing")
-        if np.any(r < 0):
-            raise ValueError("risks must be nonnegative")
-        object.__setattr__(self, "gammas", g)
-        object.__setattr__(self, "risks", r)
-
-    @property
-    def n(self) -> int:
-        return self.gammas.size
-
-    @property
-    def ell(self) -> np.ndarray:
-        return np.log(self.gammas)
-
-    def eta(self, lam: float) -> np.ndarray:
-        return eta_axis(self.gammas, lam)
-
-    @classmethod
-    def from_profile(
-        cls, profile: LossProfile, gamma_min: float | None = None, gamma_max: float | None = None
-    ) -> "CandidateSet":
-        """Use the profile's own knots as candidates, trimmed to [gamma_min, gamma_max]."""
-        g = profile.gammas
-        lo = profile.x0_losses
-        keep = np.ones(g.size, dtype=bool)
-        if gamma_min is not None:
-            keep &= g >= gamma_min * (1 - 1e-12)
-        if gamma_max is not None:
-            keep &= g <= gamma_max * (1 + 1e-12)
-        return cls(gammas=g[keep], risks=lo[keep])
-
-
-@dataclass(frozen=True)
 class Schedule:
     """An optimized schedule: candidate indices, their SNRs, and the objective.
 
@@ -221,27 +173,27 @@ class Schedule:
         )
 
 
-def schedule_objective(cands: CandidateSet, indices, lam: float, alpha: float) -> float:
-    """Surrogate objective of an index sequence over the candidate set."""
+def schedule_objective(profile: LossProfile, indices, lam: float, alpha: float) -> float:
+    """Surrogate objective of an index sequence over the profile's knots."""
     idx = np.asarray(indices, dtype=int)
-    eta = cands.eta(lam)[idx]
-    base = float(np.diff(eta) @ cands.risks[idx[:-1]])
+    eta = eta_axis(profile.gammas, lam)[idx]
+    base = float(np.diff(eta) @ profile.losses[idx[:-1]])
     if alpha == 0 or idx.size < 3:
         return base
-    h = np.diff(cands.ell[idx])
+    h = np.diff(np.log(profile.gammas)[idx])
     return base + alpha * float((np.diff(h) ** 2).sum())
 
 
-def _feasible(cands: CandidateSet, K: int) -> None:
-    if K > cands.n - 1:
-        raise InfeasibleError(f"K = {K} needs at least K + 1 = {K + 1} candidates, got {cands.n}")
+def _feasible(profile: LossProfile, K: int) -> None:
+    if K > profile.n - 1:
+        raise InfeasibleError(f"K = {K} needs at least K + 1 = {K + 1} candidates, got {profile.n}")
 
 
-def _make_schedule(cands, indices, cfg, algorithm, tie_breaks=0) -> Schedule:
+def _make_schedule(profile, indices, cfg, algorithm, tie_breaks=0) -> Schedule:
     return Schedule(
         indices=tuple(indices),
-        gammas=cands.gammas[np.asarray(indices, dtype=int)],
-        objective=schedule_objective(cands, indices, cfg.lam, cfg.alpha),
+        gammas=profile.gammas[np.asarray(indices, dtype=int)],
+        objective=schedule_objective(profile, indices, cfg.lam, cfg.alpha),
         algorithm=algorithm,
         K=cfg.K,
         lam=cfg.lam,
@@ -250,7 +202,7 @@ def _make_schedule(cands, indices, cfg, algorithm, tie_breaks=0) -> Schedule:
     )
 
 
-def las_exact(cands: CandidateSet, cfg: LasConfig) -> Schedule:
+def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     """Globally optimal first-order schedule by dynamic programming.
 
     Requires cfg.alpha == 0. dp[k, j] is the best cost of reaching candidate
@@ -265,11 +217,11 @@ def las_exact(cands: CandidateSet, cfg: LasConfig) -> Schedule:
     if cfg.alpha != 0:
         raise ValueError("las_exact requires alpha = 0; use las_beam for alpha > 0")
     K = cfg.K
-    _feasible(cands, K)
-    n = cands.n
+    _feasible(profile, K)
+    n = profile.n
     end = n - 1
-    eta = cands.eta(cfg.lam)
-    L = cands.risks
+    eta = eta_axis(profile.gammas, cfg.lam)
+    L = profile.losses
     dp = np.full((K + 1, n), np.inf)
     dp[0, 0] = 0.0
     block = np.empty((K, n))
@@ -286,10 +238,10 @@ def las_exact(cands: CandidateSet, cfg: LasConfig) -> Schedule:
         j = indices[-1]
         indices.append(int(np.argmin(dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j])))
     indices.reverse()
-    return _make_schedule(cands, indices, cfg, "exact", tie_breaks=ties)
+    return _make_schedule(profile, indices, cfg, "exact", tie_breaks=ties)
 
 
-def las_beam(cands: CandidateSet, cfg: LasConfig) -> Schedule:
+def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
     """Globally optimal second-order schedule by a DP over index pairs.
 
     Requires cfg.alpha > 0. V[a, b] is the best cost of reaching candidate b
@@ -310,12 +262,12 @@ def las_beam(cands: CandidateSet, cfg: LasConfig) -> Schedule:
     if not cfg.alpha > 0:
         raise ValueError("las_beam requires alpha > 0; use las_exact for alpha = 0")
     K = cfg.K
-    _feasible(cands, K)
-    n = cands.n
+    _feasible(profile, K)
+    n = profile.n
     end = n - 1
-    eta = cands.eta(cfg.lam)
-    ell = cands.ell
-    L = cands.risks
+    eta = eta_axis(profile.gammas, cfg.lam)
+    ell = np.log(profile.gammas)
+    L = profile.losses
     alpha = cfg.alpha
 
     # stage k holds pairs (a, b) at positions (k - 1, k); loop bounds keep
@@ -341,4 +293,4 @@ def las_beam(cands: CandidateSet, cfg: LasConfig) -> Schedule:
         b, c = int(par[k, b, c]), b
         indices.append(b)
     indices.reverse()
-    return _make_schedule(cands, indices, cfg, "beam")
+    return _make_schedule(profile, indices, cfg, "beam")

@@ -236,12 +236,12 @@ def build_toy(name: str) -> GaussianMixture:
     are proportional to (8, 7, ..., 1).
     """
     means = _toy_means(name)
-    return GaussianMixture(weights=_TOY_WEIGHTS, means=means, sigmas=np.full(8, _TOY_SIGMA))
+    return GaussianMixture(weights=_TOY_WEIGHTS.copy(), means=means, sigmas=np.full(8, _TOY_SIGMA))
 
 
 def toy_discrete(name: str) -> FiniteDiscrete:
     """Discrete companion of a toy prior: atoms at the component means."""
-    return FiniteDiscrete(points=_toy_means(name), probs=_TOY_WEIGHTS)
+    return FiniteDiscrete(points=_toy_means(name), probs=_TOY_WEIGHTS.copy())
 
 
 def _require_discrete(dist) -> FiniteDiscrete:

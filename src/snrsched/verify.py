@@ -40,7 +40,6 @@ from .functionals import (
 )
 from .sampler import SamplerConfig, reverse_step, sample
 from .schedules import (
-    CandidateSet,
     LasConfig,
     grid_edm,
     grid_geometric,
@@ -106,11 +105,11 @@ def _brute_force(cands, K, lam, alpha):
     return best
 
 
-def _random_candidates(rng, n) -> CandidateSet:
+def _random_candidates(rng, n) -> LossProfile:
     g = np.sort(rng.uniform(0.1, 50.0, size=n))
     while np.any(np.diff(g) <= 0):
         g = np.sort(rng.uniform(0.1, 50.0, size=n))
-    return CandidateSet(gammas=g, risks=rng.uniform(0.01, 3.0, size=n))
+    return LossProfile(gammas=g, losses=rng.uniform(0.01, 3.0, size=n))
 
 
 @_check("entropy", "uniform8 entropies equal log 8")
@@ -270,7 +269,7 @@ def _pinning(rng, seed):
 
 @_check("dp", "constant-risk tie break")
 def _tie_break(rng, seed):
-    cands = CandidateSet(gammas=np.geomspace(1.0, 100.0, 8), risks=np.full(8, 0.5))
+    cands = LossProfile(gammas=np.geomspace(1.0, 100.0, 8), losses=np.full(8, 0.5))
     sched = las_exact(cands, LasConfig(K=4, lam=1.5))
     return sched.indices == (0, 1, 2, 3, 7), f"indices {sched.indices}"
 

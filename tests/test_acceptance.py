@@ -20,7 +20,6 @@ from oracles import (
     ratio_sum,
 )
 from snrsched import (
-    CandidateSet,
     FiniteDiscrete,
     GaussianMixture,
     LasConfig,
@@ -64,7 +63,7 @@ def test_c01_exact_dp_matches_exhaustive_search():
         K = int(rng.integers(1, min(5, n)))
         gam, risks = random_candidates(rng, n)
         lam = float(rng.uniform(0.3, 2.5))
-        sched = las_exact(CandidateSet(gammas=gam, risks=risks), LasConfig(K=K, lam=lam))
+        sched = las_exact(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam))
         best_idx, best_obj = brute_first_order(gam, risks, K, lam)
         assert tuple(sched.indices) == best_idx
         assert sched.objective == pytest.approx(best_obj, rel=1e-12, abs=1e-15)
@@ -85,7 +84,7 @@ def test_c02_beam_dp_matches_exhaustive_enumeration():
         lam = float(rng.uniform(0.3, 2.5))
         alpha = alphas[trial % 3]
         cfg = LasConfig(K=K, lam=lam, alpha=alpha)
-        sched = las_beam(CandidateSet(gammas=gam, risks=risks), cfg)
+        sched = las_beam(LossProfile(gammas=gam, losses=risks), cfg)
         best_idx, best_obj = brute_second_order(gam, risks, K, lam, alpha)
         assert tuple(sched.indices) == best_idx
         assert sched.objective == pytest.approx(best_obj, rel=1e-12, abs=1e-15)
@@ -205,7 +204,7 @@ def test_c09_toy_nll_ordering_las_tu_edm():
     knots = np.geomspace(1.0 / T, 1.0 / delta, 64)
     curve = MmseCurve(toy)
     risks = np.array([curve.mmse(g)[0] for g in knots])
-    cands = CandidateSet(gammas=knots, risks=risks)
+    cands = LossProfile(gammas=knots, losses=risks)
     for K in (5, 7):
         las_grid = las_exact(cands, LasConfig(K=K, lam=0.7)).grid()
         runs = {
@@ -240,7 +239,7 @@ def test_c10_objective_decomposition_identity():
         grid = SnrGrid(knots)
         excess = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 0.5, size=m))
         losses = np.array([curve.mmse(g)[0] for g in knots]) + excess
-        loss = LossProfile(gammas=knots, losses=losses, kinds=("x0",) * m)
+        loss = LossProfile(gammas=knots, losses=losses)
         lhs = combined_objective(loss, grid) - curve.integral(knots[0], knots[-1])
         rhs = disc_error(curve, grid) + apx_error(loss, curve, grid)
         assert lhs == pytest.approx(rhs, abs=1e-9)

@@ -14,7 +14,7 @@ import pytest
 from oracles import brute_first_order, eta_of
 import snrsched
 from snrsched.cli import main
-from snrsched.targets import build_toy, target_to_json
+from snrsched.targets import build_toy, target_to_json, toy_discrete
 
 
 def write_loss_csv(path, gammas, losses, kind="x0"):
@@ -68,6 +68,13 @@ def test_toy_rejects_wrong_weight_count():
     # build_toy takes no weights, so an unknown name is its only bad input
     with pytest.raises(ValueError):
         build_toy("hexagon3")
+
+
+def test_toys_do_not_share_weights():
+    toy = build_toy("circle8")
+    toy.weights[0] += 0.1
+    assert build_toy("grid8").weights[0] == 8 / 36.0
+    assert toy_discrete("circle8").probs[0] == 8 / 36.0
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +143,28 @@ def test_schedule_beam_when_alpha_positive(tmp_path):
     sched = json.loads((out / "schedule.json").read_text())
     assert sched["algorithm"] == "beam"
     assert sched["alpha"] == 12.0
+
+
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_schedule_reads_eps_rows_as_x0(tmp_path, alpha):
+    rng = np.random.default_rng(7)
+    gam = np.sort(np.exp(rng.uniform(0.0, 6.0, 24)))
+    x0 = rng.uniform(0.05, 2.0, 24)
+    eps = rng.random(24) < 0.5
+    mixed = tmp_path / "mixed.csv"
+    with open(mixed, "w") as fh:
+        fh.write("gamma,loss,kind\n")
+        for g, lo, is_eps in zip(gam.tolist(), x0.tolist(), eps):
+            fh.write(f"{g!r},{g * lo!r},eps\n" if is_eps else f"{g!r},{lo!r},x0\n")
+    snrsched.LossProfile.from_csv(mixed).to_csv(tmp_path / "x0.csv")
+    runs = []
+    for name in ("mixed", "x0"):
+        out = tmp_path / f"run_{name}"
+        argv = ["schedule", "--loss", str(tmp_path / f"{name}.csv"), "--K", "6",
+                "--alpha", alpha, "--T", "0.9", "--out", str(out)]
+        assert main(argv) == 0
+        runs.append((out / "schedule.json").read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_schedule_exit_codes(tmp_path):
@@ -636,6 +665,39 @@ def test_verify_failure_exits_4_and_runs_every_check(tmp_path, capsys, monkeypat
 
 
 # ---------------------------------------------------------------------------
+# failed runs leave no --out directory
+
+
+def _failing_argv(tmp_path, case):
+    small = tmp_path / "small.csv"
+    write_loss_csv(small, np.geomspace(1.0, 100.0, 16), np.ones(16))
+    narrow = tmp_path / "narrow.csv"
+    write_loss_csv(narrow, [2.0, 10.0], [1.0, 1.0])
+    gauss = single_gauss_file(tmp_path)
+    return {
+        "grids T=0": ["grids", "--T", "0"],
+        "simulate samples=0": ["simulate", "--target", "circle8", "--baseline", "geometric",
+                               "--samples", "0"],
+        "report K=0": ["report", "--target", "circle8", "--baseline", "geometric", "--K", "0"],
+        "report unknown target": ["report", "--target", "nope", "--baseline", "geometric"],
+        "schedule infeasible K": ["schedule", "--loss", str(small), "--K", "40"],
+        "report grid outside profile": ["report", "--target", gauss, "--baseline", "geometric",
+                                        "--loss", str(narrow)],
+    }[case]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("grids T=0", 2), ("simulate samples=0", 2), ("report K=0", 2),
+    ("report unknown target", 2), ("schedule infeasible K", 3),
+    ("report grid outside profile", 2),
+])
+def test_failed_run_leaves_no_out_dir(tmp_path, case, code):
+    out = tmp_path / "run"
+    assert main(_failing_argv(tmp_path, case) + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 
@@ -667,6 +729,24 @@ def test_discrete_target_leaves_numpy_ma_unloaded():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_simulate_rejects_non_finite_samples(tmp_path):
+    # in a fresh interpreter: here the kernel's overflow warning would raise first
+    out = tmp_path / "run"
+    proc = _run_python("-m", "snrsched.cli", "simulate", "--target", "circle8", "--baseline",
+                       "geometric", "--T", "1e300", "--samples", "10", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "non-finite samples" in proc.stderr
+    assert not out.exists()
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark traces snrsched names and signatures; this catches a change that breaks them
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "selftest.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "selftest: ok"
 
 
 def test_console_entry_point_runs():

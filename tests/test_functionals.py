@@ -144,7 +144,7 @@ def test_apx_error_constant_excess():
     curve = MmseCurve(single_gauss())
     grid = SnrGrid([1.0, 2.0, 4.0])
     losses = np.array([gauss_mmse(1.0, 1, g) + 0.1 for g in grid.gammas])
-    loss = LossProfile(gammas=grid.gammas, losses=losses, kinds=("x0",) * 3)
+    loss = LossProfile(gammas=grid.gammas, losses=losses)
     assert apx_error(loss, curve, grid) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -155,7 +155,7 @@ def test_apx_error_geometric_form_agrees():
     grid = SnrGrid([1.0, 10.0, 100.0])  # Lambda=100, K=2
     c = 0.05  # eps_k = gamma_{k-1} * (L - mmse) = c at every level
     losses = np.array([gauss_mmse(1.0, 1, g) + c / g for g in grid.gammas])
-    loss = LossProfile(gammas=grid.gammas, losses=losses, kinds=("x0",) * 3)
+    loss = LossProfile(gammas=grid.gammas, losses=losses)
     geometric_form = (grid.Lambda ** (1.0 / grid.K) - 1.0) * 2 * c
     assert geometric_form == pytest.approx(9.0 * 2 * c, rel=1e-12)
     assert apx_error(loss, curve, grid) == pytest.approx(geometric_form, rel=1e-9)
@@ -165,7 +165,7 @@ def test_apx_error_clamps_negative_excess():
     curve = MmseCurve(single_gauss())
     grid = SnrGrid([1.0, 2.0, 4.0])
     losses = np.array([gauss_mmse(1.0, 1, g) - 0.01 for g in grid.gammas])
-    loss = LossProfile(gammas=grid.gammas, losses=losses, kinds=("x0",) * 3)
+    loss = LossProfile(gammas=grid.gammas, losses=losses)
     assert apx_error(loss, curve, grid) == 0.0
 
 
@@ -177,11 +177,7 @@ def test_combined_objective_constant_loss_telescopes():
     c = 0.37
     for knots in ([1.0, 2.0, 4.0], [1.0, 1.1, 3.9, 4.0]):
         grid = SnrGrid(knots)
-        loss = LossProfile(
-            gammas=grid.gammas,
-            losses=np.full(len(knots), c),
-            kinds=("x0",) * len(knots),
-        )
+        loss = LossProfile(gammas=grid.gammas, losses=np.full(len(knots), c))
         want = c * (knots[-1] - knots[0])
         assert combined_objective(loss, grid) == pytest.approx(want, rel=1e-12)
 
@@ -199,7 +195,7 @@ def test_decomposition_identity_single_case():
     grid = SnrGrid([0.5, 1.7, 6.0, 30.0])
     losses = np.array([gauss_mmse(sigma0, 1, g) + e for g, e in
                        zip(grid.gammas, (0.02, 0.0, 0.11, 0.05))])
-    loss = LossProfile(gammas=grid.gammas, losses=losses, kinds=("x0",) * 4)
+    loss = LossProfile(gammas=grid.gammas, losses=losses)
     lhs = combined_objective(loss, grid) - gauss_mmse_integral(
         sigma0, 1, grid.gammas[0], grid.gammas[-1]
     )
@@ -303,20 +299,33 @@ def test_loss_profile_csv_round_trip(tmp_path):
     prof = LossProfile(
         gammas=np.array([0.5, 2.0, 8.0]),
         losses=np.array([1.25, 0.3333333333333333, 0.07]),
-        kinds=("x0", "eps", "x0"),
     )
     prof.to_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["x0"] * 3
     back = LossProfile.from_csv(path)
     np.testing.assert_array_equal(back.gammas, prof.gammas)
     np.testing.assert_array_equal(back.losses, prof.losses)
-    assert back.kinds == prof.kinds
+    # an eps row reads back as the x0 risk loss / gamma
+    path.write_text("gamma,loss,kind\n0.5,1.25,x0\n2.0,0.3333333333333333,eps\n8.0,0.07,x0\n")
+    eps = LossProfile.from_csv(path)
+    np.testing.assert_array_equal(eps.losses, [1.25, 0.3333333333333333 / 2.0, 0.07])
 
 
 def test_loss_profile_csv_comments_and_header(tmp_path):
     path = tmp_path / "loss.csv"
     path.write_text("# fitted on run 12\ngamma,loss,kind\n1.0,0.5,x0\n4.0,2.0,eps\n")
     prof = LossProfile.from_csv(path)
-    np.testing.assert_allclose(prof.x0_losses, [0.5, 0.5])  # eps/gamma at knot
+    np.testing.assert_allclose(prof.losses, [0.5, 0.5])  # eps/gamma at knot
+
+
+def test_loss_profile_rejects_one_knot(tmp_path):
+    with pytest.raises(ValueError, match="at least two knots"):
+        LossProfile(gammas=np.array([1.0]), losses=np.array([0.5]))
+    path = tmp_path / "loss.csv"
+    path.write_text("gamma,loss,kind\n1.0,0.5,x0\n")
+    with pytest.raises(ValueError, match="at least two knots"):
+        LossProfile.from_csv(path)
 
 
 def test_loss_profile_rejects_descending(tmp_path):
@@ -339,16 +348,12 @@ def test_loss_profile_rejects_nonfinite(tmp_path, bad):
 
 
 def test_loss_profile_log_linear_interpolation():
-    prof = LossProfile(
-        gammas=np.array([1.0, 4.0]), losses=np.array([1.0, 3.0]), kinds=("x0", "x0")
-    )
+    prof = LossProfile(gammas=np.array([1.0, 4.0]), losses=np.array([1.0, 3.0]))
     assert prof.x0_at(2.0) == pytest.approx(2.0, rel=1e-12)  # midpoint in ln gamma
 
 
 def test_loss_profile_no_silent_extrapolation():
-    prof = LossProfile(
-        gammas=np.array([1.0, 4.0]), losses=np.array([1.0, 3.0]), kinds=("x0", "x0")
-    )
+    prof = LossProfile(gammas=np.array([1.0, 4.0]), losses=np.array([1.0, 3.0]))
     with pytest.raises(ValueError):
         prof.x0_at(0.5)
     with pytest.raises(ValueError):
@@ -363,7 +368,7 @@ def test_error_report_kl_is_half_sum():
     curve = MmseCurve(single_gauss())
     grid = SnrGrid([1.0, 2.0, 4.0])
     losses = np.array([gauss_mmse(1.0, 1, g) + 0.1 for g in grid.gammas])
-    loss = LossProfile(gammas=grid.gammas, losses=losses, kinds=("x0",) * 3)
+    loss = LossProfile(gammas=grid.gammas, losses=losses)
     rep = error_report(curve, grid, loss)
     assert rep["kl_path_bound"] == (rep["e_disc"] + rep["e_apx"]) / 2.0
     assert rep["provenance"]["e_disc"] == "mmse_functional"
@@ -409,12 +414,12 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @st.composite
 def _loss_fields(draw):
-    """(gammas, losses, kinds) of a valid loss profile with 1-8 knots."""
+    """(gammas, losses) of a valid loss profile with 2-8 knots."""
     gammas = sorted(
         draw(
             st.lists(
                 st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-                min_size=1,
+                min_size=2,
                 max_size=8,
                 unique=True,
             )
@@ -424,8 +429,7 @@ def _loss_fields(draw):
     losses = draw(
         st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n)
     )
-    kinds = draw(st.lists(st.sampled_from(["x0", "eps"]), min_size=n, max_size=n))
-    return np.array(gammas), np.array(losses), tuple(kinds)
+    return np.array(gammas), np.array(losses)
 
 
 @settings(max_examples=150, deadline=None)
@@ -438,17 +442,16 @@ def test_loss_profile_csv_round_trip_property(fields):
         back = LossProfile.from_csv(path)
     assert back.gammas.tobytes() == profile.gammas.tobytes()
     assert back.losses.tobytes() == profile.losses.tobytes()
-    assert back.kinds == profile.kinds
 
 
 @settings(max_examples=150, deadline=None)
 @given(_loss_fields(), st.booleans(), st.integers(0, 10**6), _NON_FINITE)
 def test_loss_profile_rejects_non_finite_property(fields, in_gammas, pos, bad):
-    gammas, losses, kinds = fields
+    gammas, losses = fields
     target = gammas if in_gammas else losses
     target[pos % target.size] = bad
     with pytest.raises(ValueError):
-        LossProfile(gammas, losses, kinds)
+        LossProfile(gammas, losses)
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,8 +20,8 @@ from oracles import (
     random_candidates,
     second_order_objective,
 )
+from snrsched.functionals import LossProfile
 from snrsched.schedules import (
-    CandidateSet,
     InfeasibleError,
     LasConfig,
     Schedule,
@@ -142,7 +142,7 @@ def test_edm_default_rho_is_seven():
 
 def test_las_exact_constant_loss():
     gam = np.geomspace(1.0, 50.0, 8)
-    cands = CandidateSet(gammas=gam, risks=np.full(8, 0.42))
+    cands = LossProfile(gammas=gam, losses=np.full(8, 0.42))
     cfg = LasConfig(K=3, lam=1.1)
     sched = las_exact(cands, cfg)
     assert tuple(sched.indices) == (0, 1, 2, 7)
@@ -152,7 +152,7 @@ def test_las_exact_constant_loss():
 
 def test_las_exact_k_equals_n_minus_1_forced():
     gam = np.geomspace(0.5, 20.0, 5)
-    cands = CandidateSet(gammas=gam, risks=np.array([1.0, 0.7, 0.4, 0.2, 0.1]))
+    cands = LossProfile(gammas=gam, losses=np.array([1.0, 0.7, 0.4, 0.2, 0.1]))
     sched = las_exact(cands, LasConfig(K=4, lam=1.5))
     assert tuple(sched.indices) == (0, 1, 2, 3, 4)
 
@@ -161,7 +161,7 @@ def test_las_exact_matches_exhaustive_100_instances():
     rng = np.random.default_rng(23)
     for _ in range(100):
         gam, risks = random_candidates(rng, 6)
-        cands = CandidateSet(gammas=gam, risks=risks)
+        cands = LossProfile(gammas=gam, losses=risks)
         lam = float(rng.uniform(0.3, 2.5))
         sched = las_exact(cands, LasConfig(K=3, lam=lam))
         best_idx, best_obj = brute_first_order(gam, risks, 3, lam)
@@ -185,7 +185,7 @@ def test_las_exact_matches_stage_major_dp_indices_and_ties():
         else:
             gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
             risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
-        sched = las_exact(CandidateSet(gammas=gam, risks=risks), LasConfig(K=K, lam=lam))
+        sched = las_exact(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam))
         want_idx, want_ties = first_order_dp(gam, risks, K, lam)
         assert (tuple(sched.indices), sched.tie_breaks) == (want_idx, want_ties), (n, K, lam, case)
 
@@ -196,7 +196,7 @@ def test_las_exact_memory_stays_near_its_tables():
     n, K = 4096, 32
     rng = np.random.default_rng(5)
     gam, risks = random_candidates(rng, n, gamma_lo=0.01, gamma_hi=1e4)
-    cands = CandidateSet(gammas=gam, risks=risks)
+    cands = LossProfile(gammas=gam, losses=risks)
     cfg = LasConfig(K=K, lam=1.5)
     tracemalloc.start()
     try:
@@ -210,7 +210,7 @@ def test_las_exact_memory_stays_near_its_tables():
 def test_las_exact_objective_recomputes():
     rng = np.random.default_rng(3)
     gam, risks = random_candidates(rng, 9)
-    cands = CandidateSet(gammas=gam, risks=risks)
+    cands = LossProfile(gammas=gam, losses=risks)
     sched = las_exact(cands, LasConfig(K=4, lam=0.9))
     redo = schedule_objective(cands, sched.indices, lam=0.9, alpha=0.0)
     assert sched.objective == pytest.approx(redo, rel=1e-12)
@@ -218,13 +218,13 @@ def test_las_exact_objective_recomputes():
 
 def test_las_exact_infeasible():
     gam = np.array([1.0, 2.0, 4.0])
-    cands = CandidateSet(gammas=gam, risks=np.ones(3))
+    cands = LossProfile(gammas=gam, losses=np.ones(3))
     with pytest.raises(InfeasibleError):
         las_exact(cands, LasConfig(K=3, lam=1.0))
 
 
 def test_las_exact_rejects_positive_alpha():
-    cands = CandidateSet(gammas=np.array([1.0, 2.0, 4.0]), risks=np.ones(3))
+    cands = LossProfile(gammas=np.array([1.0, 2.0, 4.0]), losses=np.ones(3))
     with pytest.raises(ValueError):
         las_exact(cands, LasConfig(K=2, lam=1.0, alpha=0.5))
 
@@ -232,8 +232,8 @@ def test_las_exact_rejects_positive_alpha():
 def test_las_exact_scale_equivariance():
     rng = np.random.default_rng(41)
     gam, risks = random_candidates(rng, 10)
-    a = las_exact(CandidateSet(gammas=gam, risks=risks), LasConfig(K=4, lam=1.5))
-    b = las_exact(CandidateSet(gammas=gam, risks=7.5 * risks), LasConfig(K=4, lam=1.5))
+    a = las_exact(LossProfile(gammas=gam, losses=risks), LasConfig(K=4, lam=1.5))
+    b = las_exact(LossProfile(gammas=gam, losses=7.5 * risks), LasConfig(K=4, lam=1.5))
     assert tuple(a.indices) == tuple(b.indices)
     assert b.objective == pytest.approx(7.5 * a.objective, rel=1e-12)
 
@@ -245,7 +245,7 @@ def test_las_exact_scale_equivariance():
 def test_las_beam_tiny_alpha_recovers_exact():
     rng = np.random.default_rng(12)
     gam, risks = random_candidates(rng, 8)
-    cands = CandidateSet(gammas=gam, risks=risks)
+    cands = LossProfile(gammas=gam, losses=risks)
     exact = las_exact(cands, LasConfig(K=3, lam=1.5))
     beam = las_beam(cands, LasConfig(K=3, lam=1.5, alpha=1e-12))
     assert beam.objective == pytest.approx(exact.objective, abs=1e-9)
@@ -257,7 +257,7 @@ def test_las_beam_exhaustive_small_instances():
         n = int(rng.integers(5, 11))
         K = int(rng.integers(2, min(5, n)))
         gam, risks = random_candidates(rng, n)
-        cands = CandidateSet(gammas=gam, risks=risks)
+        cands = LossProfile(gammas=gam, losses=risks)
         lam = float(rng.uniform(0.4, 2.0))
         alpha = float(rng.choice([0.1, 1.0, 12.0]))
         sched = las_beam(cands, LasConfig(K=K, lam=lam, alpha=alpha))
@@ -270,7 +270,7 @@ def test_las_beam_default_config_matches_brute_force():
     # a windowed search misses this optimum: (0, 3, 32, 95) vs (0, 3, 48, 95)
     gam = np.geomspace(0.1, 1e4, 96)
     risks = np.random.default_rng(0).uniform(0.01, 3.0, 96)
-    sched = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=3, alpha=1e-3))
+    sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=3, alpha=1e-3))
     best_idx, best_obj = brute_second_order(gam, risks, 3, 1.5, 1e-3)
     assert tuple(sched.indices) == best_idx
     assert sched.objective == pytest.approx(best_obj, rel=1e-12)
@@ -293,7 +293,7 @@ def test_las_beam_matches_stage_major_pair_dp_indices():
         else:
             gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
             risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
-        sched = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=K, lam=lam, alpha=alpha))
+        sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam, alpha=alpha))
         assert tuple(sched.indices) == pair_dp(gam, risks, K, lam, alpha), (n, K, lam, alpha, case)
 
 
@@ -301,7 +301,7 @@ def test_las_beam_matches_stage_major_pair_dp_indices():
 def test_las_beam_reaches_pair_dp_optimum(alpha):
     gam = np.geomspace(0.1, 1e4, 128)
     risks = np.random.default_rng(2).uniform(0.01, 3.0, 128)
-    sched = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=20, alpha=alpha))
+    sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=20, alpha=alpha))
     assert sched.objective == pytest.approx(pair_dp_optimum(gam, risks, 20, 1.5, alpha), rel=1e-12)
 
 
@@ -310,7 +310,7 @@ def test_las_beam_alpha12_smooths_u_shaped_profile():
     # must return a schedule whose log-step penalty is no larger
     gam = np.geomspace(0.5, 200.0, 24)
     risks = 0.2 + 1.5 * (np.log(gam / 10.0)) ** 2 / 10.0
-    cands = CandidateSet(gammas=gam, risks=risks)
+    cands = LossProfile(gammas=gam, losses=risks)
     rough = las_exact(cands, LasConfig(K=6, lam=1.5))
     smooth = las_beam(cands, LasConfig(K=6, lam=1.5, alpha=12.0))
 
@@ -322,13 +322,13 @@ def test_las_beam_alpha12_smooths_u_shaped_profile():
 
 
 def test_las_beam_rejects_zero_alpha():
-    cands = CandidateSet(gammas=np.array([1.0, 2.0, 4.0]), risks=np.ones(3))
+    cands = LossProfile(gammas=np.array([1.0, 2.0, 4.0]), losses=np.ones(3))
     with pytest.raises(ValueError):
         las_beam(cands, LasConfig(K=2, lam=1.0, alpha=0.0))
 
 
 def test_las_beam_infeasible():
-    cands = CandidateSet(gammas=np.array([1.0, 2.0]), risks=np.ones(2))
+    cands = LossProfile(gammas=np.array([1.0, 2.0]), losses=np.ones(2))
     with pytest.raises(InfeasibleError):
         las_beam(cands, LasConfig(K=4, lam=1.0, alpha=1.0))
 
@@ -337,9 +337,9 @@ def test_las_beam_scale_equivariance():
     rng = np.random.default_rng(55)
     gam, risks = random_candidates(rng, 12)
     c = 3.0
-    a = las_beam(CandidateSet(gammas=gam, risks=risks), LasConfig(K=4, lam=1.2, alpha=2.0))
+    a = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=4, lam=1.2, alpha=2.0))
     b = las_beam(
-        CandidateSet(gammas=gam, risks=c * risks), LasConfig(K=4, lam=1.2, alpha=c * 2.0)
+        LossProfile(gammas=gam, losses=c * risks), LasConfig(K=4, lam=1.2, alpha=c * 2.0)
     )
     assert tuple(a.indices) == tuple(b.indices)
     assert b.objective == pytest.approx(c * a.objective, rel=1e-12)
@@ -352,7 +352,7 @@ def test_las_beam_scale_equivariance():
 def every_schedule():
     rng = np.random.default_rng(2)
     gam, risks = random_candidates(rng, 11)
-    cands = CandidateSet(gammas=gam, risks=risks)
+    cands = LossProfile(gammas=gam, losses=risks)
     yield cands, las_exact(cands, LasConfig(K=4, lam=1.5))
     yield cands, las_beam(cands, LasConfig(K=4, lam=1.5, alpha=3.0))
 
@@ -376,7 +376,7 @@ def test_schedule_json_round_trip():
 
 
 def test_schedule_json_keeps_tie_breaks():
-    cands = CandidateSet(gammas=np.geomspace(1.0, 100.0, 8), risks=np.full(8, 0.5))
+    cands = LossProfile(gammas=np.geomspace(1.0, 100.0, 8), losses=np.full(8, 0.5))
     sched = las_exact(cands, LasConfig(K=4, lam=1.5))
     assert sched.tie_breaks == 15
     obj = sched.to_json_dict()
@@ -415,7 +415,7 @@ def test_schedule_grid_matches_selected_gammas():
 def test_objective_helpers_agree_with_package():
     rng = np.random.default_rng(31)
     gam, risks = random_candidates(rng, 9)
-    cands = CandidateSet(gammas=gam, risks=risks)
+    cands = LossProfile(gammas=gam, losses=risks)
     idx = (0, 2, 5, 8)
     assert schedule_objective(cands, idx, lam=1.5, alpha=0.0) == pytest.approx(
         first_order_objective(gam, risks, idx, 1.5), rel=1e-12
@@ -426,21 +426,21 @@ def test_objective_helpers_agree_with_package():
 
 
 # ---------------------------------------------------------------------------
-# candidate-set plumbing
+# the DP input: a loss profile
 
 
-def test_candidate_set_validation():
+def test_loss_profile_validation():
     with pytest.raises(ValueError):
-        CandidateSet(gammas=np.array([2.0, 1.0]), risks=np.ones(2))
+        LossProfile(gammas=np.array([2.0, 1.0]), losses=np.ones(2))
     with pytest.raises(ValueError):
-        CandidateSet(gammas=np.array([1.0, 2.0]), risks=np.array([0.5, -0.1]))
+        LossProfile(gammas=np.array([1.0, 2.0]), losses=np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
-        CandidateSet(gammas=np.array([1.0]), risks=np.array([1.0]))
+        LossProfile(gammas=np.array([1.0]), losses=np.array([1.0]))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            CandidateSet(gammas=np.array([1.0, 2.0, 4.0]), risks=np.array([0.5, bad, 0.5]))
+            LossProfile(gammas=np.array([1.0, 2.0, 4.0]), losses=np.array([0.5, bad, 0.5]))
         with pytest.raises(ValueError):
-            CandidateSet(gammas=np.array([1.0, 2.0, bad]), risks=np.ones(3))
+            LossProfile(gammas=np.array([1.0, 2.0, bad]), losses=np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -451,12 +451,8 @@ def test_las_config_rejects_nonfinite(bad):
         LasConfig(K=2, alpha=bad)
 
 
-def test_candidate_set_derived_axes():
-    gam = np.array([1.0, 4.0, 9.0])
-    c = CandidateSet(gammas=gam, risks=np.ones(3))
-    np.testing.assert_allclose(c.ell, np.log(gam), rtol=1e-15)
-    np.testing.assert_allclose(c.eta(2.0), gam / (1.0 + 4.0 * gam), rtol=1e-15)
-    assert c.n == 3
+def test_loss_profile_n():
+    assert LossProfile(gammas=np.array([1.0, 4.0, 9.0]), losses=np.ones(3)).n == 3
 
 
 @st.composite
