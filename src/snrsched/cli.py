@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -60,7 +61,7 @@ def _fmt(x: float) -> str:
 
 def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -155,6 +156,13 @@ def cmd_schedule(args) -> int:
         keep &= profile.gammas >= 1.0 / args.T * (1 - 1e-12)
     if args.delta is not None:
         keep &= profile.gammas <= 1.0 / args.delta * (1 + 1e-12)
+    if keep.sum() < 2:
+        lo = f"{1.0 / args.T:.6g}" if args.T is not None else "0"
+        hi = f"{1.0 / args.delta:.6g}" if args.delta is not None else "inf"
+        raise ValueError(
+            f"--T/--delta trim the loss profile to gamma in [1/T, 1/delta] = [{lo}, {hi}], "
+            f"which keeps {keep.sum()} of {profile.n} knots; a schedule needs at least two"
+        )
     profile = LossProfile(gammas=profile.gammas[keep], losses=profile.losses[keep])
     cfg = LasConfig(K=args.K, lam=args.lam, alpha=args.alpha)
     run.stage("optimize")
@@ -284,14 +292,17 @@ def cmd_simulate(args) -> int:
     # half the time; converting row by row keeps no list of every value alive
     line = ",".join(["%.17g"] * samples.shape[1])
     _write_csv(run.path("samples.csv"), header, ([line % tuple(row.tolist())] for row in samples))
-    rep = dataclasses.asdict(report)
+    # the NLL is NaN where it does not apply (a discrete target); strict JSON writes null
+    rep = {k: None if isinstance(v, float) and math.isnan(v) else v
+           for k, v in dataclasses.asdict(report).items()}
     rep["schedule"] = name
     _write_json(run.path("sample_report.json"), rep)
     run.finish()
-    print(
-        f"{name}: K={grid.K} n={args.samples} nll={report.nll_mean:.6g} "
-        f"(stderr {report.nll_stderr:.2g})"
+    nll = (
+        "n/a" if math.isnan(report.nll_mean)
+        else f"{report.nll_mean:.6g} (stderr {report.nll_stderr:.2g})"
     )
+    print(f"{name}: K={grid.K} n={args.samples} nll={nll}")
     return 0
 
 

@@ -99,9 +99,12 @@ def reverse_step(state, t_prev: float, t_next: float, anchor, noise):
     state = np.asarray(state, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    shrink = t_next / t_prev
-    std = math.sqrt(t_next * (t_prev - t_next) / t_prev)
-    return anchor + shrink * (state - anchor) + std * noise
+    return anchor + (t_next / t_prev) * (state - anchor) + _step_std(t_prev, t_next) * noise
+
+
+def _step_std(t_prev: float, t_next: float) -> float:
+    """Noise std of the step from t_prev down to t_next; inf where the product overflows."""
+    return math.sqrt(t_next * (t_prev - t_next) / t_prev)
 
 
 def _nll_stats(dist, samples):
@@ -181,9 +184,17 @@ def sample(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConf
     SeedSequence(cfg.seed) through three fixed substreams. cfg.order picks
     the first-order or the second-order scheme; the second order falls back
     to first order on its first step and draws the same noise, so runs with
-    equal seeds differ only in their anchors. Raises ValueError if any
-    sample is not finite, as on a grid whose T overflows the kernel.
+    equal seeds differ only in their anchors. Raises ValueError before any
+    denoiser call if a step's noise std is not finite, as on a grid whose T
+    overflows it, and after the run if any sample is not finite.
     """
+    t = [float(v) for v in 1.0 / grid.gammas]
+    for k in range(1, grid.K + 1):
+        if not math.isfinite(_step_std(t[k - 1], t[k])):
+            raise ValueError(
+                f"step {k} of the grid (t {t[k - 1]:.6g} -> {t[k]:.6g}) overflows the "
+                "reverse_step noise std, so the sampler would produce non-finite samples"
+            )
     samples = _run(dist, grid, cfg)
     if not np.all(np.isfinite(samples)):
         raise ValueError("the sampler produced non-finite samples")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from snrsched import FiniteDiscrete, GaussianMixture, renyi_half_entropy
 from snrsched.channel import (
     MmseCurve,
     _components,
+    _info,
     _responsibilities,
     _standard_normal_nodes,
     mmse,
@@ -28,7 +30,7 @@ from snrsched.channel import (
     posterior_mean,
     derivative_ratio_constant,
 )
-from snrsched.targets import toy_discrete
+from snrsched.targets import build_toy, toy_discrete
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
 POINT = FiniteDiscrete(points=[[2.0, -1.0]], probs=[1.0])
@@ -165,16 +167,69 @@ def test_mmse_two_atom_against_independent_quadrature():
         assert v == pytest.approx(two_atom_mmse(g), rel=2e-5)
 
 
+@lru_cache(maxsize=None)
+def _full_nodes(d):
+    """The unpruned tensor Gauss-Hermite rule the cached rule is cut from."""
+    u, w1 = np.polynomial.hermite_e.hermegauss(200 if d == 1 else 96)
+    w1 = w1 / math.sqrt(2.0 * math.pi)
+    if d == 1:
+        return u[:, None], w1
+    ua, ub = np.meshgrid(u, u, indexing="ij")
+    return np.stack([ua.ravel(), ub.ravel()], axis=1), np.outer(w1, w1).ravel()
+
+
 def test_quadrature_nodes_built_once_and_read_only():
     # the cache hands the same arrays to every caller, so none may write them
-    for d, size in ((1, 200), (2, 96 * 96)):
+    for d, size in ((1, 84), (2, 2668)):
         offsets, qw = _standard_normal_nodes(d)
         assert _standard_normal_nodes(d)[0] is offsets
         assert offsets.shape == (size, d) and qw.shape == (size,)
         assert qw.sum() == pytest.approx(1.0, rel=1e-12)
+        # the kept nodes are the heaviest of the full rule, and the rest
+        # carry less than 1e-20 of the weight
+        full = np.sort(_full_nodes(d)[1])[::-1]
+        assert np.array_equal(np.sort(qw)[::-1], full[:size])
+        assert full[size:].sum() < 1e-20
         for arr in (offsets, qw):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [TWO, toy_discrete("circle8"), toy_discrete("grid8"), build_toy("circle8"), build_toy("grid8")],
+    ids=["two_atom", "circle8_discrete", "grid8_discrete", "circle8", "grid8"],
+)
+def test_pruned_quadrature_matches_full_rule(dist, monkeypatch):
+    import snrsched.channel as channel
+
+    def moments():
+        return [
+            (mmse(dist, g, "quadrature")[0], _info(dist, g, "quadrature", 1, 0)[0],
+             -mmse_derivative(dist, g, "quadrature")[0])
+            for g in np.geomspace(1e-3, 1e6, 19)
+        ]
+
+    pruned = moments()
+    monkeypatch.setattr(channel, "_standard_normal_nodes", _full_nodes)
+    full = np.array(moments())
+    assert np.all(np.abs(np.array(pruned) - full) <= 1e-14 * (1.0 + np.abs(full)))
+
+
+def test_mmse_kernel_rows_are_the_pruned_grid(monkeypatch):
+    # a work count, not a timing: an un-pruned grid would pass 8 x 9,216 rows
+    import snrsched.channel as channel
+
+    rows = []
+    kernel = channel._pair_spread
+
+    def counting(dist, t, X):
+        rows.append(len(X))
+        return kernel(dist, t, X)
+
+    monkeypatch.setattr(channel, "_pair_spread", counting)
+    MmseCurve(build_toy("circle8")).mmse(2.0)
+    assert rows == [2668] * 8
 
 
 def test_mmse_monte_carlo_rejects_empty():

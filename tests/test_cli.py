@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,18 @@ def test_schedule_exit_codes(tmp_path):
     for flag, value in (("--T", "0"), ("--delta", "0"), ("--T", "-1")):
         argv = ["schedule", "--loss", str(small), "--K", "1", flag, value]
         assert main(argv + ["--out", str(tmp_path / "d")]) == 2
+
+
+def test_schedule_trim_below_two_knots_names_the_trim(tmp_path, capsys):
+    loss = tmp_path / "p128.csv"
+    write_loss_csv(loss, np.geomspace(1.0, 1e4, 128), np.ones(128))
+    out = tmp_path / "run"
+    argv = ["schedule", "--loss", str(loss), "--K", "1", "--T", "0.001", "--delta", "0.000999"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--T/--delta" in err and "[1/T, 1/delta] = [1000, 1001]" in err
+    assert "keeps 0 of 128 knots" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +751,49 @@ def test_simulate_rejects_non_finite_samples(tmp_path):
                        "geometric", "--T", "1e300", "--samples", "10", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "non-finite samples" in proc.stderr
+    assert not out.exists()
+
+
+def test_simulate_discrete_target_writes_strict_json(tmp_path, capsys):
+    target = tmp_path / "circle8_discrete.json"
+    write_target(target, toy_discrete("circle8"))
+    out = tmp_path / "run"
+    argv = ["simulate", "--target", str(target), "--baseline", "geometric", "--K", "4",
+            "--samples", "50", "--final-denoise", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith("nll=n/a")
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert names == ["manifest.json", "sample_report.json"]
+    for name in names:
+        json.loads((out / name).read_text(), parse_constant=reject)
+    rep = json.loads((out / "sample_report.json").read_text())
+    assert rep["nll_mean"] is rep["nll_stderr"] is rep["denoised_nll_mean"] is None
+
+
+def test_simulate_rejects_overflowing_grid_before_sampling(tmp_path, capsys, monkeypatch):
+    import snrsched.sampler as sampler
+
+    calls = []
+    kernel = sampler.posterior_mean
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(sampler, "posterior_mean", counting)
+    out = tmp_path / "run"
+    argv = ["simulate", "--target", "circle8", "--baseline", "geometric", "--T", "1e300",
+            "--samples", "10", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert calls == []
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "step 1 of the grid" in capsys.readouterr().err
     assert not out.exists()
 
 
