@@ -56,6 +56,7 @@ from .targets import (
     GaussianMixture,
     TargetDistribution,
     _component_logits,
+    _row_blocks,
     shannon_entropy,
 )
 
@@ -106,15 +107,20 @@ def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
     """Ideal denoiser m_t evaluated at a batch of points, shape (m, d).
 
     The responsibility-weighted conjugate means, sum_i r_i (v_i x + t c_i) / s2_i,
-    taken as two matrix products so no (m, n, d) tensor is built. Raises
-    ValueError unless ``t`` is positive and finite.
+    taken as two matrix products so no (m, n, d) tensor is built. The rows run
+    in blocks of :func:`snrsched.targets._row_blocks`, so beyond the (m, d)
+    result it holds one block's (rows, n) responsibilities. Raises ValueError
+    unless ``t`` is positive and finite.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     comps = _components(dist)
-    r = _responsibilities(comps, t, X)
     _, centers, variances = comps
     s2 = variances + t
-    return (r @ (variances / s2))[:, None] * X + r @ ((t / s2)[:, None] * centers)
+    out = np.empty(X.shape)
+    for rows in _row_blocks(X.shape[0], s2.size):
+        r = _responsibilities(comps, t, X[rows])
+        out[rows] = (r @ (variances / s2))[:, None] * X[rows] + r @ ((t / s2)[:, None] * centers)
+    return out
 
 
 def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray):
@@ -136,6 +142,7 @@ def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray):
     The within-component variance adds d tau, with tau = sum_i r_i a_i t.
 
     Arrays are component-major, (n, m), so elementwise work runs along rows.
+    Its temporaries are (n, m), so callers pass it one row block at a time.
     Returns (trace, r, D r, tau, E, tilt): E is the (n, n) table
     |e_i - e_j|^2, and tilt is None when the a_i are all equal, else
     (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
@@ -163,6 +170,14 @@ def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray):
     return trace, r, Dr, tau, E, tilt
 
 
+def _cov_trace(dist: TargetDistribution, t: float, X: np.ndarray) -> np.ndarray:
+    """tr Cov(Z | X_t = x) alone, shape (m,), from blocks of (n, rows) temporaries."""
+    out = np.empty(X.shape[0])
+    for rows in _row_blocks(X.shape[0], _components(dist)[0].size):
+        out[rows] = _pair_spread(dist, t, X[rows])[0]
+    return out
+
+
 def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     """Batched posterior covariance summaries.
 
@@ -174,9 +189,11 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     S = sum_i r_i y_i y_i^T, so tr S^2 = sum_ij r_i r_j B_ij^2 where
     B_ij = y_i.y_j is the r-weighted double centering of the pair distances,
     B_ij = (u_i + u_j - D_ij) / 2 with u = D r - (r.D r) / 2; then
-    tr Cov^2 = tr S^2 + 2 tau tr S + d tau^2. The largest temporaries are
-    (n, n, m); nothing of size m n d or m d^2 is built. Raises ValueError
-    unless ``t`` is positive and finite.
+    tr Cov^2 = tr S^2 + 2 tau tr S + d tau^2. The rows run in blocks of
+    :func:`snrsched.targets._row_blocks` with width n^2, so the largest
+    temporaries are one block's (n, n, rows) Gram terms, 2^17 elements (or
+    one row's n^2 if more) whatever m is; nothing of size m n d or m d^2 is
+    built. Raises ValueError unless ``t`` is positive and finite.
 
     Returns
     -------
@@ -184,24 +201,29 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    trace, r, Dr, tau, E, tilt = _pair_spread(dist, t, X)
-    rDr = np.einsum("im,im->m", r, Dr)
-    u = Dr - 0.5 * rDr
-    # minus twice the Gram, D_ij - u_i - u_j, built in one (n, n, m) buffer
-    if tilt is None:
-        B2 = E[:, :, None] - u[:, None, :]
-    else:
-        xx, P, g = tilt
-        B2 = g[:, :, None] * xx
-        B2 += 2.0 * P[:, None, :]
-        B2 -= 2.0 * P[None, :, :]
-        B2 *= g[:, :, None]
-        B2 += E[:, :, None]
-        B2 -= u[:, None, :]
-    B2 -= u[None, :, :]
-    B2 *= B2
-    spread_sq = 0.25 * np.einsum("im,im->m", r, np.einsum("ijm,jm->im", B2, r))
-    return trace, spread_sq + tau * (rDr + dist.dim * tau)
+    n = _components(dist)[0].size
+    trace, frob_sq = np.empty(X.shape[0]), np.empty(X.shape[0])
+    for rows in _row_blocks(X.shape[0], n * n):
+        tr, r, Dr, tau, E, tilt = _pair_spread(dist, t, X[rows])
+        rDr = np.einsum("im,im->m", r, Dr)
+        u = Dr - 0.5 * rDr
+        # minus twice the Gram, D_ij - u_i - u_j, built in one (n, n, rows) buffer
+        if tilt is None:
+            B2 = E[:, :, None] - u[:, None, :]
+        else:
+            xx, P, g = tilt
+            B2 = g[:, :, None] * xx
+            B2 += 2.0 * P[:, None, :]
+            B2 -= 2.0 * P[None, :, :]
+            B2 *= g[:, :, None]
+            B2 += E[:, :, None]
+            B2 -= u[:, None, :]
+        B2 -= u[None, :, :]
+        B2 *= B2
+        spread_sq = 0.25 * np.einsum("im,im->m", r, np.einsum("ijm,jm->im", B2, r))
+        trace[rows] = tr
+        frob_sq[rows] = spread_sq + tau * (rDr + dist.dim * tau)
+    return trace, frob_sq
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +369,7 @@ def mmse(
         s0sq = float(dist.sigmas[0] ** 2)
         return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
     t = 1.0 / gamma
-    return _expect(dist, t, pol, lambda X: (_pair_spread(dist, t, X)[0],), n_samples, seed)[0]
+    return _expect(dist, t, pol, lambda X: (_cov_trace(dist, t, X),), n_samples, seed)[0]
 
 
 def mmse_derivative(

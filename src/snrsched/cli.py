@@ -151,22 +151,28 @@ def cmd_schedule(args) -> int:
     run = _Run(args.out, "schedule", _config_dict(args))
     run.stage("load")
     profile = LossProfile.from_csv(args.loss)
+    lo = 1.0 / args.T if args.T is not None else None
+    hi = 1.0 / args.delta if args.delta is not None else None
     keep = np.ones(profile.n, dtype=bool)
-    if args.T is not None:
-        keep &= profile.gammas >= 1.0 / args.T * (1 - 1e-12)
-    if args.delta is not None:
-        keep &= profile.gammas <= 1.0 / args.delta * (1 + 1e-12)
+    if lo is not None:
+        keep &= profile.gammas >= lo * (1 - 1e-12)
+    if hi is not None:
+        keep &= profile.gammas <= hi * (1 + 1e-12)
     if keep.sum() < 2:
-        lo = f"{1.0 / args.T:.6g}" if args.T is not None else "0"
-        hi = f"{1.0 / args.delta:.6g}" if args.delta is not None else "inf"
+        lo_s = "0" if lo is None else f"{lo:.6g}"
+        hi_s = "inf" if hi is None else f"{hi:.6g}"
         raise ValueError(
-            f"--T/--delta trim the loss profile to gamma in [1/T, 1/delta] = [{lo}, {hi}], "
+            f"--T/--delta trim the loss profile to gamma in [1/T, 1/delta] = [{lo_s}, {hi_s}], "
             f"which keeps {keep.sum()} of {profile.n} knots; a schedule needs at least two"
         )
     profile = LossProfile(gammas=profile.gammas[keep], losses=profile.losses[keep])
     cfg = LasConfig(K=args.K, lam=args.lam, alpha=args.alpha)
     run.stage("optimize")
     sched = las_exact(profile, cfg) if cfg.alpha == 0 else las_beam(profile, cfg)
+    if lo is not None or hi is not None:
+        # a subnormal --delta puts 1/delta at inf, which requests no upper end
+        hi = hi if hi is not None and math.isfinite(hi) else None
+        sched = dataclasses.replace(sched, requested_gammas=(lo, hi))
     run.stage("write")
     _write_json(run.path("schedule.json"), sched.to_json_dict())
     run.finish()
@@ -268,6 +274,21 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _sample_lines(samples: np.ndarray):
+    """samples.csv rows as _fmt writes them, one string of about 4,096 values per block.
+
+    One "%.17g" format over a whole block gives the same bytes as _fmt value
+    by value in a fraction of the time; formatting block by block keeps no
+    list of every value alive.
+    """
+    d = samples.shape[1]
+    line = ",".join(["%.17g"] * d)
+    step = max(1, 4096 // d)
+    for i in range(0, samples.shape[0], step):
+        block = samples[i:i + step]
+        yield ["\n".join([line] * block.shape[0]) % tuple(block.ravel().tolist())]
+
+
 def cmd_simulate(args) -> int:
     run = _Run(args.out, "simulate", _config_dict(args))
     run.stage("load")
@@ -287,11 +308,8 @@ def cmd_simulate(args) -> int:
     run.stage("sample")
     samples, report = sample(target, grid, cfg)
     run.stage("write")
-    header = [f"x{i}" for i in range(samples.shape[1])]
-    # _fmt's "%.17g" over a whole row at once gives the same bytes in about
-    # half the time; converting row by row keeps no list of every value alive
-    line = ",".join(["%.17g"] * samples.shape[1])
-    _write_csv(run.path("samples.csv"), header, ([line % tuple(row.tolist())] for row in samples))
+    _write_csv(run.path("samples.csv"), [f"x{i}" for i in range(samples.shape[1])],
+               _sample_lines(samples))
     # the NLL is NaN where it does not apply (a discrete target); strict JSON writes null
     rep = {k: None if isinstance(v, float) and math.isnan(v) else v
            for k, v in dataclasses.asdict(report).items()}

@@ -92,14 +92,23 @@ def reverse_step(state, t_prev: float, t_next: float, anchor, noise):
     """One exact frozen-drift transition from noise scale t_prev down to t_next.
 
     ``state``, ``anchor`` and ``noise`` broadcast together; ``noise`` should
-    be standard normal. Requires 0 < t_next < t_prev.
+    be standard normal. Requires 0 < t_next < t_prev. The result
+    anchor + (t_next / t_prev) (state - anchor) + std * noise is built in one
+    new array of the broadcast shape of all three inputs, by the operations
+    of that expression in its order, with std * noise the only temporary;
+    no input is modified.
     """
     if not 0 < t_next < t_prev:
         raise ValueError("need 0 < t_next < t_prev")
     state = np.asarray(state, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    return anchor + (t_next / t_prev) * (state - anchor) + _step_std(t_prev, t_next) * noise
+    out = np.empty(np.broadcast_shapes(state.shape, anchor.shape, noise.shape))
+    np.subtract(state, anchor, out=out)
+    out *= t_next / t_prev
+    out += anchor
+    out += _step_std(t_prev, t_next) * noise
+    return out
 
 
 def _step_std(t_prev: float, t_next: float) -> float:
@@ -116,16 +125,20 @@ def _nll_stats(dist, samples):
 def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:
     d = dist.dim
     if cfg.init == "exact_forward":
-        Z = dist.sample(cfg.n_samples, rng)
-        return Z + math.sqrt(T) * rng.standard_normal((cfg.n_samples, d))
-    std = np.sqrt(T + dist.axis_variances())
-    return std[None, :] * rng.standard_normal((cfg.n_samples, d))
+        Y = dist.sample(cfg.n_samples, rng)
+        noise = rng.standard_normal((cfg.n_samples, d))
+        noise *= math.sqrt(T)
+        Y += noise
+        return Y
+    Y = rng.standard_normal((cfg.n_samples, d))
+    Y *= np.sqrt(T + dist.axis_variances())
+    return Y
 
 
 def _oracle(dist, t, Y, cfg: SamplerConfig, err_rng):
     m = posterior_mean(dist, t, Y)
     if cfg.sigma_err > 0:
-        m = m + cfg.sigma_err * err_rng.standard_normal(m.shape)
+        m += cfg.sigma_err * err_rng.standard_normal(m.shape)
     return m
 
 
@@ -140,17 +153,22 @@ def _run(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
     Y = _init_state(dist, grid.T, cfg, init_rng)
-    prev_eval = None
+    prev_eval = None  # kept by the second order only
     for k in range(1, K + 1):
-        cur_eval = _oracle(dist, t[k - 1], Y, cfg, err_rng)
-        anchor = cur_eval
-        if cfg.order == "second" and prev_eval is not None:
-            # extrapolate to the interval midpoint in log-SNR
-            slope = (cur_eval - prev_eval) / (ell[k - 1] - ell[k - 2])
-            anchor = cur_eval + slope * (0.5 * (ell[k] + ell[k - 1]) - ell[k - 1])
-        noise = step_rng.standard_normal(Y.shape)
-        Y = reverse_step(Y, t[k - 1], t[k], anchor, noise)
-        prev_eval = cur_eval
+        anchor = _oracle(dist, t[k - 1], Y, cfg, err_rng)
+        if cfg.order == "second":
+            cur_eval = anchor
+            if prev_eval is not None:
+                # extrapolate to the interval midpoint in log-SNR: the slope,
+                # times the step to the midpoint, plus cur_eval, in one array
+                anchor = cur_eval - prev_eval
+                anchor /= ell[k - 1] - ell[k - 2]
+                anchor *= 0.5 * (ell[k] + ell[k - 1]) - ell[k - 1]
+                anchor += cur_eval
+            prev_eval = cur_eval
+        Y = reverse_step(Y, t[k - 1], t[k], anchor, step_rng.standard_normal(Y.shape))
+        # the next denoiser call then holds only Y (and prev_eval) of the (m, d) arrays
+        del anchor
     return Y
 
 

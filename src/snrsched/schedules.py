@@ -121,6 +121,12 @@ class Schedule:
 
     Needs K + 1 strictly increasing indices, K + 1 finite gammas and a finite
     objective, so ``schedule.json`` never holds NaN or Infinity.
+
+    ``requested_gammas`` is the (low, high) SNR range the candidates were
+    trimmed to, or None for an untrimmed profile; an end that was not
+    requested is None. The endpoints are the nearest in-range knots, so when
+    it is set :meth:`to_json_dict` also writes each endpoint's relative drift
+    gamma / requested - 1.
     """
 
     indices: tuple
@@ -131,6 +137,7 @@ class Schedule:
     lam: float
     alpha: float
     tie_breaks: int = 0
+    requested_gammas: tuple | None = None
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
@@ -141,6 +148,15 @@ class Schedule:
             raise ValueError("gammas must be 1-d with length K + 1")
         if not (np.all(np.isfinite(g)) and math.isfinite(self.objective)):
             raise ValueError("schedule gammas and objective must be finite")
+        if self.requested_gammas is not None:
+            req = self.requested_gammas
+            if not (isinstance(req, (tuple, list)) and len(req) == 2 and all(
+                v is None or (isinstance(v, (int, float)) and math.isfinite(v) and v > 0)
+                for v in req
+            )):
+                raise ValueError("requested_gammas must be two finite positive values or None")
+            object.__setattr__(self, "requested_gammas",
+                               tuple(None if v is None else float(v) for v in req))
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "gammas", g)
 
@@ -148,7 +164,7 @@ class Schedule:
         return SnrGrid(self.gammas)
 
     def to_json_dict(self) -> dict:
-        return {
+        obj = {
             "indices": list(self.indices),
             "gammas": [float(g) for g in self.gammas],
             "K": self.K,
@@ -158,6 +174,12 @@ class Schedule:
             "algorithm": self.algorithm,
             "tie_breaks": self.tie_breaks,
         }
+        if self.requested_gammas is not None:
+            obj["requested_gammas"] = list(self.requested_gammas)
+            obj["endpoint_drift"] = [
+                _drift(float(g), want) for g, want in zip(self.gammas[[0, -1]], self.requested_gammas)
+            ]
+        return obj
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Schedule":
@@ -170,7 +192,17 @@ class Schedule:
             lam=float(obj["lambda"]),
             alpha=float(obj["alpha"]),
             tie_breaks=int(obj.get("tie_breaks", 0)),
+            requested_gammas=obj.get("requested_gammas"),
         )
+
+
+def _drift(gamma: float, want: float | None) -> float | None:
+    """Relative drift gamma / want - 1 of an endpoint; None where no end was
+    requested or the ratio overflows, so ``schedule.json`` stays strict JSON."""
+    if want is None:
+        return None
+    drift = gamma / want - 1.0
+    return drift if math.isfinite(drift) else None
 
 
 def schedule_objective(profile: LossProfile, indices, lam: float, alpha: float) -> float:

@@ -30,6 +30,7 @@ from snrsched.channel import (
     posterior_mean,
     derivative_ratio_constant,
 )
+from snrsched import targets
 from snrsched.targets import build_toy, toy_discrete
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
@@ -535,6 +536,138 @@ def test_cov_stats_build_no_component_by_dimension_tensor(family):
     finally:
         tracemalloc.stop()
     assert peak < m * n * d * 8 / 4
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+
+
+UNEQUAL = GaussianMixture(
+    weights=[0.2, 0.5, 0.3], means=[[0.0, 1.0], [2.0, -1.0], [-1.5, 0.5]], sigmas=[0.3, 0.6, 1.1]
+)
+BLOCK_DISTS = [build_toy("circle8"), toy_discrete("circle8"), UNEQUAL]
+BLOCK_IDS = ["circle8", "circle8_discrete", "unequal_sigmas"]
+
+
+def _n_components(dist):
+    return _components(dist)[0].size
+
+
+def _noisy(dist, m, t, seed):
+    rng = np.random.default_rng(seed)
+    return dist.sample(m, rng) + math.sqrt(t) * rng.standard_normal((m, dist.dim))
+
+
+def _log_p_t(dist, t):
+    weights, centers, variances = _components(dist)
+    return GaussianMixture(weights, centers, np.sqrt(variances + t))
+
+
+@pytest.mark.parametrize("m, width, budget", [(0, 8, 40), (1, 8, 40), (17, 8, 40),
+                                              (20, 8, 40), (5, 64, 40), (9, 3, 1 << 17)])
+def test_row_blocks_cover_every_row_once_within_the_budget(monkeypatch, m, width, budget):
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", budget)
+    blocks = list(targets._row_blocks(m, width))
+    rows = np.concatenate([np.arange(m)[b] for b in blocks])
+    np.testing.assert_array_equal(rows, np.arange(m))
+    assert len(blocks) >= 1  # zero rows still run the kernel once, so it checks t
+    assert all(b.stop - b.start <= max(1, budget // width) for b in blocks)
+
+
+_B = 5  # rows per block of the small budget
+
+
+@pytest.mark.parametrize("m", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize("dist", BLOCK_DISTS, ids=BLOCK_IDS)
+def test_blocked_kernels_match_one_block(monkeypatch, dist, m):
+    # BLAS picks its kernel by matrix size (one row is a matrix-vector
+    # product), so a row's dot products can round differently inside blocks
+    # of another size; the tolerance is a few thousand ulps of the largest
+    # value, far below any result the tests or the CLI compare
+    t = 0.3
+    n = _n_components(dist)
+    X = _noisy(dist, m, t, seed=m)
+    p_t = _log_p_t(dist, t)
+
+    def kernels():
+        return (posterior_mean(dist, t, X), p_t.log_prob(X), *posterior_cov_stats(dist, t, X))
+
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", 1 << 60)
+    whole = kernels()
+    for budget in (_B * n, _B * n * n):  # _B rows for the logits, then for the Gram
+        monkeypatch.setattr(targets, "_BLOCK_ELEMS", budget)
+        for got, want in zip(kernels(), whole):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("policy", ["quadrature", "monte_carlo"])
+@pytest.mark.parametrize("dist", BLOCK_DISTS, ids=BLOCK_IDS)
+def test_blocked_mmse_matches_one_block(monkeypatch, dist, policy):
+    # 2,668 quadrature rows per component and 3 B + 7 Monte-Carlo rows, in
+    # blocks of B = 1,000 rows
+    n_samples = 3 * 1000 + 7
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", 1 << 60)
+    whole = mmse(dist, 2.0, policy, n_samples=n_samples, seed=3)
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", 1000 * _n_components(dist))
+    got = mmse(dist, 2.0, policy, n_samples=n_samples, seed=3)
+    assert got == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
+def test_blocked_kernels_keep_the_bits_of_the_cli_shapes(monkeypatch):
+    # at the module's own budget simulate's 1e5 circle8 rows run in blocks of
+    # 16,384, simulate_hd's 4,096 rows of a 64-component d = 64 mixture in
+    # blocks of 2,048, and mmse-table's quadrature and Monte-Carlo batches in
+    # Gram blocks of 2,048; on these shapes the blocks give the one-block bits,
+    # so those commands write the bytes an unblocked kernel writes (other
+    # block sizes can move the last bits, see test_blocked_kernels_match_one_block)
+    circle8 = build_toy("circle8")
+    rng = np.random.default_rng(5)
+    hd = GaussianMixture(weights=np.full(64, 1 / 64), means=rng.normal(0.0, 1.5, (64, 64)),
+                         sigmas=rng.uniform(0.5, 1.0, 64))
+    X8, Xhd = _noisy(circle8, 100_000, 0.3, seed=1), _noisy(hd, 4096, 0.3, seed=2)
+    curve = MmseCurve(circle8)
+    mc = MmseCurve(circle8, "monte_carlo", n_samples=70_000, seed=4)
+
+    def outputs():
+        return (posterior_mean(circle8, 0.3, X8), circle8.log_prob(X8), posterior_mean(hd, 0.3, Xhd),
+                np.array(curve.tabulate([0.5, 20.0]) + mc.tabulate([3.0])))
+
+    blocked = outputs()
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", 1 << 60)
+    for got, want in zip(blocked, outputs()):
+        assert np.array_equal(got, want)
+
+
+def test_kernel_peak_memory_is_its_output_plus_one_block():
+    # an un-blocked kernel holds (m, n) logits, 16 MiB here on top of its
+    # output; the blocks hold at most 2^17 elements (1 MiB) of each temporary
+    circle8 = build_toy("circle8")
+    X = _noisy(circle8, 1 << 18, 0.3, seed=6)
+    for call, out_bytes in ((lambda: posterior_mean(circle8, 0.3, X), X.nbytes),
+                            (lambda: circle8.log_prob(X), X.nbytes // 2)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out_bytes + 4 * 2**20
+
+
+def test_cov_stats_gram_stays_within_its_blocks():
+    # unblocked, the (n, n, m) Gram of 64 components and 8,192 rows is 256 MiB
+    rng = np.random.default_rng(7)
+    gm = GaussianMixture(weights=np.full(64, 1 / 64), means=rng.normal(size=(64, 8)),
+                         sigmas=rng.uniform(0.5, 1.0, 64))
+    X = _noisy(gm, 8192, 0.5, seed=8)
+    tracemalloc.start()
+    try:
+        posterior_cov_stats(gm, 0.5, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_tabulate_evaluates_each_knot_once(monkeypatch):

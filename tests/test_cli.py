@@ -390,6 +390,34 @@ def test_report_rejects_bound_constants_before_oracle_work(tmp_path, monkeypatch
     assert not (out / "report.json").exists()
 
 
+def test_schedule_trim_records_requested_range_and_endpoint_drift(tmp_path):
+    # 1/T = 2.5 and 1/delta = 5000 fall between knots of the 128-knot profile,
+    # so the endpoints are the nearest in-range knots
+    loss = tmp_path / "p128.csv"
+    gammas = np.geomspace(1.0, 1e4, 128)
+    write_loss_csv(loss, gammas, np.ones(128))
+    base = ["schedule", "--loss", str(loss), "--K", "4"]
+    assert main(base + ["--T", "0.4", "--delta", "2e-4", "--out", str(tmp_path / "trim")]) == 0
+    obj = json.loads((tmp_path / "trim" / "schedule.json").read_text())
+    lo, hi = 1 / 0.4, 1 / 2e-4
+    assert obj["requested_gammas"] == [lo, hi]
+    g0, gK = obj["gammas"][0], obj["gammas"][-1]
+    assert g0 == gammas[gammas >= lo][0] and gK == gammas[gammas <= hi][-1]
+    assert obj["endpoint_drift"] == [g0 / lo - 1.0, gK / hi - 1.0]
+    step = gammas[1] / gammas[0] - 1.0
+    assert 0.0 < obj["endpoint_drift"][0] < step and -step < obj["endpoint_drift"][1] < 0.0
+    assert snrsched.Schedule.from_json_dict(obj).requested_gammas == (lo, hi)
+    # one end only: the other is null
+    assert main(base + ["--T", "0.4", "--out", str(tmp_path / "lo")]) == 0
+    obj = json.loads((tmp_path / "lo" / "schedule.json").read_text())
+    assert obj["requested_gammas"] == [lo, None] and obj["endpoint_drift"][1] is None
+    # untrimmed: neither key, and the file loads as before
+    assert main(base + ["--out", str(tmp_path / "all")]) == 0
+    obj = json.loads((tmp_path / "all" / "schedule.json").read_text())
+    assert "requested_gammas" not in obj and "endpoint_drift" not in obj
+    assert snrsched.Schedule.from_json_dict(obj).requested_gammas is None
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 
@@ -433,16 +461,22 @@ def test_simulate_reproduces_artifacts_byte_identical(tmp_path):
 
 
 def test_samples_csv_writes_each_value_as_fmt(tmp_path, monkeypatch):
+    # rows are formatted in blocks of max(1, 4096 // d); row counts one short
+    # of, equal to and one past a block
     import snrsched.cli as cli
 
     rng = np.random.default_rng(4)
-    arr = rng.normal(size=(400, 2)) * 10.0 ** rng.integers(-300, 300, size=(400, 2))
-    arr[:4] = [[-0.0, 0.0], [1 / 3, -2.5e-7], [math.inf, -math.inf], [math.nan, 1e16]]
     real = cli.sample
-    monkeypatch.setattr(cli, "sample", lambda *a: (arr, real(*a)[1]))
-    assert main(simulate_args(tmp_path, "run")) == 0
-    want = "x0,x1\n" + "".join(f"{cli._fmt(a)},{cli._fmt(b)}\n" for a, b in arr)
-    assert (tmp_path / "run" / "samples.csv").read_text() == want
+    special = [-0.0, 0.0, 1 / 3, -2.5e-7, math.inf, -math.inf, math.nan, 1e16]
+    for d in (1, 2, 3, 64):
+        for m in (max(1, 4096 // d) + k for k in (-1, 0, 1)):
+            arr = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-300, 300, size=(m, d))
+            arr.ravel()[: len(special)] = special
+            monkeypatch.setattr(cli, "sample", lambda *a: (arr, real(*a)[1]))
+            assert main(simulate_args(tmp_path, f"run{d}_{m}")) == 0
+            want = ",".join(f"x{i}" for i in range(d)) + "\n"
+            want += "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in arr)
+            assert (tmp_path / f"run{d}_{m}" / "samples.csv").read_text() == want
 
 
 def test_manifest_lists_hashes_that_match(tmp_path):

@@ -16,6 +16,7 @@ from snrsched.sampler import (
     sample,
 )
 from snrsched.schedules import grid_geometric
+from snrsched.targets import build_toy
 
 
 def single_gauss(sigma0=1.0, d=1):
@@ -88,6 +89,23 @@ def test_reverse_step_empirical_moments():
     assert abs(out.var() - var) <= 4.0 * var * math.sqrt(2.0 / n)
 
 
+@pytest.mark.parametrize("state_shape", [(), (1, 3), (4, 3)])
+@pytest.mark.parametrize("anchor_shape", [(), (1, 3), (4, 3)])
+def test_reverse_step_broadcasts_and_leaves_its_inputs(state_shape, anchor_shape):
+    rng = np.random.default_rng(9)
+    state = rng.normal(size=state_shape)
+    anchor = rng.normal(size=anchor_shape)
+    noise = rng.normal(size=(4, 3))
+    before = [state.copy(), anchor.copy(), noise.copy()]
+    t_prev, t_next = 0.9, 0.35
+    out = reverse_step(state, t_prev, t_next, anchor, noise)
+    for arr, orig in zip((state, anchor, noise), before):
+        assert np.array_equal(arr, orig)
+    assert out.shape == (4, 3)
+    std = math.sqrt(t_next * (t_prev - t_next) / t_prev)
+    assert np.array_equal(out, anchor + (t_next / t_prev) * (state - anchor) + std * noise)
+
+
 # ---------------------------------------------------------------------------
 # whole chains
 
@@ -141,6 +159,28 @@ def test_seed_determinism_bitwise():
     assert rep1.nll_mean == rep2.nll_mean
     out3, _ = sample(GRID8, grid, SamplerConfig(n_samples=500, seed=54321))
     assert not np.array_equal(out1, out3)
+
+
+@pytest.mark.parametrize("order, arrays", [("first", 5.5), ("second", 6.5)])
+def test_sample_peak_memory_is_a_few_state_arrays(order, arrays):
+    # the peak is reverse_step's: the state, the anchor, the step noise, the
+    # result and its std * noise temporary, five (m, d) arrays, plus the
+    # previous evaluation for the second order. A denoiser call holds less:
+    # the state, its result and one row block; an un-blocked posterior
+    # kernel holds (m, 8) logits, four more arrays, and reads 8 and 9
+    import tracemalloc
+
+    m = 100_000
+    dist = build_toy("circle8")
+    grid = grid_geometric(1.0, 1e-3, 8)
+    sample(dist, grid, SamplerConfig(n_samples=10, order=order))  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        sample(dist, grid, SamplerConfig(n_samples=m, seed=11, order=order))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * m * dist.dim * 8
 
 
 # ---------------------------------------------------------------------------

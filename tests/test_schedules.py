@@ -405,6 +405,14 @@ def test_schedule_rejects_nonfinite_or_missized_data(gammas, objective):
                  K=1, lam=1.5, alpha=0.0)
 
 
+@pytest.mark.parametrize("requested", [(0.0, None), (1.0, math.inf), (None, math.nan), (1.0,),
+                                       (1.0, 2.0, 3.0), 5.0, ("1", None)])
+def test_schedule_rejects_bad_requested_range(requested):
+    with pytest.raises(ValueError):
+        Schedule(indices=(0, 1), gammas=[1.0, 2.0], objective=1.0, algorithm="exact",
+                 K=1, lam=1.5, alpha=0.0, requested_gammas=requested)
+
+
 def test_schedule_grid_matches_selected_gammas():
     for cands, sched in every_schedule():
         np.testing.assert_array_equal(
@@ -461,6 +469,7 @@ def _schedules(draw):
     indices = draw(st.lists(st.integers(0, 10**6), min_size=K + 1, max_size=K + 1, unique=True))
     indices.sort()
     finite = st.floats(allow_nan=False, allow_infinity=False)
+    end = st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     return Schedule(
         indices=indices,
         gammas=np.array(draw(st.lists(finite, min_size=K + 1, max_size=K + 1))),
@@ -470,6 +479,7 @@ def _schedules(draw):
         lam=draw(finite),
         alpha=draw(finite),
         tie_breaks=draw(st.integers(0, 10**9)),
+        requested_gammas=draw(st.none() | st.tuples(end, end)),
     )
 
 
@@ -481,3 +491,4 @@ def test_schedule_json_round_trip_property(sched):
     assert json.dumps(back.to_json_dict()) == text
     assert back.gammas.tobytes() == sched.gammas.tobytes()
     assert (back.indices, back.K, back.tie_breaks) == (sched.indices, sched.K, sched.tie_breaks)
+    assert back.requested_gammas == sched.requested_gammas
