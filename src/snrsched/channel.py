@@ -84,6 +84,11 @@ def _components(dist: TargetDistribution):
     return dist.weights, dist.means, dist.sigmas**2
 
 
+def _check_noise(t: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"noise scale t must be positive and finite, got {t!r}")
+
+
 def _responsibilities(comps, t: float, X: np.ndarray) -> np.ndarray:
     """Posterior component probabilities, shape (m, n), normalized in the log domain.
 
@@ -93,8 +98,7 @@ def _responsibilities(comps, t: float, X: np.ndarray) -> np.ndarray:
     not positive and finite, for which the weights would be nan or silently
     wrong.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"noise scale t must be positive and finite, got {t!r}")
+    _check_noise(t)
     weights, centers, variances = comps
     r = _component_logits(weights, centers, variances + t, X)
     r -= r.max(axis=1, keepdims=True)
@@ -123,7 +127,21 @@ def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
     return out
 
 
-def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray):
+def _pair_table(dist: TargetDistribution, t: float):
+    """The x-free terms (a, mu, e, E) of :func:`_pair_spread`, which each
+    kernel call builds once for all its row blocks. Raises ValueError unless
+    ``t`` is positive and finite."""
+    _check_noise(t)
+    weights, centers, variances = _components(dist)
+    s2 = variances + t
+    mu = weights @ centers
+    e = (t / s2)[:, None] * (centers - mu)
+    # row by row, so no (n, n, d) array of differences is built
+    E = np.stack([np.einsum("nd,nd->n", e - ei, e - ei) for ei in e])
+    return variances / s2, mu, e, E
+
+
+def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray, table):
     """tr Cov(Z | X_t = x) from the pair distances of the conjugate means.
 
     Given component i the posterior mean is mu_i = a_i x + (t / s2_i) c_i with
@@ -142,20 +160,14 @@ def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray):
     The within-component variance adds d tau, with tau = sum_i r_i a_i t.
 
     Arrays are component-major, (n, m), so elementwise work runs along rows.
-    Its temporaries are (n, m), so callers pass it one row block at a time.
-    Returns (trace, r, D r, tau, E, tilt): E is the (n, n) table
-    |e_i - e_j|^2, and tilt is None when the a_i are all equal, else
-    (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
+    Its temporaries are (n, m), so callers pass it one row block at a time,
+    with ``table`` = :func:`_pair_table` (a, mu, e, E), where E is the (n, n)
+    table |e_i - e_j|^2. Returns (trace, r, D r, tau, tilt): tilt is None when
+    the a_i are all equal, else (|x~|^2, P, g) with P_im = e_i.x~_m and
+    g_ij = a_i - a_j.
     """
-    comps = _components(dist)
-    r = _responsibilities(comps, t, X).T
-    weights, centers, variances = comps
-    s2 = variances + t
-    a = variances / s2
-    mu = weights @ centers
-    e = (t / s2)[:, None] * (centers - mu)
-    # row by row, so no (n, n, d) array of differences is built
-    E = np.stack([np.einsum("nd,nd->n", e - ei, e - ei) for ei in e])
+    r = _responsibilities(_components(dist), t, X).T
+    a, mu, e, E = table
     Dr = E @ r
     tilt = None
     if np.any(a != a[0]):
@@ -167,14 +179,15 @@ def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray):
         tilt = xx, P, g
     tau = (a * t) @ r
     trace = 0.5 * np.einsum("im,im->m", r, Dr) + dist.dim * tau
-    return trace, r, Dr, tau, E, tilt
+    return trace, r, Dr, tau, tilt
 
 
 def _cov_trace(dist: TargetDistribution, t: float, X: np.ndarray) -> np.ndarray:
     """tr Cov(Z | X_t = x) alone, shape (m,), from blocks of (n, rows) temporaries."""
     out = np.empty(X.shape[0])
-    for rows in _row_blocks(X.shape[0], _components(dist)[0].size):
-        out[rows] = _pair_spread(dist, t, X[rows])[0]
+    table = _pair_table(dist, t)
+    for rows in _row_blocks(X.shape[0], table[0].size):
+        out[rows] = _pair_spread(dist, t, X[rows], table)[0]
     return out
 
 
@@ -201,10 +214,11 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = _components(dist)[0].size
+    table = _pair_table(dist, t)
+    E = table[3]
     trace, frob_sq = np.empty(X.shape[0]), np.empty(X.shape[0])
-    for rows in _row_blocks(X.shape[0], n * n):
-        tr, r, Dr, tau, E, tilt = _pair_spread(dist, t, X[rows])
+    for rows in _row_blocks(X.shape[0], E.size):
+        tr, r, Dr, tau, tilt = _pair_spread(dist, t, X[rows], table)
         rDr = np.einsum("im,im->m", r, Dr)
         u = Dr - 0.5 * rDr
         # minus twice the Gram, D_ij - u_i - u_j, built in one (n, n, rows) buffer

@@ -39,7 +39,6 @@ from .sampler import SamplerConfig, sample
 from .schedules import (
     InfeasibleError,
     LasConfig,
-    Schedule,
     grid_edm,
     grid_geometric,
     grid_time_uniform,
@@ -60,9 +59,10 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(path, obj) -> None:
+    # serialize first, so an object that strict JSON cannot hold leaves no partial file
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -136,7 +136,13 @@ def _load_target(spec: str):
 
 
 def _config_dict(args) -> dict:
+    """The manifest's config echo; it rejects a non-finite float flag, which
+    strict JSON cannot hold, before any artifact."""
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
+    for k, v in cfg.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            flag = "lambda" if k == "lam" else k.replace("_", "-")
+            raise ValueError(f"--{flag} must be finite, got {v!r}")
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
 
 
@@ -145,10 +151,10 @@ def _config_dict(args) -> dict:
 
 
 def cmd_schedule(args) -> int:
-    for flag, value in (("--T", args.T), ("--delta", args.delta)):
-        if value is not None and not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
     run = _Run(args.out, "schedule", _config_dict(args))
+    for flag, value in (("--T", args.T), ("--delta", args.delta)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{flag} must be positive, got {value!r}")
     run.stage("load")
     profile = LossProfile.from_csv(args.loss)
     lo = 1.0 / args.T if args.T is not None else None
@@ -169,12 +175,18 @@ def cmd_schedule(args) -> int:
     cfg = LasConfig(K=args.K, lam=args.lam, alpha=args.alpha)
     run.stage("optimize")
     sched = las_exact(profile, cfg) if cfg.alpha == 0 else las_beam(profile, cfg)
+    obj = sched.to_json_dict()
     if lo is not None or hi is not None:
-        # a subnormal --delta puts 1/delta at inf, which requests no upper end
-        hi = hi if hi is not None and math.isfinite(hi) else None
-        sched = dataclasses.replace(sched, requested_gammas=(lo, hi))
+        # the endpoints are the nearest in-range knots: record the requested range
+        # and each endpoint's drift g / want - 1 from it, None where no end was
+        # requested (a subnormal --delta puts 1/delta at inf) or it overflows
+        obj["requested_gammas"] = req = [lo, hi if hi is not None and math.isfinite(hi) else None]
+        obj["endpoint_drift"] = [
+            None if w is None or not math.isfinite(g / w) else g / w - 1.0
+            for g, w in zip(sched.gammas[[0, -1]].tolist(), req)
+        ]
     run.stage("write")
-    _write_json(run.path("schedule.json"), sched.to_json_dict())
+    _write_json(run.path("schedule.json"), obj)
     run.finish()
     h = np.diff(np.log(sched.gammas))
     print(f"objective {_fmt(sched.objective)} ({sched.algorithm} DP, K={sched.K})")
@@ -212,16 +224,21 @@ def cmd_grids(args) -> int:
 
 
 def _named_grids(args) -> list:
-    """(name, SnrGrid) pairs from --schedule files and --baseline kinds."""
+    """(name, SnrGrid) pairs from --schedule files and --baseline kinds.
+
+    A --schedule file is a JSON object whose ``gammas`` is a list of numbers;
+    no other key is read."""
     named = []
     for path in args.schedule or []:
-        with open(path) as fh:
-            obj = json.load(fh)
-        if "indices" in obj:
-            sched = Schedule.from_json_dict(obj)
-            named.append((path, sched.grid()))
-        else:
-            named.append((path, SnrGrid(np.asarray(obj["gammas"], dtype=float))))
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+            gammas = obj.get("gammas") if isinstance(obj, dict) else None
+            if not (isinstance(gammas, list) and all(type(g) in (int, float) for g in gammas)):
+                raise ValueError('not a JSON object whose "gammas" is a list of numbers')
+            named.append((path, SnrGrid(np.asarray(gammas, dtype=float))))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"--schedule {path}: {exc}") from None
     for kind in args.baseline or []:
         named.append((kind, _BUILDERS[kind](args)))
     if not named:
@@ -325,13 +342,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mmse_table(args) -> int:
+    run = _Run(args.out, "mmse-table", _config_dict(args))
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    if not (np.isfinite(args.gamma_min) and args.gamma_min > 0):
-        raise ValueError(f"--gamma-min must be finite and positive, got {args.gamma_min!r}")
-    if not (np.isfinite(args.gamma_max) and args.gamma_max > args.gamma_min):
-        raise ValueError(f"--gamma-max must be finite and above --gamma-min, got {args.gamma_max!r}")
-    run =_Run(args.out, "mmse-table", _config_dict(args))
+    if not 0 < args.gamma_min < args.gamma_max:
+        raise ValueError(f"need 0 < --gamma-min < --gamma-max, got {args.gamma_min!r}, {args.gamma_max!r}")
     run.stage("load")
     target = _load_target(args.target)
     curve = MmseCurve(target, policy=args.policy, n_samples=args.samples, seed=args.seed)

@@ -249,21 +249,29 @@ def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
     (Delta gamma_k / gamma_{k-1})^2, its geometric-grid value
     (C^2 H^2 / 2) K (Lambda^{1/K} - 1)^2, and the two-term KL control
     log(Lambda) (C^2 H^2 log(Lambda)/K + eps_bar), which requires
-    K >= log(Lambda) to be applicable. H and C_fit must be finite and >= 0.
+    K >= log(Lambda) to be applicable. H and C_fit must be finite and >= 0,
+    and a bound that overflows raises ValueError naming it.
     """
     _check_bound_constants(H=H, C_fit=C_fit)
     g = grid.gammas
     K = grid.K
-    c2h2 = (C_fit * H) ** 2
-    ratio_sq = float((((np.diff(g)) / g[:-1]) ** 2).sum())
+    try:
+        c2h2 = (C_fit * H) ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        c2h2 = math.inf
     log_lambda = math.log(grid.Lambda)
-    kl_total = log_lambda * (c2h2 * log_lambda / K + eps_bar)
-    return {
-        "disc_bound": 0.5 * c2h2 * ratio_sq,
-        "geo_disc_bound": 0.5 * c2h2 * K * (grid.Lambda ** (1.0 / K) - 1.0) ** 2,
-        "kl_total": kl_total,
-        "kl_total_applicable": K >= log_lambda,
-    }
+    with np.errstate(over="ignore"):
+        ratio_sq = float((((np.diff(g)) / g[:-1]) ** 2).sum())
+        out = {
+            "disc_bound": 0.5 * c2h2 * ratio_sq,
+            "geo_disc_bound": 0.5 * c2h2 * K * (grid.Lambda ** (1.0 / K) - 1.0) ** 2,
+            "kl_total": log_lambda * (c2h2 * log_lambda / K + eps_bar),
+            "kl_total_applicable": K >= log_lambda,
+        }
+    for name in ("disc_bound", "geo_disc_bound", "kl_total"):
+        if not math.isfinite(out[name]):
+            raise ValueError(f"{name} is not finite with C_fit = {C_fit!r} and H = {H!r}")
+    return out
 
 
 _PATH_CHUNK = 20_000
@@ -381,4 +389,6 @@ def error_report(
             "applicable": bounds["kl_total_applicable"],
         }
         out["bounds"] = bounds
+        if not math.isfinite(out["two_term"]["disc_term"]):
+            raise ValueError(f"disc_term is not finite with C_fit = {C_fit!r} and H = {H!r}")
     return out

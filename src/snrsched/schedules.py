@@ -120,51 +120,38 @@ class Schedule:
     """An optimized schedule: candidate indices, their SNRs, and the objective.
 
     Needs K + 1 strictly increasing indices, K + 1 finite gammas and a finite
-    objective, so ``schedule.json`` never holds NaN or Infinity.
-
-    ``requested_gammas`` is the (low, high) SNR range the candidates were
-    trimmed to, or None for an untrimmed profile; an end that was not
-    requested is None. The endpoints are the nearest in-range knots, so when
-    it is set :meth:`to_json_dict` also writes each endpoint's relative drift
-    gamma / requested - 1.
+    objective, so ``schedule.json`` never holds NaN or Infinity. ``K`` and
+    ``algorithm`` follow from the fields: K = len(indices) - 1, and the DP is
+    ``"exact"`` for alpha = 0, else ``"beam"``.
     """
 
     indices: tuple
     gammas: np.ndarray
     objective: float
-    algorithm: str
-    K: int
     lam: float
     alpha: float
     tie_breaks: int = 0
-    requested_gammas: tuple | None = None
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
-        if len(idx) != self.K + 1 or any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing with length K + 1")
         g = np.asarray(self.gammas, dtype=float)
-        if g.shape != (self.K + 1,):
-            raise ValueError("gammas must be 1-d with length K + 1")
+        if len(idx) < 2 or any(b <= a for a, b in zip(idx, idx[1:])) or g.shape != (len(idx),):
+            raise ValueError("need K + 1 >= 2 strictly increasing indices and K + 1 gammas")
         if not (np.all(np.isfinite(g)) and math.isfinite(self.objective)):
             raise ValueError("schedule gammas and objective must be finite")
-        if self.requested_gammas is not None:
-            req = self.requested_gammas
-            if not (isinstance(req, (tuple, list)) and len(req) == 2 and all(
-                v is None or (isinstance(v, (int, float)) and math.isfinite(v) and v > 0)
-                for v in req
-            )):
-                raise ValueError("requested_gammas must be two finite positive values or None")
-            object.__setattr__(self, "requested_gammas",
-                               tuple(None if v is None else float(v) for v in req))
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "gammas", g)
 
-    def grid(self) -> SnrGrid:
-        return SnrGrid(self.gammas)
+    @property
+    def K(self) -> int:
+        return len(self.indices) - 1
+
+    @property
+    def algorithm(self) -> str:
+        return "exact" if self.alpha == 0 else "beam"
 
     def to_json_dict(self) -> dict:
-        obj = {
+        return {
             "indices": list(self.indices),
             "gammas": [float(g) for g in self.gammas],
             "K": self.K,
@@ -174,35 +161,6 @@ class Schedule:
             "algorithm": self.algorithm,
             "tie_breaks": self.tie_breaks,
         }
-        if self.requested_gammas is not None:
-            obj["requested_gammas"] = list(self.requested_gammas)
-            obj["endpoint_drift"] = [
-                _drift(float(g), want) for g, want in zip(self.gammas[[0, -1]], self.requested_gammas)
-            ]
-        return obj
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Schedule":
-        return cls(
-            indices=tuple(obj["indices"]),
-            gammas=np.asarray(obj["gammas"], dtype=float),
-            objective=float(obj["objective"]),
-            algorithm=str(obj["algorithm"]),
-            K=int(obj["K"]),
-            lam=float(obj["lambda"]),
-            alpha=float(obj["alpha"]),
-            tie_breaks=int(obj.get("tie_breaks", 0)),
-            requested_gammas=obj.get("requested_gammas"),
-        )
-
-
-def _drift(gamma: float, want: float | None) -> float | None:
-    """Relative drift gamma / want - 1 of an endpoint; None where no end was
-    requested or the ratio overflows, so ``schedule.json`` stays strict JSON."""
-    if want is None:
-        return None
-    drift = gamma / want - 1.0
-    return drift if math.isfinite(drift) else None
 
 
 def schedule_objective(profile: LossProfile, indices, lam: float, alpha: float) -> float:
@@ -221,13 +179,11 @@ def _feasible(profile: LossProfile, K: int) -> None:
         raise InfeasibleError(f"K = {K} needs at least K + 1 = {K + 1} candidates, got {profile.n}")
 
 
-def _make_schedule(profile, indices, cfg, algorithm, tie_breaks=0) -> Schedule:
+def _make_schedule(profile, indices, cfg, tie_breaks=0) -> Schedule:
     return Schedule(
         indices=tuple(indices),
         gammas=profile.gammas[np.asarray(indices, dtype=int)],
         objective=schedule_objective(profile, indices, cfg.lam, cfg.alpha),
-        algorithm=algorithm,
-        K=cfg.K,
         lam=cfg.lam,
         alpha=cfg.alpha,
         tie_breaks=tie_breaks,
@@ -270,7 +226,7 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
         j = indices[-1]
         indices.append(int(np.argmin(dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j])))
     indices.reverse()
-    return _make_schedule(profile, indices, cfg, "exact", tie_breaks=ties)
+    return _make_schedule(profile, indices, cfg, tie_breaks=ties)
 
 
 def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
@@ -288,8 +244,8 @@ def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
     no case of its own. Every pair is kept, so the result is exact. Ties go
     to the smallest a, and in the final pick over V[:, end] to the smallest
     b. Time is O(K n^3) and memory O(K n^2) (int32 predecessors): about
-    0.1 s at n = 128 and 20 s at n = 1024 with K = 20. The name and the
-    "beam" label are kept for existing callers and schedule files.
+    0.1 s at n = 128 and 20 s at n = 1024 with K = 20. The name, and the
+    "beam" that :attr:`Schedule.algorithm` reads for alpha > 0, are kept.
     """
     if not cfg.alpha > 0:
         raise ValueError("las_beam requires alpha > 0; use las_exact for alpha = 0")
@@ -325,4 +281,4 @@ def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
         b, c = int(par[k, b, c]), b
         indices.append(b)
     indices.reverse()
-    return _make_schedule(profile, indices, cfg, "beam")
+    return _make_schedule(profile, indices, cfg)

@@ -402,24 +402,27 @@ def target_to_json(dist: TargetDistribution) -> dict:
 
 
 def target_from_json(obj: dict) -> TargetDistribution:
-    """Build a target from the distribution-spec JSON object."""
-    variant = obj.get("variant")
-    dim = int(obj.get("dim", 0))
-    if variant == "gmm":
-        comps = obj["components"]
-        dist = GaussianMixture(
-            weights=np.array([c["w"] for c in comps]),
-            means=np.array([c["mean"] for c in comps]),
-            sigmas=np.array([c["sigma"] for c in comps]),
-        )
-    elif variant == "discrete":
-        atoms = obj["atoms"]
-        dist = FiniteDiscrete(
-            points=np.array([a["x"] for a in atoms]),
-            probs=np.array([a["p"] for a in atoms]),
-        )
-    else:
-        raise ValueError(f"unknown target variant: {variant!r}")
+    """Build a target from the distribution-spec JSON object; ValueError if malformed."""
+    try:
+        variant = obj.get("variant")
+        dim = int(obj.get("dim", 0))
+        if variant == "gmm":
+            comps = obj["components"]
+            dist = GaussianMixture(
+                weights=np.array([c["w"] for c in comps]),
+                means=np.array([c["mean"] for c in comps]),
+                sigmas=np.array([c["sigma"] for c in comps]),
+            )
+        elif variant == "discrete":
+            atoms = obj["atoms"]
+            dist = FiniteDiscrete(
+                points=np.array([a["x"] for a in atoms]),
+                probs=np.array([a["p"] for a in atoms]),
+            )
+        else:
+            raise ValueError(f"unknown target variant: {variant!r}")
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed target spec: {exc}") from None
     if dim and dist.dim != dim:
         raise ValueError(f"declared dim {dim} does not match data dim {dist.dim}")
     return dist

@@ -206,7 +206,7 @@ def test_c09_toy_nll_ordering_las_tu_edm():
     risks = np.array([curve.mmse(g)[0] for g in knots])
     cands = LossProfile(gammas=knots, losses=risks)
     for K in (5, 7):
-        las_grid = las_exact(cands, LasConfig(K=K, lam=0.7)).grid()
+        las_grid = SnrGrid(las_exact(cands, LasConfig(K=K, lam=0.7)).gammas)
         runs = {
             "las": (las_grid, 100),
             "tu": (grid_time_uniform(T, delta, K), 200),

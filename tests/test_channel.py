@@ -224,9 +224,9 @@ def test_mmse_kernel_rows_are_the_pruned_grid(monkeypatch):
     rows = []
     kernel = channel._pair_spread
 
-    def counting(dist, t, X):
+    def counting(dist, t, X, table):
         rows.append(len(X))
-        return kernel(dist, t, X)
+        return kernel(dist, t, X, table)
 
     monkeypatch.setattr(channel, "_pair_spread", counting)
     MmseCurve(build_toy("circle8")).mmse(2.0)

@@ -406,16 +406,14 @@ def test_schedule_trim_records_requested_range_and_endpoint_drift(tmp_path):
     assert obj["endpoint_drift"] == [g0 / lo - 1.0, gK / hi - 1.0]
     step = gammas[1] / gammas[0] - 1.0
     assert 0.0 < obj["endpoint_drift"][0] < step and -step < obj["endpoint_drift"][1] < 0.0
-    assert snrsched.Schedule.from_json_dict(obj).requested_gammas == (lo, hi)
     # one end only: the other is null
     assert main(base + ["--T", "0.4", "--out", str(tmp_path / "lo")]) == 0
     obj = json.loads((tmp_path / "lo" / "schedule.json").read_text())
     assert obj["requested_gammas"] == [lo, None] and obj["endpoint_drift"][1] is None
-    # untrimmed: neither key, and the file loads as before
+    # untrimmed: neither key
     assert main(base + ["--out", str(tmp_path / "all")]) == 0
     obj = json.loads((tmp_path / "all" / "schedule.json").read_text())
     assert "requested_gammas" not in obj and "endpoint_drift" not in obj
-    assert snrsched.Schedule.from_json_dict(obj).requested_gammas is None
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +740,118 @@ def test_failed_run_leaves_no_out_dir(tmp_path, case, code):
     out = tmp_path / "run"
     assert main(_failing_argv(tmp_path, case) + ["--out", str(out)]) == code
     assert not out.exists()
+
+
+def test_write_json_leaves_no_partial_file(tmp_path):
+    from snrsched.cli import _write_json
+
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"a": 1.0, "b": math.nan})
+    assert not path.exists()
+
+
+def _gammas_file(tmp_path, obj, name="plain.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["grids", "--kind", "geometric", "--K", "4", "--rho", "nan"], "--rho"),
+    (["report", "--target", "circle8", "--schedule", None, "--T", "nan"], "--T"),
+    (["simulate", "--target", "circle8", "--schedule", None, "--samples", "10",
+      "--delta", "inf"], "--delta"),
+])
+def test_unused_nonfinite_flag_leaves_no_out_dir(tmp_path, capsys, argv, flag):
+    # the flag is read by nothing in the run, but the manifest's config echo
+    # is strict JSON, so it is rejected before the first artifact
+    sched = _gammas_file(tmp_path, {"gammas": [1.0, 10.0, 100.0]})
+    out = tmp_path / "run"
+    assert main([sched if a is None else a for a in argv] + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--entropy", "1e160"], "disc_bound"),
+    (["--c-fit", "1e200", "--entropy", "1"], "disc_bound"),
+    (["--entropy", "1e154"], "disc_bound"),
+    # every bound is finite, but log(Lambda)^2 (C H)^2 overflows before the / K
+    (["--K", "8", "--entropy", "2.12e153"], "disc_term"),
+])
+def test_report_overflowing_bound_leaves_no_out_dir(tmp_path, capsys, flags, name):
+    out = tmp_path / "run"
+    argv = ["report", "--target", "circle8", "--baseline", "geometric", "--K", "4"]
+    assert main(argv + flags + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{name} is not finite" in capsys.readouterr().err
+
+
+_GMM = {"variant": "gmm", "dim": 1, "components": [{"w": 1.0, "mean": [0.0], "sigma": 1.0}]}
+
+
+@pytest.mark.parametrize("spec", [
+    [_GMM],
+    dict(_GMM, dim=[1]),
+    dict(_GMM, components=5),
+    dict(_GMM, components=[{"w": 1.0, "mean": [0.0], "sigma": {"a": 1}}]),
+], ids=["top_level_list", "list_dim", "int_components", "dict_sigma"])
+def test_malformed_target_json_exits_2(tmp_path, spec):
+    target = _gammas_file(tmp_path, spec, "target.json")
+    out = tmp_path / "run"
+    argv = ["report", "--target", target, "--baseline", "geometric", "--K", "4", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# --schedule files
+
+
+@pytest.mark.parametrize("alpha", ["0", "2"])
+def test_schedule_file_runs_report_and_simulate_on_its_gammas(tmp_path, capsys, alpha):
+    loss = tmp_path / "p32.csv"
+    gammas = np.geomspace(1.0, 1e3, 32)
+    write_loss_csv(loss, gammas, 2.0 / (1.0 + gammas))
+    assert main(["schedule", "--loss", str(loss), "--K", "5", "--alpha", alpha,
+                 "--out", str(tmp_path / "s")]) == 0
+    path = str(tmp_path / "s" / "schedule.json")
+    sched = json.loads((tmp_path / "s" / "schedule.json").read_text())
+    assert sched["algorithm"] == ("exact" if alpha == "0" else "beam")
+    want = np.array(sched["gammas"]).tobytes()
+
+    assert main(["report", "--target", "circle8", "--schedule", path,
+                 "--out", str(tmp_path / "r")]) == 0
+    (entry,) = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert np.array(entry["gammas"]).tobytes() == want and entry["K"] == sched["K"] == 5
+
+    capsys.readouterr()
+    assert main(["simulate", "--target", "circle8", "--schedule", path, "--samples", "50",
+                 "--out", str(tmp_path / "sim")]) == 0
+    rep = json.loads((tmp_path / "sim" / "sample_report.json").read_text())
+    assert np.array(rep["gammas"]).tobytes() == want
+    assert "K=5 " in capsys.readouterr().out
+
+    # a plain {"gammas": [...]} file, and a schedule file whose other keys are
+    # mangled, read the same grid: only "gammas" is read
+    plain = _gammas_file(tmp_path, {"gammas": sched["gammas"]})
+    mangled = _gammas_file(tmp_path, dict(sched, K=[1], indices="x"), "mangled.json")
+    for i, p in enumerate((plain, mangled)):
+        out = tmp_path / f"r{i}"
+        assert main(["report", "--target", "circle8", "--schedule", p, "--out", str(out)]) == 0
+        (other,) = json.loads((out / "report.json").read_text())
+        assert dict(other, name=path) == entry
+
+
+@pytest.mark.parametrize("obj", [[1.0, 10.0], {"gammas": "1,10"}, {"gammas": ["1", "10"]}],
+                         ids=["top_level_list", "non_list_gammas", "string_gammas"])
+def test_schedule_file_must_hold_a_list_of_numbers(tmp_path, capsys, obj):
+    bad = _gammas_file(tmp_path, obj, "bad.json")
+    out = tmp_path / "run"
+    assert main(["report", "--target", "circle8", "--schedule", bad, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert bad in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

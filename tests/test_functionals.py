@@ -220,6 +220,17 @@ def test_final_bounds_rejects_nonfinite_or_negative_constants(H, C_fit):
         final_bounds(SnrGrid([1.0, 10.0, 100.0]), H=H, C_fit=C_fit, eps_bar=0.0)
 
 
+@pytest.mark.parametrize("H, C_fit, eps_bar, name", [
+    (1e160, 1.0, 0.0, "disc_bound"), (1.0, 1e200, 0.0, "disc_bound"),
+    (1e154, 1.0, 0.0, "disc_bound"), (1.0, 1.0, 1e308, "kl_total"),
+])
+def test_final_bounds_rejects_overflowing_bound(H, C_fit, eps_bar, name):
+    # (C H)^2 overflows the float power at C H = 1e160; at 1e154 it is 1e308
+    # and the products that make the bounds overflow
+    with pytest.raises(ValueError, match=name):
+        final_bounds(SnrGrid([1.0, 10.0, 100.0]), H=H, C_fit=C_fit, eps_bar=eps_bar)
+
+
 def test_final_bounds_geometric_equality():
     grid = SnrGrid(np.geomspace(0.5, 500.0, 11))
     out = final_bounds(grid, H=0.9, C_fit=1.3, eps_bar=0.1)
