@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from . import __version__, verify
+from . import __version__
 from .channel import MmseCurve
 from .functionals import LossProfile, SnrGrid, combined_objective, error_report
 from .sampler import SamplerConfig, sample
@@ -271,7 +271,7 @@ def cmd_report(args) -> int:
             str(e["K"]),
             _fmt(e["e_disc"]),
             _fmt(e["e_apx"]),
-            _fmt(e.get("combined_objective", float("nan"))),
+            _fmt(e["combined_objective"]) if "combined_objective" in e else "",
             _fmt(e["kl_path_bound"]),
         )
         for e in reports
@@ -362,6 +362,8 @@ def cmd_mmse_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # here, so no other subcommand loads the battery
+
     run = _Run(args.out, "verify", _config_dict(args)) if args.out else None
     target = _load_target(args.target) if args.target else None
     results = verify.run_checks(args.suite, target, args.seed)
@@ -373,6 +375,21 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+# verify.SUITES and "all"; a literal, so building the parser does not import verify
+_SUITE_CHOICES = ("entropy", "mmse", "dp", "grids", "errors", "sampler", "all")
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer >= 0, as numpy's seeding needs."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
 
 
 def _add_endpoint_flags(p):
@@ -411,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", default=None)
     p.add_argument("--entropy", type=float, default=None, help="Shannon entropy for the bounds")
     p.add_argument("--c-fit", dest="c_fit", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_endpoint_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
@@ -421,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", action="append")
     p.add_argument("--baseline", action="append", choices=list(_BUILDERS))
     p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--order", choices=["first", "second"], default="first")
     p.add_argument("--init", choices=["exact_forward", "gaussian_prior"], default="exact_forward")
     p.add_argument("--sigma-err", dest="sigma_err", type=float, default=0.0)
@@ -431,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the numerical verification battery")
-    p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
+    p.add_argument("--suite", choices=_SUITE_CHOICES, default="all")
     p.add_argument("--target", default=None, help="optional target for target-specific checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -444,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=33)
     p.add_argument("--policy", choices=["auto", "closed_form", "quadrature", "monte_carlo"], default="auto")
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mmse_table)
 

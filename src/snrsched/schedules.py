@@ -229,6 +229,11 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     return _make_schedule(profile, indices, cfg, tie_breaks=ties)
 
 
+# (a, b, c) costs per block of consecutive b in las_beam; a block of one b
+# holds that b's whole (c, a) plane, whatever its size
+_BLOCK_CELLS = 2**15
+
+
 def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
     """Globally optimal second-order schedule by a DP over index pairs.
 
@@ -237,15 +242,21 @@ def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
     extends every pair by c > b,
 
         V'[b, c] = min_a V[a, b] + (eta_c - eta_b) L_b
-                   + alpha ((ell_c - ell_b) - (ell_b - ell_a))^2,
+                   + alpha ((ell_c - ell_b) - (ell_b - ell_a))^2.
 
-    with numpy over (a, c) for one b at a time, so no n^3 temporary is built.
-    Stage K is the same step with c pinned to the endpoint, so K = 1 needs
-    no case of its own. Every pair is kept, so the result is exact. Ties go
-    to the smallest a, and in the final pick over V[:, end] to the smallest
-    b. Time is O(K n^3) and memory O(K n^2) (int32 predecessors): about
-    0.1 s at n = 128 and 20 s at n = 1024 with K = 20. The name, and the
-    "beam" that :attr:`Schedule.algorithm` reads for alpha > 0, are kept.
+    A stage runs over blocks of consecutive b, each one (b, c, a) array of
+    at most ``_BLOCK_CELLS`` costs (or one b's whole plane) in a reused
+    buffer, built by in-place passes in the float order above with a last,
+    so the first minimum along the contiguous axis is the smallest a. Pairs
+    with a >= b are inf in V and outputs with c <= b are reset to inf, so
+    the blocks' extra cells never win. Stage K is the same step with c
+    pinned to the endpoint, so K = 1 needs no case of its own. Every pair
+    is kept, so the result is exact. Ties go to the smallest a, and in the
+    final pick over V[:, end] to the smallest b. Time is O(K n^3) and
+    memory O(K n^2), the predecessor table at one byte per entry up to
+    n = 256 and two beyond: about 0.04 s at n = 128 and 19 s at n = 1024
+    with K = 20 on one Xeon thread. The name, and the "beam" that
+    :attr:`Schedule.algorithm` reads for alpha > 0, are kept.
     """
     if not cfg.alpha > 0:
         raise ValueError("las_beam requires alpha > 0; use las_exact for alpha = 0")
@@ -255,6 +266,7 @@ def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
     end = n - 1
     eta = eta_axis(profile.gammas, cfg.lam)
     ell = np.log(profile.gammas)
+    dl = ell[None, :] - ell[:, None]  # dl[x, y] = ell_y - ell_x = -dl[y, x]
     L = profile.losses
     alpha = cfg.alpha
 
@@ -262,17 +274,37 @@ def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
     # every pair extendable to the pinned endpoint
     V = np.full((n, n), np.inf)
     V[0, 1 : end - (K - 1) + 1] = (eta[1 : end - (K - 1) + 1] - eta[0]) * L[0]
-    par = np.zeros((K + 1, n, n), dtype=np.int32)
+    par = np.zeros((K + 1, n, n), dtype=np.min_scalar_type(end))
+    # one b's plane has A + C = n - K + 1, so at most (n - K + 1)^2 / 4 cells
+    size = max(_BLOCK_CELLS, (n - K + 1) ** 2 // 4)
+    cost_buf, dh_buf = np.empty(size), np.empty(size)
+    c_le_b = np.tri(n, dtype=bool)
     for k in range(2, K + 1):
         hi_c = end - (K - k)
         nxt = np.full((n, n), np.inf)
-        for b in range(k - 1, hi_c):
-            a, c = slice(k - 2, b), slice(end if k == K else b + 1, hi_c + 1)
-            cost = V[a, b, None] + (eta[c] - eta[b]) * L[b] + alpha * (
-                (ell[c] - ell[b])[None, :] - (ell[b] - ell[a])[:, None]
-            ) ** 2
-            nxt[b, c] = cost.min(axis=0)
-            par[k, b, c] = np.argmin(cost, axis=0) + (k - 2)  # first minimum = smallest a
+        b0 = k - 1
+        while b0 < hi_c:
+            c0 = end if k == K else b0 + 1
+            C = hi_c + 1 - c0
+            b1 = b0 + 1
+            while b1 < hi_c and (b1 + 2 - k) * (b1 + 1 - b0) * C <= _BLOCK_CELLS:
+                b1 += 1
+            A, B = b1 - k + 1, b1 - b0
+            ia, ib, ic = slice(k - 2, b1 - 1), slice(b0, b1), slice(c0, hi_c + 1)
+            cost = cost_buf[: A * B * C].reshape(B, C, A)
+            dh = dh_buf[: A * B * C].reshape(B, C, A)
+            step = (eta[ic] - eta[ib, None]) * L[ib, None]
+            np.add(V[ia, ib].T.copy()[:, None, :], step[:, :, None], out=cost)  # contiguous a
+            np.add(dl[ib, ic, None], dl[ib, None, ia], out=dh)  # dl[b, c] - dl[a, b]
+            dh *= dh
+            dh *= alpha
+            cost += dh
+            arg = cost.argmin(axis=2)
+            # flat offset of each (b, c) row's first minimum
+            nxt[ib, ic] = cost_buf.take(arg + np.arange(0, A * B * C, A).reshape(B, C))
+            par[k, ib, ic] = arg + (k - 2)
+            b0 = b1
+        nxt[c_le_b] = np.inf
         V = nxt
 
     b, c = int(np.argmin(V[:, end])), end

@@ -583,6 +583,37 @@ def test_mmse_table_rejects_bad_gamma_range_before_oracle_work(
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--target", "circle8", "--baseline", "geometric", "--K", "4"],
+    ["simulate", "--target", "circle8", "--baseline", "geometric", "--K", "4", "--samples", "10"],
+    ["mmse-table", "--target", "circle8", "--points", "2"],
+    ["verify", "--suite", "grids"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_seed_exits_2_in_the_parser(tmp_path, capsys, argv, seed):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss", [False, True])
+def test_report_csv_holds_no_nan_or_inf(tmp_path, loss):
+    argv = ["report", "--target", "circle8", "--baseline", "geometric", "--K", "4"]
+    if loss:
+        write_loss_csv(tmp_path / "loss.csv", np.geomspace(0.5, 2000.0, 9), np.full(9, 0.5))
+        argv += ["--loss", str(tmp_path / "loss.csv")]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    header, rows = read_csv(out / "report.csv")
+    fields = [f.strip().lower().lstrip("+-") for row in rows for f in row]
+    assert not {"nan", "inf", "infinity"} & set(fields)
+    combined = rows[0][header.index("combined_objective")]
+    assert (combined != "") == loss
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -674,6 +705,12 @@ def test_verify_mixture_target_skips_discrete_only_row():
         row for row in VERIFY_ROWS if row[0] == "grids"
     ] + VERIFY_ROWS[-4:-1]
     assert all(r["ok"] for r in results)
+
+
+def test_suite_choices_match_verify_suites():
+    from snrsched import cli, verify
+
+    assert cli._SUITE_CHOICES == (*verify.SUITES, "all")
 
 
 def test_verify_rejects_unknown_suite():
@@ -874,6 +911,12 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_verify_unloaded():
+    proc = _run_python("-c", "import sys, snrsched.cli; print('snrsched.verify' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_discrete_target_leaves_numpy_ma_unloaded():

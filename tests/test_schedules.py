@@ -20,6 +20,7 @@ from oracles import (
     random_candidates,
     second_order_objective,
 )
+from snrsched import schedules
 from snrsched.functionals import LossProfile
 from snrsched.schedules import (
     InfeasibleError,
@@ -295,6 +296,49 @@ def test_las_beam_matches_stage_major_pair_dp_indices():
             risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
         sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam, alpha=alpha))
         assert tuple(sched.indices) == pair_dp(gam, risks, K, lam, alpha), (n, K, lam, alpha, case)
+
+
+def _pair_dp_instances(count):
+    """The first ``count`` instances of the stage-major pair-DP test above."""
+    rng = np.random.default_rng(9)
+    for case in range(count):
+        n = int(rng.integers(2, 17))
+        K = int(rng.integers(1, n))
+        lam = float(rng.choice([0.3, 1.5, 4.0]))
+        alpha = float(rng.choice([1e-3, 0.1, 1.0, 12.0]))
+        if case % 4 < 2:
+            gam, risks = random_candidates(rng, n)
+        elif case % 4 == 2:
+            gam, _ = random_candidates(rng, n)
+            risks = rng.choice([0.0, 0.5, 1.0], size=n)
+        else:
+            gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
+            risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
+        yield gam, risks, K, lam, alpha
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, schedules._BLOCK_CELLS])
+def test_las_beam_block_size_keeps_indices(monkeypatch, cells):
+    # 1 makes every block one b; 7 splits stage K into several b per block
+    # with a shorter last block, and 64 does so at the inner stages too;
+    # n <= 16 puts a whole stage in one block at the default
+    monkeypatch.setattr(schedules, "_BLOCK_CELLS", cells)
+    for gam, risks, K, lam, alpha in _pair_dp_instances(200):
+        sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam, alpha=alpha))
+        assert tuple(sched.indices) == pair_dp(gam, risks, K, lam, alpha), (cells, K, lam, alpha)
+
+
+def test_las_beam_predecessors_past_255():
+    # the optimum's first interior knot is 260, which a one-byte
+    # predecessor table would wrap to 4; the table widens with n
+    gam = np.geomspace(0.1, 10.0, 300)
+    risks = np.where(np.arange(300) < 260, 2.0, 0.01)
+    risks[0] = 0.01
+    sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=3, alpha=1e-3))
+    best_idx, best_obj = brute_second_order(gam, risks, 3, 1.5, 1e-3)
+    assert best_idx[1] > 255
+    assert tuple(sched.indices) == best_idx
+    assert sched.objective == pytest.approx(best_obj, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 1.0])
