@@ -45,7 +45,6 @@ from .targets import (
     fit_subexponential,
     renyi_half_entropy,
     shannon_entropy,
-    surprisal,
     target_from_json,
     target_to_json,
 )

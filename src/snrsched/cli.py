@@ -6,7 +6,7 @@ schedule    optimize a schedule from a loss-profile CSV
 grids       emit baseline SNR grids (time-uniform, geometric, EDM)
 report      error functionals for schedules against a tractable target
 simulate    run the reverse sampler and score NLL under the true target
-verify      run the numerical verification battery
+verify      check a target's oracle and entropy properties
 mmse-table  tabulate mmse(gamma) and its derivative as CSV
 
 Every artifact-writing run also writes a ``manifest.json`` with the resolved
@@ -45,7 +45,7 @@ from .schedules import (
     las_beam,
     las_exact,
 )
-from .targets import FiniteDiscrete, build_toy, shannon_entropy, target_from_json
+from .targets import FiniteDiscrete, build_toy, shannon_entropy, target_from_json, toy_discrete
 
 __all__ = ["main"]
 
@@ -347,6 +347,8 @@ def cmd_mmse_table(args) -> int:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if not 0 < args.gamma_min < args.gamma_max:
         raise ValueError(f"need 0 < --gamma-min < --gamma-max, got {args.gamma_min!r}, {args.gamma_max!r}")
+    if not math.isfinite(1.0 / args.gamma_min):
+        raise ValueError(f"1/--gamma-min must be finite, got {args.gamma_min!r}")
     run.stage("load")
     target = _load_target(args.target)
     curve = MmseCurve(target, policy=args.policy, n_samples=args.samples, seed=args.seed)
@@ -362,11 +364,17 @@ def cmd_mmse_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify  # here, so no other subcommand loads the battery
+    from . import verify  # here, so no other subcommand loads the checks
 
     run = _Run(args.out, "verify", _config_dict(args)) if args.out else None
-    target = _load_target(args.target) if args.target else None
-    results = verify.run_checks(args.suite, target, args.seed)
+    if args.target:
+        targets = {args.target: _load_target(args.target)}
+    else:
+        targets = {}
+        for name in ("circle8", "grid8"):
+            targets[name] = build_toy(name)
+            targets[f"{name}_discrete"] = toy_discrete(name)
+    results = verify.run_checks(targets, args.seed)
     if run is not None:
         _write_json(run.path("verify.json"), results)
         run.finish()
@@ -375,10 +383,6 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-# verify.SUITES and "all"; a literal, so building the parser does not import verify
-_SUITE_CHOICES = ("entropy", "mmse", "dp", "grids", "errors", "sampler", "all")
 
 
 def _seed(text: str) -> int:
@@ -447,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the numerical verification battery")
-    p.add_argument("--suite", choices=_SUITE_CHOICES, default="all")
-    p.add_argument("--target", default=None, help="optional target for target-specific checks")
+    p = sub.add_parser("verify", help="check a target's oracle and entropy properties")
+    p.add_argument("--target", default=None, help="circle8, grid8, or a target JSON file "
+                   "(default: both toys and their discrete companions)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

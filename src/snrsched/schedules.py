@@ -61,6 +61,8 @@ def eta_axis(gamma, lam: float):
 def _check_endpoints(T: float, delta: float, K: int) -> None:
     if not 0 < delta < T:
         raise ValueError("need 0 < delta < T")
+    if not math.isfinite(1.0 / float(delta)):  # a float quotient overflows without a warning
+        raise ValueError(f"1/delta must be finite, got delta={delta!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
 
@@ -69,7 +71,9 @@ def grid_time_uniform(T: float, delta: float, K: int) -> SnrGrid:
     """Equally spaced reverse times s_k = k (T - delta) / K, so gamma_k = 1/(T - s_k)."""
     _check_endpoints(T, delta, K)
     s = np.linspace(0.0, T - delta, K + 1)
-    g = 1.0 / (T - s)
+    g = np.empty(K + 1)
+    # interior knots only: T - s_K can round to 0 when delta is below half an ulp of T
+    g[1:-1] = 1.0 / (T - s[1:-1])
     g[0], g[-1] = 1.0 / T, 1.0 / delta
     return SnrGrid(g)
 

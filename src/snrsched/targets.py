@@ -10,9 +10,10 @@ pathwise KL estimates) can be checked against closed forms or quadrature:
 :func:`build_toy` and :func:`toy_discrete` build the bundled circle8 and
 grid8 toy priors of each family.
 
-The entropy functionals (surprisal, Shannon entropy, order-1/2 Renyi entropy,
-sub-exponential surprisal fit) are defined for the discrete family only;
-differential entropy of the mixture family is deliberately out of scope.
+The entropy functionals (Shannon entropy, order-1/2 Renyi entropy, the
+sub-exponential fit of the surprisal -log p_i) are defined for the discrete
+family only; differential entropy of the mixture family is deliberately out
+of scope.
 
 Determinism policy: all sums over atoms are taken in ascending-probability
 order with exact compensated summation (``math.fsum``), so entropy values are
@@ -32,7 +33,6 @@ __all__ = [
     "TargetDistribution",
     "build_toy",
     "toy_discrete",
-    "surprisal",
     "shannon_entropy",
     "renyi_half_entropy",
     "fit_subexponential",
@@ -288,14 +288,6 @@ def _sorted_by_prob(dist: FiniteDiscrete) -> np.ndarray:
     return np.sort(dist.probs, kind="stable")
 
 
-def surprisal(dist: TargetDistribution, atom_index: int) -> float:
-    """Information content -log p_i of a single atom, in nats."""
-    d = _require_discrete(dist)
-    if not 0 <= atom_index < d.n_atoms:
-        raise IndexError(f"atom_index {atom_index} out of range [0, {d.n_atoms})")
-    return -math.log(d.probs[atom_index])
-
-
 def shannon_entropy(dist: TargetDistribution) -> float:
     """Shannon entropy H = sum_i p_i log(1/p_i) in nats."""
     p = _sorted_by_prob(_require_discrete(dist))
@@ -349,8 +341,10 @@ def fit_subexponential(dist: TargetDistribution, b: float) -> InfoProfile:
 
     With b <= 2 the grid contains lam = 1/2 whenever 1/b is a multiple of
     1/2 over the half-grid; in particular b = 2 puts lam = 1/2 on the grid,
-    and M(1/2) = exp((H_{1/2} - H)/2), so the fitted profile always satisfies
-    H_{1/2} <= H + nu^2/2.
+    and M(1/2) = exp((H_{1/2} - H)/2), so in exact arithmetic the fitted
+    profile satisfies H_{1/2} <= H + nu^2/2. The bound is attained when
+    lam = 1/2 sets nu^2, as on both toys; there the computed H_{1/2} can
+    exceed it by an ulp (2.2e-16 on the toys), so a check needs a slack.
     """
     d = _require_discrete(dist)
     if not 0 < b <= 2:

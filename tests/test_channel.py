@@ -256,6 +256,9 @@ def test_mmse_derivative_matches_finite_difference():
     assert d_pkg < 0.0
     # and against the fully independent integration route
     assert d_pkg == pytest.approx(central_diff(two_atom_mmse, 2.0), rel=1e-6)
+    for gamma in (0.5, 8.0):
+        fd = central_diff(lambda g: mmse(TWO, g, "quadrature")[0], gamma)
+        assert mmse_derivative(TWO, gamma, "quadrature")[0] == pytest.approx(fd, rel=1e-3)
 
 
 def test_mmse_curve_monotone_and_bounded():

@@ -14,6 +14,7 @@ import pytest
 
 from oracles import brute_first_order, eta_of
 import snrsched
+from snrsched import channel, targets, verify
 from snrsched.cli import main
 from snrsched.targets import build_toy, target_to_json, toy_discrete
 
@@ -583,11 +584,28 @@ def test_mmse_table_rejects_bad_gamma_range_before_oracle_work(
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["grids", "--kind", "time_uniform", "--delta", "1e-320"], "delta"),
+    (["grids", "--kind", "geometric", "--delta", "1e-320"], "delta"),
+    (["grids", "--kind", "edm", "--delta", "1e-320"], "delta"),
+    (["mmse-table", "--target", "circle8", "--gamma-min", "1e-320", "--gamma-max", "1"],
+     "--gamma-min"),
+], ids=["time_uniform", "geometric", "edm", "mmse-table"])
+def test_overflowing_reciprocal_names_its_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--target", "circle8", "--baseline", "geometric", "--K", "4"],
     ["simulate", "--target", "circle8", "--baseline", "geometric", "--K", "4", "--samples", "10"],
     ["mmse-table", "--target", "circle8", "--points", "2"],
-    ["verify", "--suite", "grids"],
+    ["verify", "--target", "circle8"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
 def test_bad_seed_exits_2_in_the_parser(tmp_path, capsys, argv, seed):
@@ -619,58 +637,32 @@ def test_report_csv_holds_no_nan_or_inf(tmp_path, loss):
 
 
 VERIFY_ROWS = [
-    ("entropy", "uniform8 entropies equal log 8"),
-    ("entropy", "entropy ordering H <= H_1/2 <= log n"),
-    ("entropy", "sub-exponential fit bounds the Renyi gap"),
-    ("entropy", "mean surprisal equals H"),
-    ("entropy", "permutation determinism"),
-    ("mmse", "two-atom symmetry point"),
-    ("mmse", "two-atom tanh posterior mean"),
-    ("mmse", "single-Gaussian conjugate mean"),
-    ("mmse", "mmse derivative matches finite differences"),
-    ("mmse", "posterior moment inequalities"),
-    ("mmse", "mmse nonincreasing"),
-    ("mmse", "mmse below prior variance"),
-    ("mmse", "fourth moment dominates tr(Cov^2)"),
-    ("dp", "first-order DP vs brute force"),
-    ("dp", "second-order DP vs brute force"),
-    ("dp", "endpoint pinning"),
-    ("dp", "constant-risk tie break"),
-    ("grids", "builder endpoints"),
-    ("grids", "geometric grid has equal log steps"),
-    ("grids", "EDM rho=1 linear in sigma"),
-    ("grids", "geometric optimality (random probes)"),
-    ("grids", "Lambda equals product of ratios"),
-    ("errors", "closed-form discretization constant"),
-    ("errors", "objective decomposition identity"),
-    ("errors", "exact-loss profile has zero E_apx"),
-    ("errors", "eps to x0 conversion"),
-    ("errors", "final bounds arithmetic"),
-    ("errors", "pathwise KL MC vs area gap"),
-    ("sampler", "reverse step moments"),
-    ("sampler", "point-mass contraction"),
-    ("sampler", "seed determinism"),
-    ("sampler", "single-Gaussian terminal law"),
-    ("sampler", "second order equals first on constant denoiser"),
-    ("target", "posterior weights normalize"),
-    ("target", "mmse nonincreasing"),
-    ("target", "discretization error nonnegative"),
-    ("target", "entropy ordering"),
+    "posterior weights normalize",
+    "mmse nonincreasing",
+    "discretization error nonnegative",
+    "entropy ordering H <= H_1/2 <= log n",
+    "mmse below prior variance",
+    "mmse derivative matches finite differences",
+    "sub-exponential fit bounds the Renyi gap",
+    "fourth moment dominates tr(Cov^2)",
+    "I-MMSE integral within Riemann bracket",
 ]
+DISCRETE_ONLY = {VERIFY_ROWS[3], VERIFY_ROWS[6], VERIFY_ROWS[7]}
+MIXTURE_ROWS = [label for label in VERIFY_ROWS if label not in DISCRETE_ONLY]
 
 
-def test_verify_dp_suite(tmp_path, capsys):
-    rc = main(["verify", "--suite", "dp", "--seed", "0"])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "[PASS] dp:" in text
-    assert "FAIL" not in text
-
-
-def test_verify_mmse_suite(capsys):
-    rc = main(["verify", "--suite", "mmse", "--seed", "0"])
-    assert rc == 0
-    assert "[PASS] mmse:" in capsys.readouterr().out
+def test_verify_defaults_run_every_row_on_both_toys_and_companions(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["verify", "--out", str(out)]) == 0
+    results = json.loads((out / "verify.json").read_text())
+    assert all(r["ok"] for r in results)
+    assert [(r["target"], r["label"]) for r in results] == [
+        (name, label)
+        for toy in ("circle8", "grid8")
+        for name, rows in ((toy, MIXTURE_ROWS), (f"{toy}_discrete", VERIFY_ROWS))
+        for label in rows
+    ]
+    assert f"{len(results)}/{len(results)} checks passed" in capsys.readouterr().out
 
 
 def test_verify_all_with_point_mass_target(tmp_path, capsys):
@@ -679,69 +671,85 @@ def test_verify_all_with_point_mass_target(tmp_path, capsys):
     p = tmp_path / "pm.json"
     write_target(p, FiniteDiscrete(points=[[0.0, 0.0]], probs=[1.0]))
     out = tmp_path / "run"
-    rc = main(["verify", "--suite", "all", "--target", str(p), "--out", str(out)])
+    rc = main(["verify", "--target", str(p), "--out", str(out)])
     assert rc == 0
     results = json.loads((out / "verify.json").read_text())
     assert all(r["ok"] for r in results)
-    # every row of the table, in order; the last row applies to discrete targets only
-    assert [(r["suite"], r["label"]) for r in results] == VERIFY_ROWS
-    assert "checks passed" in capsys.readouterr().out
+    # --target runs that target alone, through every row of the table, in order
+    assert [(r["target"], r["label"]) for r in results] == [(str(p), row) for row in VERIFY_ROWS]
+    assert set(results[0]) == {"target", "label", "ok", "message"}
+    assert "9/9 checks passed" in capsys.readouterr().out
 
 
-def test_verify_errors_suite_passes_on_every_seed():
-    from snrsched import verify
+def test_verify_passes_on_every_seed():
+    # the rows that sample (Monte Carlo above dim 2, the fourth moment) on small targets
+    from snrsched import FiniteDiscrete, GaussianMixture
 
-    for seed in range(8):
-        failed = [r for r in verify.run_checks("errors", None, seed) if not r["ok"]]
+    rng = np.random.default_rng(3)
+    dists = {
+        "two atoms": FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5]),
+        "gmm d=3": GaussianMixture(weights=[0.3, 0.7], means=rng.normal(size=(2, 3)),
+                                   sigmas=[0.5, 0.8]),
+        "discrete d=5": FiniteDiscrete(points=2.0 * rng.normal(size=(6, 5)),
+                                       probs=np.full(6, 1 / 6)),
+    }
+    for seed in range(6):
+        failed = [r for r in verify.run_checks(dists, seed) if not r["ok"]]
         assert failed == [], (seed, failed)
 
 
 def test_verify_mixture_target_skips_discrete_only_row():
-    from snrsched import GaussianMixture, verify
+    from snrsched import GaussianMixture
 
     gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0], [1.0]], sigmas=[0.5, 0.5])
-    results = verify.run_checks("grids", gmm, 0)
-    assert [(r["suite"], r["label"]) for r in results] == [
-        row for row in VERIFY_ROWS if row[0] == "grids"
-    ] + VERIFY_ROWS[-4:-1]
+    results = verify.run_checks({"gmm": gmm}, 0)
+    assert [r["label"] for r in results] == MIXTURE_ROWS
     assert all(r["ok"] for r in results)
 
 
-def test_suite_choices_match_verify_suites():
-    from snrsched import cli, verify
+def test_verify_rejects_unknown_suite(capsys):
+    # --suite is gone: verify takes a target, not a slice of the library's checks
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all"])
+    assert exc.value.code == 2
+    assert "--suite" in capsys.readouterr().err
 
-    assert cli._SUITE_CHOICES == (*verify.SUITES, "all")
 
-
-def test_verify_rejects_unknown_suite():
-    from snrsched import verify
-
-    with pytest.raises(ValueError, match="unknown suite"):
-        verify.run_checks("target", None, 0)
+@pytest.mark.parametrize("row, owner, name, wrap", [
+    (4, channel, "_cov_trace", lambda f: lambda *a: 2.0 * f(*a)),
+    (5, channel, "_cov_trace", lambda f: lambda *a: 1.01 * f(*a)),
+    (6, targets, "renyi_half_entropy", lambda f: lambda d: f(d) + 1e-6),
+    (7, verify, "posterior_fourth_moment", lambda f: lambda *a: tuple(0.01 * v for v in f(*a))),
+    (8, channel.MmseCurve, "integral", lambda f: lambda self, lo, hi: 0.5 * f(self, lo, hi)),
+], ids=["prior-variance", "derivative", "renyi-gap", "fourth-moment", "i-mmse"])
+def test_verify_broken_oracle_fails_its_row(tmp_path, capsys, monkeypatch, row, owner, name, wrap):
+    # each row's own break: a 1 %-high mmse, for one, leaves rows 5, 7 and 8 passing
+    target = tmp_path / "circle8_discrete.json"
+    write_target(target, toy_discrete("circle8"))
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    assert main(["verify", "--target", str(target)]) == 4
+    assert f"[FAIL] {target}: {VERIFY_ROWS[row]} (" in capsys.readouterr().out
 
 
 def test_verify_failure_exits_4_and_runs_every_check(tmp_path, capsys, monkeypatch):
-    from snrsched import verify
-
-    def raises(rng, seed):
+    def raises(target, rng, seed):
         raise RuntimeError("boom")
 
     broken = [
-        ("grids", "always fails", lambda rng, seed: (False, "nope")),
-        ("grids", "always raises", raises),
+        ("always fails", lambda target, rng, seed: (False, "nope")),
+        ("always raises", raises),
     ]
-    rows = [row for row in verify._CHECKS if row[0] != "grids"]
-    at = next(i for i, row in enumerate(rows) if row[0] == "errors")
-    monkeypatch.setattr(verify, "_CHECKS", rows[:at] + broken + rows[at:])
+    monkeypatch.setattr(verify, "_CHECKS", broken + verify._CHECKS)
     out = tmp_path / "run"
-    rc = main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)])
+    rc = main(["verify", "--target", "circle8", "--seed", "0", "--out", str(out)])
     assert rc == 4
     text = capsys.readouterr().out
-    assert "[FAIL] grids: always fails (nope)" in text
-    assert "[FAIL] grids: always raises (raised RuntimeError: boom)" in text
-    # the suites after the broken one still ran
-    assert "[PASS] errors:" in text and "[PASS] sampler:" in text
+    assert "[FAIL] circle8: always fails (nope)" in text
+    assert "[FAIL] circle8: always raises (raised RuntimeError: boom)" in text
+    # the rows after the broken ones still ran
+    assert f"[PASS] circle8: {VERIFY_ROWS[-1]}" in text
     results = json.loads((out / "verify.json").read_text())
+    assert [r["label"] for r in results] == ["always fails", "always raises", *MIXTURE_ROWS]
     assert [r["ok"] for r in results].count(False) == 2
     assert f"{len(results) - 2}/{len(results)} checks passed" in text
 
@@ -993,6 +1001,6 @@ def test_perfbench_selftest_passes():
 
 
 def test_console_entry_point_runs():
-    proc = _run_python("-m", "snrsched.cli", "verify", "--suite", "grids")
-    assert proc.returncode == 0
-    assert "checks passed" in proc.stdout
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "snrsched.cli", "verify")
+    assert proc.returncode == 0, proc.stderr
+    assert "30/30 checks passed" in proc.stdout

@@ -87,6 +87,17 @@ def test_time_uniform_endpoints_always_exact():
     assert g.gammas[-1] == pytest.approx(1e3, rel=1e-14)
 
 
+def test_time_uniform_delta_below_half_an_ulp_of_t():
+    # T - s_K rounds to 0 here; the reciprocal must skip the endpoints it overwrites
+    g = grid_time_uniform(1.0, 1e-20, 4)
+    np.testing.assert_array_equal(g.gammas, [1.0, 4.0 / 3.0, 2.0, 4.0, 1e20])
+    for T, delta, K in ((2.0, 1e-3, 9), (1.0, 0.01, 1), (3.0, 0.7, 5)):
+        s = np.linspace(0.0, T - delta, K + 1)
+        want = 1.0 / (T - s)
+        want[0], want[-1] = 1.0 / T, 1.0 / delta
+        np.testing.assert_array_equal(grid_time_uniform(T, delta, K).gammas, want)
+
+
 def test_time_uniform_rejects_bad_order():
     with pytest.raises(ValueError):
         grid_time_uniform(0.25, 1.0, 4)
@@ -277,29 +288,12 @@ def test_las_beam_default_config_matches_brute_force():
     assert sched.objective == pytest.approx(best_obj, rel=1e-12)
 
 
-def test_las_beam_matches_stage_major_pair_dp_indices():
-    # half the instances are tie-heavy: risks in {0, 0.5, 1}, or constant
-    # risk on geometric knots; 31 of them have equal-cost final picks
-    rng = np.random.default_rng(9)
-    for case in range(1000):
-        n = int(rng.integers(2, 17))
-        K = int(rng.integers(1, n))
-        lam = float(rng.choice([0.3, 1.5, 4.0]))
-        alpha = float(rng.choice([1e-3, 0.1, 1.0, 12.0]))
-        if case % 4 < 2:
-            gam, risks = random_candidates(rng, n)
-        elif case % 4 == 2:
-            gam, _ = random_candidates(rng, n)
-            risks = rng.choice([0.0, 0.5, 1.0], size=n)
-        else:
-            gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
-            risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
-        sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam, alpha=alpha))
-        assert tuple(sched.indices) == pair_dp(gam, risks, K, lam, alpha), (n, K, lam, alpha, case)
-
-
 def _pair_dp_instances(count):
-    """The first ``count`` instances of the stage-major pair-DP test above."""
+    """``count`` seeded pair-DP instances (gammas, risks, K, lam, alpha).
+
+    Half are tie-heavy: risks in {0, 0.5, 1}, or constant risk on geometric
+    knots; 31 of the first 1000 have equal-cost final picks.
+    """
     rng = np.random.default_rng(9)
     for case in range(count):
         n = int(rng.integers(2, 17))
@@ -315,6 +309,13 @@ def _pair_dp_instances(count):
             gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
             risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
         yield gam, risks, K, lam, alpha
+
+
+def test_las_beam_matches_stage_major_pair_dp_indices():
+    for case, (gam, risks, K, lam, alpha) in enumerate(_pair_dp_instances(1000)):
+        sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam, alpha=alpha))
+        want = pair_dp(gam, risks, K, lam, alpha)
+        assert tuple(sched.indices) == want, (gam.size, K, lam, alpha, case)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64, schedules._BLOCK_CELLS])

@@ -21,7 +21,6 @@ from snrsched import (
     fit_subexponential,
     renyi_half_entropy,
     shannon_entropy,
-    surprisal,
 )
 from snrsched.targets import target_from_json, target_to_json
 
@@ -132,36 +131,11 @@ def test_cov_trace_two_atoms():
 
 
 # ---------------------------------------------------------------------------
-# surprisal
-
-
-def test_surprisal_uniform():
-    d = uniform8()
-    for i in range(8):
-        assert surprisal(d, i) == pytest.approx(LN8, abs=1e-12)
-
-
-def test_surprisal_half():
-    assert surprisal(three_atoms(), 0) == pytest.approx(math.log(2.0), abs=1e-12)
-
-
-def test_surprisal_point_mass():
-    pm = FiniteDiscrete(points=[[3.0]], probs=[1.0])
-    assert surprisal(pm, 0) == 0.0
-
-
-def test_surprisal_rejects_mixture():
-    gm = GaussianMixture(weights=[1.0], means=[[0.0]], sigmas=[1.0])
-    with pytest.raises((TypeError, ValueError)):
-        surprisal(gm, 0)
-
-
-# ---------------------------------------------------------------------------
 # entropies
 
 
 def test_shannon_uniform8():
-    assert shannon_entropy(uniform8()) == pytest.approx(2.079442, abs=1e-6)
+    assert shannon_entropy(uniform8()) == pytest.approx(LN8, abs=1e-12)
 
 
 def test_shannon_three_atoms():
@@ -202,14 +176,6 @@ def test_entropy_matches_oracle_on_random_dists():
         # order inequality and the log-cardinality cap
         assert shannon_entropy(d) <= renyi_half_entropy(d) + 1e-10
         assert renyi_half_entropy(d) <= math.log(n) + 1e-10
-
-
-def test_mean_surprisal_is_entropy():
-    rng = np.random.default_rng(5)
-    p = random_probs(rng, 9)
-    d = FiniteDiscrete(points=np.arange(9.0)[:, None], probs=p)
-    avg = math.fsum(p[i] * surprisal(d, i) for i in range(9))
-    assert avg == pytest.approx(shannon_entropy(d), abs=1e-12)
 
 
 def test_permutation_leaves_info_profile_unchanged():
