@@ -89,41 +89,55 @@ def _check_noise(t: float) -> None:
         raise ValueError(f"noise scale t must be positive and finite, got {t!r}")
 
 
-def _responsibilities(comps, t: float, X: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities, shape (m, n), normalized in the log domain.
+def _responsibilities(comps, t: float, XT: np.ndarray) -> np.ndarray:
+    """Posterior component probabilities at the columns of ``XT`` (d, m), shape (n, m).
 
     The softmax over components of :func:`_component_logits` with
-    s2_i = v_i + t, the variance of X_t given component i; the largest logit
-    is subtracted before exponentiating. Rejects a noise scale ``t`` that is
-    not positive and finite, for which the weights would be nan or silently
-    wrong.
+    s2_i = v_i + t, the variance of X_t given component i, normalized in the
+    log domain: the largest logit is subtracted before exponentiating.
+    Rejects a noise scale ``t`` that is not positive and finite, for which
+    the weights would be nan or silently wrong.
     """
     _check_noise(t)
     weights, centers, variances = comps
-    r = _component_logits(weights, centers, variances + t, X)
-    r -= r.max(axis=1, keepdims=True)
+    r = _component_logits(weights, centers, variances + t, XT)
+    r -= r.max(axis=0)
     np.exp(r, out=r)
-    r /= r.sum(axis=1, keepdims=True)
+    r /= r.sum(axis=0)
     return r
 
 
-def posterior_mean(dist: TargetDistribution, t: float, X) -> np.ndarray:
+def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarray:
     """Ideal denoiser m_t evaluated at a batch of points, shape (m, d).
 
     The responsibility-weighted conjugate means, sum_i r_i (v_i x + t c_i) / s2_i,
     taken as two matrix products so no (m, n, d) tensor is built. The rows run
-    in blocks of :func:`snrsched.targets._row_blocks`, so beyond the (m, d)
-    result it holds one block's (rows, n) responsibilities. Raises ValueError
-    unless ``t`` is positive and finite.
+    in blocks of :func:`snrsched.targets._row_blocks`; each block is worked as
+    (d, rows) and (n, rows) arrays and written into ``out[rows].T``, so beyond
+    the result it holds one block's responsibilities and (d, rows) terms.
+    A column-major ``X`` gives contiguous operands throughout; a C-ordered one
+    gives the same values, a little slower at small d.
+
+    ``out``, if given, is a float (m, d) array that receives the result (and
+    is returned); by default it is a new array in the memory order of ``X``.
+    Raises ValueError unless ``t`` is positive and finite.
     """
+    _check_noise(t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if out is None:
+        out = np.empty_like(X)
+    elif out.shape != X.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {X.shape}")
     comps = _components(dist)
     _, centers, variances = comps
     s2 = variances + t
-    out = np.empty(X.shape)
+    a, BT = variances / s2, ((t / s2)[:, None] * centers).T
     for rows in _row_blocks(X.shape[0], s2.size):
-        r = _responsibilities(comps, t, X[rows])
-        out[rows] = (r @ (variances / s2))[:, None] * X[rows] + r @ ((t / s2)[:, None] * centers)
+        XT, block = X[rows].T, out[rows].T
+        r = _responsibilities(comps, t, XT)
+        np.matmul(BT, r, out=block)
+        block += (a @ r) * XT
+        del r  # so no two blocks' responsibilities are held at once
     return out
 
 
@@ -141,7 +155,7 @@ def _pair_table(dist: TargetDistribution, t: float):
     return variances / s2, mu, e, E
 
 
-def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray, table):
+def _pair_spread(dist: TargetDistribution, t: float, XT: np.ndarray, table):
     """tr Cov(Z | X_t = x) from the pair distances of the conjugate means.
 
     Given component i the posterior mean is mu_i = a_i x + (t / s2_i) c_i with
@@ -162,18 +176,18 @@ def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray, table):
     Arrays are component-major, (n, m), so elementwise work runs along rows.
     Its temporaries are (n, m), so callers pass it one row block at a time,
     with ``table`` = :func:`_pair_table` (a, mu, e, E), where E is the (n, n)
-    table |e_i - e_j|^2. Returns (trace, r, D r, tau, tilt): tilt is None when
-    the a_i are all equal, else (|x~|^2, P, g) with P_im = e_i.x~_m and
-    g_ij = a_i - a_j.
+    table |e_i - e_j|^2; the block's points are the columns of ``XT`` (d, rows).
+    Returns (trace, r, D r, tau, tilt): tilt is None when the a_i are all
+    equal, else (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
     """
-    r = _responsibilities(_components(dist), t, X).T
+    r = _responsibilities(_components(dist), t, XT)
     a, mu, e, E = table
     Dr = E @ r
     tilt = None
     if np.any(a != a[0]):
-        Xc = X - mu
-        xx = np.einsum("md,md->m", Xc, Xc)
-        P = e @ Xc.T
+        Xc = XT - mu[:, None]
+        xx = np.einsum("dm,dm->m", Xc, Xc, order="F")  # as in _component_logits
+        P = e @ Xc
         g = a[:, None] - a[None, :]
         Dr += xx * ((g * g) @ r) + 2.0 * (P * (g @ r) - g @ (r * P))
         tilt = xx, P, g
@@ -182,12 +196,14 @@ def _pair_spread(dist: TargetDistribution, t: float, X: np.ndarray, table):
     return trace, r, Dr, tau, tilt
 
 
-def _cov_trace(dist: TargetDistribution, t: float, X: np.ndarray) -> np.ndarray:
-    """tr Cov(Z | X_t = x) alone, shape (m,), from blocks of (n, rows) temporaries."""
+def _cov_trace(dist: TargetDistribution, t: float, X: np.ndarray, table) -> np.ndarray:
+    """tr Cov(Z | X_t = x) alone, shape (m,), from blocks of (n, rows) temporaries.
+
+    ``table`` is :func:`_pair_table` of (dist, t), built once by the caller.
+    """
     out = np.empty(X.shape[0])
-    table = _pair_table(dist, t)
     for rows in _row_blocks(X.shape[0], table[0].size):
-        out[rows] = _pair_spread(dist, t, X[rows], table)[0]
+        out[rows] = _pair_spread(dist, t, X[rows].T, table)[0]
     return out
 
 
@@ -214,11 +230,15 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    table = _pair_table(dist, t)
+    return _cov_stats(dist, t, X, _pair_table(dist, t))
+
+
+def _cov_stats(dist: TargetDistribution, t: float, X: np.ndarray, table):
+    """:func:`posterior_cov_stats` of a 2-d float ``X`` with its :func:`_pair_table` given."""
     E = table[3]
     trace, frob_sq = np.empty(X.shape[0]), np.empty(X.shape[0])
     for rows in _row_blocks(X.shape[0], E.size):
-        tr, r, Dr, tau, tilt = _pair_spread(dist, t, X[rows], table)
+        tr, r, Dr, tau, tilt = _pair_spread(dist, t, X[rows].T, table)
         rDr = np.einsum("im,im->m", r, Dr)
         u = Dr - 0.5 * rDr
         # minus twice the Gram, D_ij - u_i - u_j, built in one (n, n, rows) buffer
@@ -237,6 +257,7 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
         spread_sq = 0.25 * np.einsum("im,im->m", r, np.einsum("ijm,jm->im", B2, r))
         trace[rows] = tr
         frob_sq[rows] = spread_sq + tau * (rDr + dist.dim * tau)
+        del B2  # so no two blocks' Gram terms are held at once
     return trace, frob_sq
 
 
@@ -260,7 +281,8 @@ def _standard_normal_nodes(d: int):
         offsets = np.stack([ua.ravel(), ub.ravel()], axis=1)
         qw = np.outer(w1, w1).ravel()
     keep = qw > 1e-20 * qw.max()
-    offsets, qw = offsets[keep], qw[keep]
+    # column-major, so each node batch c + s * offsets is column-major too
+    offsets, qw = np.asfortranarray(offsets[keep]), qw[keep]
     offsets.flags.writeable = qw.flags.writeable = False
     return offsets, qw
 
@@ -271,7 +293,8 @@ def _quad_expect(dist: TargetDistribution, t: float, f):
     ``f`` maps a batch X to a tuple of per-row arrays f_k(X). Each component
     of p_t gets the nodes of :func:`_standard_normal_nodes`: 84 in 1-d and
     2,668 in 2-d, the nodes of the 200-node and 96 x 96 rules that carry
-    all but 1e-20 of the weight.
+    all but 1e-20 of the weight. The offsets are column-major, and so is
+    each node batch, whose row blocks transpose to contiguous (d, rows) arrays.
     """
     d = dist.dim
     if d > 2:
@@ -345,7 +368,8 @@ def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: 
         tr = dist.dim * s0sq / (1.0 + s0sq * gamma)
         return (tr, 0.0), (dist.dim * (s0sq / (1.0 + s0sq * gamma)) ** 2, 0.0)
     t = 1.0 / gamma
-    return _expect(dist, t, pol, lambda X: posterior_cov_stats(dist, t, X), n_samples, seed)
+    table = _pair_table(dist, t)
+    return _expect(dist, t, pol, lambda X: _cov_stats(dist, t, X, table), n_samples, seed)
 
 
 def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
@@ -383,7 +407,8 @@ def mmse(
         s0sq = float(dist.sigmas[0] ** 2)
         return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
     t = 1.0 / gamma
-    return _expect(dist, t, pol, lambda X: (_cov_trace(dist, t, X),), n_samples, seed)[0]
+    table = _pair_table(dist, t)
+    return _expect(dist, t, pol, lambda X: (_cov_trace(dist, t, X, table),), n_samples, seed)[0]
 
 
 def mmse_derivative(
@@ -477,7 +502,7 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
     comps = _components(dist)
 
     def f(X):
-        w = _responsibilities(comps, t, X)
+        w = _responsibilities(comps, t, X.T).T
         return (((w @ d4) * w).sum(axis=1),)
 
     return _mc_expect(dist, t, f, n_samples, seed)[0]

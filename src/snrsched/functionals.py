@@ -316,18 +316,27 @@ def pathwise_kl_mc(
         m = min(_PATH_CHUNK, n_paths - done)
         rng = np.random.default_rng(ss)
         Z = dist.sample(m, rng)
-        X = Z + math.sqrt(T) * rng.standard_normal(Z.shape)
+        # column-major paths and reused buffers, as in the sampler; the noise
+        # buffer is C-ordered, so each draw keeps the values of a fresh one
+        X = np.asfortranarray(Z + math.sqrt(T) * rng.standard_normal(Z.shape))
+        Z = np.asfortranarray(Z)
+        noise = np.empty(X.shape)
+        anchor, drift = np.empty_like(X), np.empty_like(X)
         t_cur = T
         acc = np.zeros(m)
         for k in range(1, K + 1):
             ds = (s_knots[k] - s_knots[k - 1]) / substeps
-            anchor = posterior_mean(dist, t_cur, X)
+            posterior_mean(dist, t_cur, X, out=anchor)
             for j in range(1, substeps + 1):
                 s = s_knots[k - 1] + j * ds
                 t_next = T - s
-                X = reverse_step(X, t_cur, t_next, Z, rng.standard_normal(X.shape))
+                rng.standard_normal(out=noise)
+                reverse_step(X, t_cur, t_next, Z, noise, out=X)
                 t_cur = t_next
-                f = ((posterior_mean(dist, t_cur, X) - anchor) ** 2).sum(axis=1) / t_cur**2
+                posterior_mean(dist, t_cur, X, out=drift)
+                drift -= anchor
+                drift *= drift
+                f = drift.sum(axis=1) / t_cur**2
                 weight = 0.5 if j == substeps else 1.0  # f = 0 at j = 0
                 acc += weight * ds * f
         totals[done : done + m] = acc

@@ -29,7 +29,7 @@ import numpy as np
 # exists yet; the annotations read functionals.SnrGrid when resolved
 from . import functionals
 from .channel import _mean_se, posterior_mean
-from .targets import GaussianMixture, TargetDistribution
+from .targets import GaussianMixture, TargetDistribution, _row_blocks
 
 __all__ = [
     "SamplerConfig",
@@ -88,26 +88,36 @@ class SampleReport:
     denoised_nll_stderr: float | None = None
 
 
-def reverse_step(state, t_prev: float, t_next: float, anchor, noise):
+def reverse_step(state, t_prev: float, t_next: float, anchor, noise, out=None):
     """One exact frozen-drift transition from noise scale t_prev down to t_next.
 
     ``state``, ``anchor`` and ``noise`` broadcast together; ``noise`` should
     be standard normal. Requires 0 < t_next < t_prev. The result
-    anchor + (t_next / t_prev) (state - anchor) + std * noise is built in one
-    new array of the broadcast shape of all three inputs, by the operations
-    of that expression in its order, with std * noise the only temporary;
-    no input is modified.
+    anchor + (t_next / t_prev) (state - anchor) + std * noise is built by the
+    operations of that expression in its order, in ``out``: by default a new
+    C-ordered array of the broadcast shape of all three inputs, else a float
+    array of that shape, which is returned. ``out`` may be ``state`` itself
+    (an in-place step) but must not overlap ``anchor`` or ``noise``; no input
+    other than ``out`` is modified. The only temporary is std * noise, one
+    row block of :func:`snrsched.targets._row_blocks` at a time. The
+    operations run in the memory order of ``out``, so a C-ordered noise array
+    steps a column-major state along its columns.
     """
     if not 0 < t_next < t_prev:
         raise ValueError("need 0 < t_next < t_prev")
     state = np.asarray(state, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    out = np.empty(np.broadcast_shapes(state.shape, anchor.shape, noise.shape))
-    np.subtract(state, anchor, out=out)
-    out *= t_next / t_prev
-    out += anchor
-    out += _step_std(t_prev, t_next) * noise
+    if out is None:
+        out = np.empty(np.broadcast_shapes(state.shape, anchor.shape, noise.shape))
+    order = "F" if out.flags.f_contiguous else "K"
+    np.subtract(state, anchor, out=out, order=order)
+    np.multiply(out, t_next / t_prev, out=out, order=order)
+    np.add(out, anchor, out=out, order=order)
+    # std * noise one row block at a time, so the temporary stays small and in cache
+    std, noise = _step_std(t_prev, t_next), np.broadcast_to(noise, out.shape)
+    for rows in _row_blocks(out.shape[0], math.prod(out.shape[1:])) if out.ndim else [...]:
+        np.add(out[rows], std * noise[rows], out=out[rows], order=order)
     return out
 
 
@@ -135,13 +145,6 @@ def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:
     return Y
 
 
-def _oracle(dist, t, Y, cfg: SamplerConfig, err_rng):
-    m = posterior_mean(dist, t, Y)
-    if cfg.sigma_err > 0:
-        m += cfg.sigma_err * err_rng.standard_normal(m.shape)
-    return m
-
-
 def _run(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig):
     t = 1.0 / grid.gammas  # descending from T to delta
     ell = np.log(grid.gammas)  # ascending log-SNR along the run
@@ -152,23 +155,30 @@ def _run(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig
     init_rng, step_rng, err_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
-    Y = _init_state(dist, grid.T, cfg, init_rng)
-    prev_eval = None  # kept by the second order only
+    # column-major, so the denoiser's row blocks transpose to contiguous
+    # (d, rows) arrays; the noise buffer is C-ordered, so draws keep their values
+    Y = np.asfortranarray(_init_state(dist, grid.T, cfg, init_rng))
+    noise = np.empty(Y.shape)
+    # denoiser values; the second order keeps the previous one in the other
+    # buffer and writes its extrapolated anchor over it
+    evals = [np.empty_like(Y) for _ in range(2 if cfg.order == "second" else 1)]
     for k in range(1, K + 1):
-        anchor = _oracle(dist, t[k - 1], Y, cfg, err_rng)
-        if cfg.order == "second":
-            cur_eval = anchor
-            if prev_eval is not None:
-                # extrapolate to the interval midpoint in log-SNR: the slope,
-                # times the step to the midpoint, plus cur_eval, in one array
-                anchor = cur_eval - prev_eval
-                anchor /= ell[k - 1] - ell[k - 2]
-                anchor *= 0.5 * (ell[k] + ell[k - 1]) - ell[k - 1]
-                anchor += cur_eval
-            prev_eval = cur_eval
-        Y = reverse_step(Y, t[k - 1], t[k], anchor, step_rng.standard_normal(Y.shape))
-        # the next denoiser call then holds only Y (and prev_eval) of the (m, d) arrays
-        del anchor
+        anchor = cur = posterior_mean(dist, t[k - 1], Y, out=evals[k % len(evals)])
+        if cfg.sigma_err > 0:
+            err_rng.standard_normal(out=noise)
+            noise *= cfg.sigma_err
+            np.add(cur, noise, out=cur, order="F")  # along cur's columns
+        if cfg.order == "second" and k > 1:
+            # extrapolate to the interval midpoint in log-SNR: the slope,
+            # times the step to the midpoint, plus cur, built over the
+            # previous evaluation, which no later step reads
+            prev = evals[(k - 1) % 2]
+            anchor = np.subtract(cur, prev, out=prev)
+            anchor /= ell[k - 1] - ell[k - 2]
+            anchor *= 0.5 * (ell[k] + ell[k - 1]) - ell[k - 1]
+            anchor += cur
+        step_rng.standard_normal(out=noise)
+        reverse_step(Y, t[k - 1], t[k], anchor, noise, out=Y)
     return Y
 
 
@@ -205,6 +215,14 @@ def sample(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConf
     equal seeds differ only in their anchors. Raises ValueError before any
     denoiser call if a step's noise std is not finite, as on a grid whose T
     overflows it, and after the run if any sample is not finite.
+
+    The (m, d) state is column-major (Fortran order) for the whole run, and
+    so are the returned samples. Each step fills buffers made once per run:
+    the denoiser writes the anchor through ``posterior_mean(..., out=)``, the
+    noise is drawn into one C-ordered buffer, so each draw has the values of
+    a fresh ``standard_normal((m, d))``, and ``reverse_step(..., out=Y)``
+    steps the state in place. The samples are bit for bit those of the same
+    chain run on fresh C-ordered arrays.
     """
     t = [float(v) for v in 1.0 / grid.gammas]
     for k in range(1, grid.K + 1):

@@ -43,7 +43,7 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 # elements in the largest temporary a posterior kernel builds for one block of
-# rows: 16,384 rows of (rows, n) logits at n = 8, or 32 rows of the
+# rows: 16,384 rows of (n, rows) logits at n = 8, or 32 rows of the
 # (n, n, rows) Gram at n = 64. A circle8 simulate sampled as fast at 2^16 and
 # 17 % slower at 2^15; the peak RSS did not move between them
 _BLOCK_ELEMS = 1 << 17
@@ -64,44 +64,57 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must sum to 1 within {_WEIGHT_TOL}")
 
 
-def _component_logits(weights, centers, s2, X) -> np.ndarray:
-    """(m, n) logits log w_i - |x - c_i|^2 / (2 s2_i) - (d/2) log s2_i.
+def _component_logits(weights, centers, s2, XT) -> np.ndarray:
+    """(n, m) logits log w_i - |x - c_i|^2 / (2 s2_i) - (d/2) log s2_i.
 
-    These are the log-weights of the components N(c_i, s2_i I) at each row of
-    ``X`` (m, d), up to the shared -(d/2) log 2 pi. The squared distances come
-    from one matrix product, |x|^2 - 2 x.c + |c|^2 clipped at 0, so no
-    (m, n, d) array is built. The expansion cancels its terms against each
-    other and so rounds at about eps (|x|^2 + |c|^2); X and the centers are
-    first centered on the weighted center mean, which keeps that error at the
-    scale of the centers' spread rather than of their distance from the origin.
+    These are the log-weights of the components N(c_i, s2_i I) at each column
+    of ``XT`` (d, m), one point per column, up to the shared -(d/2) log 2 pi.
+    The squared distances come from one matrix product, |x|^2 - 2 x.c + |c|^2
+    clipped at 0, so no (m, n, d) array is built. The expansion cancels its
+    terms against each other and so rounds at about eps (|x|^2 + |c|^2); X and
+    the centers are first centered on the weighted center mean, which keeps
+    that error at the scale of the centers' spread rather than of their
+    distance from the origin.
 
-    The result is the transpose of a C-ordered (n, m) array, so reductions
-    over components (axis 1) run along contiguous memory.
+    Points run along the last axis of every array, so the transpose of a row
+    block of a column-major batch, which is C-ordered, gives contiguous
+    operands throughout. The result is C-ordered, so reductions over
+    components (axis 0) run along contiguous rows. The values do not depend
+    on the layout of ``XT``: the matrix product gives the same bits either
+    way, and |x~|^2 is summed over d = 0, 1, ... in turn for every layout,
+    since ``order="F"`` makes einsum loop over the points innermost.
     """
     mu = weights @ centers
-    Xc = X - mu
+    Xc = XT - mu[:, None]
     Cc = centers - mu
-    sq = (-2.0 * Cc) @ Xc.T
-    sq += np.einsum("md,md->m", Xc, Xc)
+    sq = (-2.0 * Cc) @ Xc
+    sq += np.einsum("dm,dm->m", Xc, Xc, order="F")
     sq += np.einsum("nd,nd->n", Cc, Cc)[:, None]
     np.maximum(sq, 0.0, out=sq)
     sq *= (-0.5 / s2)[:, None]
     sq += (np.log(weights) - 0.5 * centers.shape[1] * np.log(s2))[:, None]
-    return sq.T
+    return sq
 
 
 def _row_blocks(m: int, width: int):
-    """Row slices of at most max(1, _BLOCK_ELEMS // width) rows that cover m rows.
+    """Row slices of step = max(1, _BLOCK_ELEMS // width) rows that cover m rows.
 
-    ``width`` is the per-row size of the caller's largest temporary, so a block
-    bounds it at _BLOCK_ELEMS elements whatever m is. Each row's result depends
-    on that row alone, but BLAS picks its kernel by matrix size (a one-row
-    block is a matrix-vector product), so a block of another size can round
-    a row's dot products differently in the last bits. Zero rows still give
-    one (empty) block, so a kernel validates its arguments either way.
+    ``width`` is the per-row size of the caller's largest temporary. A final
+    block of at most step // 8 rows is folded into the one before it, so a
+    block holds at most step + step // 8 rows and the largest temporary at
+    most (9/8) _BLOCK_ELEMS elements (or one row's ``width`` if more),
+    whatever m is. Each row's result depends on that row alone, but BLAS picks
+    its kernel by matrix size (a one-row block is a matrix-vector product), so
+    a short final block could round a row's dot products differently in the
+    last bits; folding it keeps a row's bits as in one large block on the
+    shapes the tests pin. Zero rows still give one (empty) block, so a kernel
+    validates its arguments either way.
     """
     step = max(1, _BLOCK_ELEMS // width)
-    return (slice(i, i + step) for i in range(0, max(m, 1), step))
+    starts = list(range(0, max(m, 1), step))
+    if len(starts) > 1 and m - starts[-1] <= step // 8:
+        starts.pop()
+    return (slice(i, j) for i, j in zip(starts, starts[1:] + [max(m, 1)]))
 
 
 @dataclass(frozen=True)
@@ -153,18 +166,19 @@ class GaussianMixture:
         The log-sum-exp of :func:`_component_logits`, with the largest logit
         factored out so far-tail points stay finite, minus (d/2) log 2 pi.
         The rows run in blocks of :func:`_row_blocks`, so beyond the (m,)
-        result it holds one block's (rows, n) logits.
+        result it holds one block's (n, rows) logits.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         s2 = self.sigmas**2
         log_norm = 0.5 * self.dim * math.log(2.0 * math.pi)
         out = np.empty(x.shape[0])
         for rows in _row_blocks(x.shape[0], self.n_components):
-            logits = _component_logits(self.weights, self.means, s2, x[rows])
-            top = logits.max(axis=1, keepdims=True)
+            logits = _component_logits(self.weights, self.means, s2, x[rows].T)
+            top = logits.max(axis=0)
             logits -= top
             np.exp(logits, out=logits)
-            out[rows] = top[:, 0] + np.log(logits.sum(axis=1)) - log_norm
+            out[rows] = top + np.log(logits.sum(axis=0)) - log_norm
+            del logits  # so no two blocks' logits are held at once
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

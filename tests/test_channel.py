@@ -46,7 +46,7 @@ def single_gauss(sigma0, d=1):
 
 
 def _weights(dist, t, x):
-    return _responsibilities(_components(dist), t, np.atleast_2d(x))[0]
+    return _responsibilities(_components(dist), t, np.atleast_2d(x).T)[:, 0]
 
 
 @pytest.mark.parametrize("t", [0.0, -0.01, math.nan, math.inf])
@@ -224,9 +224,9 @@ def test_mmse_kernel_rows_are_the_pruned_grid(monkeypatch):
     rows = []
     kernel = channel._pair_spread
 
-    def counting(dist, t, X, table):
-        rows.append(len(X))
-        return kernel(dist, t, X, table)
+    def counting(dist, t, XT, table):
+        rows.append(XT.shape[1])  # a block's points are the columns of XT
+        return kernel(dist, t, XT, table)
 
     monkeypatch.setattr(channel, "_pair_spread", counting)
     MmseCurve(build_toy("circle8")).mmse(2.0)
@@ -464,7 +464,7 @@ def test_posterior_matches_per_component_oracle(case, t):
     X = dist.sample(6, rng) + math.sqrt(t) * rng.standard_normal((6, dist.dim))
     tr, fr = posterior_cov_stats(dist, t, X)
     means = posterior_mean(dist, t, X)
-    resp = _responsibilities(_components(dist), t, X)
+    resp = _responsibilities(_components(dist), t, X.T).T
     assert np.all(tr >= 0.0)
     for i, x in enumerate(X):
         probs, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
@@ -567,14 +567,20 @@ def _log_p_t(dist, t):
 
 
 @pytest.mark.parametrize("m, width, budget", [(0, 8, 40), (1, 8, 40), (17, 8, 40),
-                                              (20, 8, 40), (5, 64, 40), (9, 3, 1 << 17)])
+                                              (20, 8, 40), (5, 64, 40), (9, 3, 1 << 17),
+                                              (41, 8, 80), (42, 8, 80), (8, 8, 80)])
 def test_row_blocks_cover_every_row_once_within_the_budget(monkeypatch, m, width, budget):
+    # blocks of step rows, with a final block of at most step // 8 rows
+    # folded into the one before it: (41, 8, 80) gives 10, 10, 10 and 11 rows
     monkeypatch.setattr(targets, "_BLOCK_ELEMS", budget)
+    step = max(1, budget // width)
     blocks = list(targets._row_blocks(m, width))
     rows = np.concatenate([np.arange(m)[b] for b in blocks])
     np.testing.assert_array_equal(rows, np.arange(m))
     assert len(blocks) >= 1  # zero rows still run the kernel once, so it checks t
-    assert all(b.stop - b.start <= max(1, budget // width) for b in blocks)
+    assert all(b.stop - b.start <= step + step // 8 for b in blocks)
+    assert all(b.stop - b.start == step for b in blocks[:-1])
+    assert len(blocks) == 1 or min(m, blocks[-1].stop) - blocks[-1].start > step // 8
 
 
 _B = 5  # rows per block of the small budget
@@ -602,6 +608,49 @@ def test_blocked_kernels_match_one_block(monkeypatch, dist, m):
         for got, want in zip(kernels(), whole):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 64])
+def test_kernels_give_the_same_bits_in_either_memory_order(d):
+    # the kernels work each row block as (d, rows) arrays: the transpose of a
+    # block of a column-major batch is contiguous, that of a C-ordered one is
+    # not, and the two must give the same values to the last bit; |x~|^2
+    # summed over a contiguous d would not (einsum unrolls that sum)
+    rng = np.random.default_rng(d)
+    w = rng.uniform(0.5, 1.5, 16)
+    dist = GaussianMixture(w / w.sum(), rng.normal(0.0, 1.5, (16, d)), rng.uniform(0.3, 5.0, 16))
+    XC = _noisy(dist, 3000, 5.0, seed=d)
+    XF = np.asfortranarray(XC)
+    mC, mF = posterior_mean(dist, 5.0, XC), posterior_mean(dist, 5.0, XF)
+    assert mC.flags.c_contiguous and mF.flags.f_contiguous  # the input's order
+    assert np.array_equal(mC, mF)
+    assert np.array_equal(dist.log_prob(XC), dist.log_prob(XF))
+    for a, b in zip(posterior_cov_stats(dist, 5.0, XC), posterior_cov_stats(dist, 5.0, XF)):
+        assert np.array_equal(a, b)
+    out = np.empty_like(XF)
+    assert posterior_mean(dist, 5.0, XC, out=out) is out
+    assert np.array_equal(out, mC)
+    with pytest.raises(ValueError):
+        posterior_mean(dist, 5.0, XC, out=out[1:])
+
+
+@pytest.mark.parametrize("t", [1.0, 0.1, 0.01, 0.001])
+@pytest.mark.parametrize("m", [16385, 16386, 16387, 32769])
+def test_short_final_block_keeps_the_one_block_bits(monkeypatch, m, t):
+    # at the module's budget grid8's logits run in blocks of 16,384 rows, so
+    # these m leave a final block of 1-3 rows, which BLAS would round as a
+    # matrix-vector product; folded into the block before it, every row keeps
+    # the bits of one large block
+    grid8 = build_toy("grid8")
+    X = _noisy(grid8, m, t, seed=m)
+
+    def kernels():
+        return posterior_mean(grid8, t, X), grid8.log_prob(X)
+
+    blocked = kernels()
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", 1 << 60)
+    for got, want in zip(blocked, kernels()):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("policy", ["quadrature", "monte_carlo"])
@@ -676,14 +725,16 @@ def test_cov_stats_gram_stays_within_its_blocks():
 def test_tabulate_evaluates_each_knot_once(monkeypatch):
     import snrsched.channel as channel
 
+    # _cov_stats is the body of posterior_cov_stats, which the oracles call
+    # with a pair table built once per knot
     calls = []
-    kernel = channel.posterior_cov_stats
+    kernel = channel._cov_stats
 
     def counting(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(channel, "posterior_cov_stats", counting)
+    monkeypatch.setattr(channel, "_cov_stats", counting)
     for policy in ("quadrature", "monte_carlo"):
         curve = MmseCurve(TWO, policy, n_samples=2000, seed=5)
         calls.clear()

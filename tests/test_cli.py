@@ -543,17 +543,20 @@ def test_mmse_table_single_gaussian_closed_form(tmp_path):
 
 @pytest.fixture
 def cov_kernel_calls(monkeypatch):
-    """A list that grows by one on each posterior_cov_stats call."""
+    """A list that grows by one on each pass of the covariance kernel.
+
+    That is _cov_stats, the body of posterior_cov_stats, which the oracles
+    call with a pair table built once per knot."""
     from snrsched import channel
 
     calls = []
-    kernel = channel.posterior_cov_stats
+    kernel = channel._cov_stats
 
     def counting(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(channel, "posterior_cov_stats", counting)
+    monkeypatch.setattr(channel, "_cov_stats", counting)
     return calls
 
 

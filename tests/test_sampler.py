@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import em_reverse_moments, gauss_terminal_variance
-from snrsched import FiniteDiscrete, GaussianMixture
+from snrsched import FiniteDiscrete, GaussianMixture, targets
+from snrsched.channel import posterior_mean
 from snrsched.functionals import SnrGrid
 from snrsched.sampler import (
     SampleReport,
@@ -106,6 +107,22 @@ def test_reverse_step_broadcasts_and_leaves_its_inputs(state_shape, anchor_shape
     assert np.array_equal(out, anchor + (t_next / t_prev) * (state - anchor) + std * noise)
 
 
+@pytest.mark.parametrize("budget", [1 << 17, 12])  # one row block, or blocks of 4 rows
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_reverse_step_in_place_and_in_row_blocks_matches_the_formula(monkeypatch, order, budget):
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", budget)
+    rng = np.random.default_rng(13)
+    state = np.asarray(rng.normal(size=(11, 3)), order=order)
+    anchor = np.asarray(rng.normal(size=(11, 3)), order=order)
+    noise = rng.normal(size=(11, 3))  # C-ordered, as the sampler draws it
+    std = math.sqrt(0.35 * (0.9 - 0.35) / 0.9)
+    want = anchor + (0.35 / 0.9) * (state - anchor) + std * noise
+    assert np.array_equal(reverse_step(state, 0.9, 0.35, anchor, noise), want)
+    got = reverse_step(state, 0.9, 0.35, anchor, noise, out=state)
+    assert got is state
+    assert np.array_equal(state, want)
+
+
 # ---------------------------------------------------------------------------
 # whole chains
 
@@ -161,13 +178,15 @@ def test_seed_determinism_bitwise():
     assert not np.array_equal(out1, out3)
 
 
-@pytest.mark.parametrize("order, arrays", [("first", 5.5), ("second", 6.5)])
+@pytest.mark.parametrize("order, arrays", [("first", 4.25), ("second", 5.25)])
 def test_sample_peak_memory_is_a_few_state_arrays(order, arrays):
-    # the peak is reverse_step's: the state, the anchor, the step noise, the
-    # result and its std * noise temporary, five (m, d) arrays, plus the
-    # previous evaluation for the second order. A denoiser call holds less:
-    # the state, its result and one row block; an un-blocked posterior
-    # kernel holds (m, 8) logits, four more arrays, and reads 8 and 9
+    # the peak is a denoiser call's: the state, the noise buffer, the anchor
+    # it writes, plus the previous evaluation for the second order, and one
+    # row block of the kernel, the (8, 18,080) logits of the last, folded
+    # block with its (2, rows) terms, about one (m, d) array more (4.0 and
+    # 5.0 arrays in all). reverse_step works in place and holds one row block
+    # of std * noise; an un-blocked kernel would hold (m, 8) logits, four
+    # arrays more
     import tracemalloc
 
     m = 100_000
@@ -181,6 +200,63 @@ def test_sample_peak_memory_is_a_few_state_arrays(order, arrays):
     finally:
         tracemalloc.stop()
     assert peak <= arrays * m * dist.dim * 8
+
+
+def _reference_chain(dist, grid, cfg):
+    """The sampler's chain from the public kernels, on fresh C-ordered arrays."""
+    t, ell = 1.0 / grid.gammas, np.log(grid.gammas)
+    init_rng, step_rng, err_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
+    shape = (cfg.n_samples, dist.dim)
+    if cfg.init == "exact_forward":
+        Y = dist.sample(cfg.n_samples, init_rng) + math.sqrt(grid.T) * init_rng.standard_normal(shape)
+    else:
+        Y = init_rng.standard_normal(shape) * np.sqrt(grid.T + dist.axis_variances())
+    prev = None
+    for k in range(1, grid.K + 1):
+        cur = posterior_mean(dist, t[k - 1], Y)
+        if cfg.sigma_err > 0:
+            cur = cur + cfg.sigma_err * err_rng.standard_normal(shape)
+        anchor = cur
+        if cfg.order == "second" and prev is not None:
+            slope = (cur - prev) / (ell[k - 1] - ell[k - 2])
+            anchor = slope * (0.5 * (ell[k] + ell[k - 1]) - ell[k - 1]) + cur
+        prev = cur
+        Y = reverse_step(Y, t[k - 1], t[k], anchor, step_rng.standard_normal(shape))
+    return Y
+
+
+def _wide_mixture(n, d, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, n)
+    return GaussianMixture(w / w.sum(), rng.normal(0.0, 1.5, (n, d)), rng.uniform(0.5, 1.0, n))
+
+
+# d = 1, d = 2 in two row blocks of the kernel (16,384 + 3,616 rows), and
+# d = 64 in two blocks (2,048 + 552 rows)
+CHAIN_CASES = [
+    (_wide_mixture(3, 1, 0), 500),
+    (build_toy("circle8"), 20_000),
+    (_wide_mixture(64, 64, 1), 2600),
+]
+
+
+@pytest.mark.parametrize("init", ["exact_forward", "gaussian_prior"])
+@pytest.mark.parametrize("sigma_err", [0.0, 0.3])
+@pytest.mark.parametrize("order", ["first", "second"])
+@pytest.mark.parametrize("case", CHAIN_CASES, ids=["d1", "d2", "d64"])
+def test_buffered_sampler_matches_the_reference_chain(case, order, sigma_err, init):
+    # the sampler keeps a column-major state and reuses its buffers; every
+    # draw keeps the values of a fresh C-ordered one, and the kernels give
+    # the same bits for either memory order, so the chain is bit for bit the
+    # one built from fresh arrays
+    dist, m = case
+    grid = grid_geometric(1.0, 1e-3, 5)
+    cfg = SamplerConfig(n_samples=m, seed=17, order=order, sigma_err=sigma_err, init=init)
+    out, _ = sample(dist, grid, cfg)
+    assert out.flags.f_contiguous
+    assert np.array_equal(out, _reference_chain(dist, grid, cfg))
 
 
 # ---------------------------------------------------------------------------
