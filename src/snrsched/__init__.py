@@ -25,7 +25,7 @@ from .functionals import (
     final_bounds,
     pathwise_kl_mc,
 )
-from .sampler import SamplerConfig, SampleReport, reverse_step, sample
+from .sampler import SamplerConfig, reverse_step, sample
 from .schedules import (
     InfeasibleError,
     LasConfig,

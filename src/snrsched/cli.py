@@ -22,7 +22,6 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible optimization,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -81,12 +80,14 @@ def _sha256(path) -> str:
 
 
 class _Run:
-    """Collects artifacts and stage timings, then writes the manifest."""
+    """Collects artifacts and stage timings under ``args.out``, then writes the
+    manifest: the subcommand ``args.command`` and the config echo of
+    :func:`_config_dict`."""
 
-    def __init__(self, outdir, command: str, config: dict):
-        self.outdir = outdir
-        self.command = command
-        self.config = config
+    def __init__(self, args):
+        self.outdir = args.out
+        self.command = args.command
+        self.config = _config_dict(args)
         self.artifacts = []
         self.timings = {}
         self._t0 = time.perf_counter()
@@ -151,7 +152,7 @@ def _config_dict(args) -> dict:
 
 
 def cmd_schedule(args) -> int:
-    run = _Run(args.out, "schedule", _config_dict(args))
+    run = _Run(args)
     for flag, value in (("--T", args.T), ("--delta", args.delta)):
         if value is not None and not value > 0:
             raise ValueError(f"{flag} must be positive, got {value!r}")
@@ -202,7 +203,7 @@ _BUILDERS = {
 
 
 def cmd_grids(args) -> int:
-    run = _Run(args.out, "grids", _config_dict(args))
+    run = _Run(args)
     run.stage("build")
     kinds = list(_BUILDERS) if args.kind == "all" else [args.kind]
     grids = {k: _BUILDERS[k](args) for k in kinds}
@@ -247,7 +248,7 @@ def _named_grids(args) -> list:
 
 
 def cmd_report(args) -> int:
-    run = _Run(args.out, "report", _config_dict(args))
+    run = _Run(args)
     run.stage("load")
     target = _load_target(args.target)
     curve = MmseCurve(target, seed=args.seed)
@@ -307,7 +308,7 @@ def _sample_lines(samples: np.ndarray):
 
 
 def cmd_simulate(args) -> int:
-    run = _Run(args.out, "simulate", _config_dict(args))
+    run = _Run(args)
     run.stage("load")
     target = _load_target(args.target)
     named = _named_grids(args)
@@ -327,22 +328,18 @@ def cmd_simulate(args) -> int:
     run.stage("write")
     _write_csv(run.path("samples.csv"), [f"x{i}" for i in range(samples.shape[1])],
                _sample_lines(samples))
-    # the NLL is NaN where it does not apply (a discrete target); strict JSON writes null
-    rep = {k: None if isinstance(v, float) and math.isnan(v) else v
-           for k, v in dataclasses.asdict(report).items()}
-    rep["schedule"] = name
-    _write_json(run.path("sample_report.json"), rep)
+    _write_json(run.path("sample_report.json"), {**report, "schedule": name})
     run.finish()
     nll = (
-        "n/a" if math.isnan(report.nll_mean)
-        else f"{report.nll_mean:.6g} (stderr {report.nll_stderr:.2g})"
+        "n/a" if report["nll_mean"] is None
+        else f"{report['nll_mean']:.6g} (stderr {report['nll_stderr']:.2g})"
     )
     print(f"{name}: K={grid.K} n={args.samples} nll={nll}")
     return 0
 
 
 def cmd_mmse_table(args) -> int:
-    run = _Run(args.out, "mmse-table", _config_dict(args))
+    run = _Run(args)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if not 0 < args.gamma_min < args.gamma_max:
@@ -366,7 +363,7 @@ def cmd_mmse_table(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # here, so no other subcommand loads the checks
 
-    run = _Run(args.out, "verify", _config_dict(args)) if args.out else None
+    run = _Run(args) if args.out else None
     if args.target:
         targets = {args.target: _load_target(args.target)}
     else:

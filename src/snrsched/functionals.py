@@ -87,16 +87,6 @@ class SnrGrid:
         return self.gammas[-1] / self.gammas[0]
 
     @property
-    def ratios(self) -> np.ndarray:
-        """Step ratios r_k = gamma_k / gamma_{k-1}, length K."""
-        return self.gammas[1:] / self.gammas[:-1]
-
-    @property
-    def log_steps(self) -> np.ndarray:
-        """Log-SNR steps h_k = log r_k, length K."""
-        return np.log(self.ratios)
-
-    @property
     def times(self) -> np.ndarray:
         """Reverse-time knots s_k = T - 1/gamma_k, ascending from 0 to T - delta."""
         return self.T - 1.0 / self.gammas
@@ -188,13 +178,7 @@ class LossProfile:
                 fh.write(f"{g:.17g},{lo:.17g},x0\n")
 
 
-def _as_curve(dist_or_curve) -> MmseCurve:
-    if isinstance(dist_or_curve, MmseCurve):
-        return dist_or_curve
-    return MmseCurve(dist_or_curve)
-
-
-def disc_error(dist_or_curve, grid: SnrGrid) -> float:
+def disc_error(curve: MmseCurve, grid: SnrGrid) -> float:
     """Discretization error E_disc = sum of per-interval mmse area gaps.
 
     Computed as sum_k (gamma_k - gamma_{k-1}) mmse(gamma_{k-1}) minus the
@@ -203,7 +187,6 @@ def disc_error(dist_or_curve, grid: SnrGrid) -> float:
     quadrature ones; under Monte Carlo it carries the noise of the K mmse
     estimates and of the two I estimates, and no stderr is returned.
     """
-    curve = _as_curve(dist_or_curve)
     g = grid.gammas
     riemann = float(np.diff(g) @ np.array([curve.mmse(x)[0] for x in g[:-1]]))
     return riemann - curve.integral(g[0], g[-1])
@@ -214,7 +197,7 @@ def _excess(loss: LossProfile, curve: MmseCurve, g: np.ndarray) -> np.ndarray:
     return np.maximum([loss.x0_at(x) - curve.mmse(x)[0] for x in g[:-1]], 0.0)
 
 
-def apx_error(loss: LossProfile, dist_or_curve, grid: SnrGrid) -> float:
+def apx_error(loss: LossProfile, curve: MmseCurve, grid: SnrGrid) -> float:
     """Approximation error E_apx from a loss profile and an mmse oracle.
 
     E_apx = sum_k (gamma_k - gamma_{k-1}) * max(0, L_x0(gamma_{k-1}) -
@@ -222,7 +205,7 @@ def apx_error(loss: LossProfile, dist_or_curve, grid: SnrGrid) -> float:
     estimated by Monte Carlo) are clamped at zero.
     """
     g = grid.gammas
-    return float(np.diff(g) @ _excess(loss, _as_curve(dist_or_curve), g))
+    return float(np.diff(g) @ _excess(loss, curve, g))
 
 
 def combined_objective(loss: LossProfile, grid: SnrGrid) -> float:
@@ -245,12 +228,15 @@ def _check_bound_constants(**constants) -> None:
 def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
     """Closed-form discretization/KL upper bounds for a grid.
 
-    Returns the ratio-sum discretization bound (C^2 H^2 / 2) sum_k
-    (Delta gamma_k / gamma_{k-1})^2, its geometric-grid value
-    (C^2 H^2 / 2) K (Lambda^{1/K} - 1)^2, and the two-term KL control
-    log(Lambda) (C^2 H^2 log(Lambda)/K + eps_bar), which requires
-    K >= log(Lambda) to be applicable. H and C_fit must be finite and >= 0,
-    and a bound that overflows raises ValueError naming it.
+    Returns the ratio-sum discretization bound ``disc_bound`` = (C^2 H^2 / 2)
+    sum_k (Delta gamma_k / gamma_{k-1})^2, its geometric-grid value
+    ``geo_disc_bound`` = (C^2 H^2 / 2) K (Lambda^{1/K} - 1)^2, and the
+    two-term KL control ``kl_total`` = log(Lambda) (C^2 H^2 log(Lambda)/K +
+    eps_bar) with its two terms, ``kl_disc_term`` = log(Lambda)^2 C^2 H^2 / K
+    and ``kl_stat_term`` = log(Lambda) eps_bar. The control needs
+    K >= log(Lambda), which ``kl_total_applicable`` records. H and C_fit must
+    be finite and >= 0, and a bound or term that overflows raises ValueError
+    naming it.
     """
     _check_bound_constants(H=H, C_fit=C_fit)
     g = grid.gammas
@@ -266,9 +252,11 @@ def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
             "disc_bound": 0.5 * c2h2 * ratio_sq,
             "geo_disc_bound": 0.5 * c2h2 * K * (grid.Lambda ** (1.0 / K) - 1.0) ** 2,
             "kl_total": log_lambda * (c2h2 * log_lambda / K + eps_bar),
+            "kl_disc_term": log_lambda**2 * c2h2 / K,
+            "kl_stat_term": log_lambda * eps_bar,
             "kl_total_applicable": K >= log_lambda,
         }
-    for name in ("disc_bound", "geo_disc_bound", "kl_total"):
+    for name in ("disc_bound", "geo_disc_bound", "kl_total", "kl_disc_term", "kl_stat_term"):
         if not math.isfinite(out[name]):
             raise ValueError(f"{name} is not finite with C_fit = {C_fit!r} and H = {H!r}")
     return out
@@ -347,30 +335,27 @@ def pathwise_kl_mc(
 
 
 def error_report(
-    dist_or_curve,
+    curve: MmseCurve,
     grid: SnrGrid,
     loss: LossProfile | None = None,
     *,
     H: float | None = None,
     C_fit: float = 1.0,
 ) -> dict:
-    """E_disc, E_apx and the derived KL bound for one (target, grid, loss) triple.
+    """E_disc, E_apx and the derived KL bound for one (curve, grid, loss) triple.
 
     Returns the ``report.json`` entry: ``e_disc``, ``e_apx``,
-    ``kl_path_bound`` = (E_disc + E_apx) / 2, ``two_term`` and
-    ``provenance``, all in the MMSE-functional route. Without a loss profile
-    the model is taken to be the exact denoiser, so E_apx = 0. When the
-    target's Shannon entropy ``H`` is supplied, ``two_term`` holds the
-    two-term KL control from :func:`final_bounds`, with eps_bar the mean of
-    the per-level excess terms eps_k = gamma_{k-1} * excess, and the full
-    :func:`final_bounds` result is added under ``"bounds"``; otherwise
-    ``two_term`` is empty. ``C_fit``, and ``H`` when given, must be finite
-    and >= 0; they are checked before any oracle work.
+    ``kl_path_bound`` = (E_disc + E_apx) / 2 and ``provenance``, all in the
+    MMSE-functional route. Without a loss profile the model is taken to be
+    the exact denoiser, so E_apx = 0. When the target's Shannon entropy ``H``
+    is supplied, the :func:`final_bounds` result is added under ``"bounds"``,
+    with eps_bar the mean of the per-level excess terms
+    eps_k = gamma_{k-1} * excess. ``C_fit``, and ``H`` when given, must be
+    finite and >= 0; they are checked before any oracle work.
     """
     _check_bound_constants(C_fit=C_fit)
     if H is not None:
         _check_bound_constants(H=H)
-    curve = _as_curve(dist_or_curve)
     g = grid.gammas
     e_disc = disc_error(curve, grid)
     if loss is None:
@@ -386,18 +371,8 @@ def error_report(
         "e_disc": e_disc,
         "e_apx": e_apx,
         "kl_path_bound": 0.5 * (e_disc + e_apx),
-        "two_term": {},
         "provenance": {"e_disc": "mmse_functional", "e_apx": apx_prov},
     }
     if H is not None:
-        bounds = final_bounds(grid, H, C_fit, eps_bar)
-        out["two_term"] = {
-            "disc_term": math.log(grid.Lambda) ** 2 * (C_fit * H) ** 2 / grid.K,
-            "stat_term": math.log(grid.Lambda) * eps_bar,
-            "kl_total": bounds["kl_total"],
-            "applicable": bounds["kl_total_applicable"],
-        }
-        out["bounds"] = bounds
-        if not math.isfinite(out["two_term"]["disc_term"]):
-            raise ValueError(f"disc_term is not finite with C_fit = {C_fit!r} and H = {H!r}")
+        out["bounds"] = final_bounds(grid, H, C_fit, eps_bar)
     return out

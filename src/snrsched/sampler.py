@@ -33,7 +33,6 @@ from .targets import GaussianMixture, TargetDistribution, _row_blocks
 
 __all__ = [
     "SamplerConfig",
-    "SampleReport",
     "reverse_step",
     "sample",
 ]
@@ -75,19 +74,6 @@ class SamplerConfig:
             raise ValueError("sigma_err must be finite and nonnegative")
 
 
-@dataclass
-class SampleReport:
-    """Sampling outcome: mean NLL under the true target density, with stderr."""
-
-    nll_mean: float
-    nll_stderr: float
-    n_samples: int
-    gammas: list
-    config: dict
-    denoised_nll_mean: float | None = None
-    denoised_nll_stderr: float | None = None
-
-
 def reverse_step(state, t_prev: float, t_next: float, anchor, noise, out=None):
     """One exact frozen-drift transition from noise scale t_prev down to t_next.
 
@@ -127,8 +113,9 @@ def _step_std(t_prev: float, t_next: float) -> float:
 
 
 def _nll_stats(dist, samples):
+    """Mean NLL under the target density and its stderr; (None, None) without a density."""
     if not isinstance(dist, GaussianMixture):
-        return float("nan"), float("nan")
+        return None, None
     return _mean_se(-dist.log_prob(samples))
 
 
@@ -182,31 +169,36 @@ def _run(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig
     return Y
 
 
-def _report(dist, grid, cfg, samples):
+def _report(dist, grid, cfg, samples) -> dict:
     nll, se = _nll_stats(dist, samples)
-    report = SampleReport(
-        nll_mean=nll,
-        nll_stderr=se,
-        n_samples=cfg.n_samples,
-        gammas=[float(g) for g in grid.gammas],
-        config={
+    dn = dse = None
+    if cfg.final_denoise:
+        dn, dse = _nll_stats(dist, posterior_mean(dist, grid.delta, samples))
+    return {
+        "nll_mean": nll,
+        "nll_stderr": se,
+        "denoised_nll_mean": dn,
+        "denoised_nll_stderr": dse,
+        "n_samples": cfg.n_samples,
+        "gammas": [float(g) for g in grid.gammas],
+        "config": {
             "order": cfg.order,
             "init": cfg.init,
             "sigma_err": cfg.sigma_err,
             "seed": cfg.seed,
             "final_denoise": cfg.final_denoise,
         },
-    )
-    if cfg.final_denoise:
-        denoised = posterior_mean(dist, grid.delta, samples)
-        dn, dse = _nll_stats(dist, denoised)
-        report.denoised_nll_mean = dn
-        report.denoised_nll_stderr = dse
-    return report
+    }
 
 
 def sample(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig):
     """Run the sampler over the grid; returns (samples at t = delta, report).
+
+    ``report`` is the ``sample_report.json`` object: ``nll_mean`` and
+    ``nll_stderr`` under the target density, ``denoised_nll_mean`` and
+    ``denoised_nll_stderr`` after the terminal jump of ``cfg.final_denoise``,
+    ``n_samples``, ``gammas`` and ``config``. An NLL that does not apply (a
+    target without a density, or no final denoise) is None.
 
     Deterministic given (cfg, seed): all randomness flows from
     SeedSequence(cfg.seed) through three fixed substreams. cfg.order picks

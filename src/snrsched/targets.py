@@ -314,76 +314,33 @@ def renyi_half_entropy(dist: TargetDistribution) -> float:
     return 2.0 * math.log(math.fsum(math.sqrt(pi) for pi in p))
 
 
-@dataclass(frozen=True)
-class InfoProfile:
-    """Entropy summary of a finite discrete target.
-
-    Attributes
-    ----------
-    shannon, renyi_half : float
-        H and H_{1/2} in nats; H_{1/2} >= H always (Renyi entropies are
-        nonincreasing in the order).
-    nu_sq : float
-        Smallest nu^2 >= 0 with M(lam) <= exp(nu^2 lam^2) on the tested
-        lambda grid, where M is the moment generating function of the
-        centered surprisal iota(Z) - H.
-    b : float
-        Sub-exponential scale; the grid covers [-1/b, 1/b].
-    mgf_ok : bool
-        Whether the fitted bound holds at every tested lambda.
-    """
-
-    shannon: float
-    renyi_half: float
-    nu_sq: float
-    b: float
-    mgf_ok: bool
-
-    @property
-    def renyi_half_bound(self) -> float:
-        """Upper bound H + nu^2/2 on H_{1/2} implied by the surprisal MGF fit."""
-        return self.shannon + 0.5 * self.nu_sq
-
-
-def fit_subexponential(dist: TargetDistribution, b: float) -> InfoProfile:
-    """Fit a sub-exponential envelope to the centered surprisal of ``dist``.
+def fit_subexponential(dist: TargetDistribution) -> float:
+    """Sub-exponential envelope nu^2 of the centered surprisal of ``dist``.
 
     Evaluates M(lam) = sum_i p_i exp(lam (iota_i - H)) exactly on a symmetric
-    deterministic grid of 41 lambdas covering [-1/b, 1/b]
-    (endpoints and 0 included), and returns the smallest nu^2 with
+    deterministic grid of 41 lambdas covering [-1/2, 1/2] (endpoints and 0
+    included), and returns the smallest nu^2 >= 0 with
     M(lam) <= exp(nu^2 lam^2) on that grid.
 
-    With b <= 2 the grid contains lam = 1/2 whenever 1/b is a multiple of
-    1/2 over the half-grid; in particular b = 2 puts lam = 1/2 on the grid,
-    and M(1/2) = exp((H_{1/2} - H)/2), so in exact arithmetic the fitted
-    profile satisfies H_{1/2} <= H + nu^2/2. The bound is attained when
-    lam = 1/2 sets nu^2, as on both toys; there the computed H_{1/2} can
-    exceed it by an ulp (2.2e-16 on the toys), so a check needs a slack.
+    M(1/2) = exp((H_{1/2} - H)/2), so in exact arithmetic
+    H_{1/2} <= H + nu^2/2. The bound is attained when lam = 1/2 sets nu^2,
+    as on both toys; there the computed H_{1/2} can exceed it by an ulp
+    (2.2e-16 on the toys), so a check needs a slack.
     """
     d = _require_discrete(dist)
-    if not 0 < b <= 2:
-        raise ValueError("sub-exponential scale b must lie in (0, 2]")
     H = shannon_entropy(d)
     p = _sorted_by_prob(d)
     iota = -np.log(p)
 
-    half = np.linspace(0.0, 1.0 / b, 21)  # mirrored below: 41 lambdas in all
+    half = np.linspace(0.0, 0.5, 21)  # mirrored below: 41 lambdas in all
     lams = np.concatenate([-half[::-1][:-1], half])
 
-    mgf = [math.fsum(pi * math.exp(lam * (io - H)) for pi, io in zip(p, iota)) for lam in lams]
     nu_sq = 0.0
-    for lam, m in zip(lams, mgf):
+    for lam in lams:
         if lam != 0.0:
+            m = math.fsum(pi * math.exp(lam * (io - H)) for pi, io in zip(p, iota))
             nu_sq = max(nu_sq, math.log(m) / lam**2)
-    mgf_ok = all(m <= math.exp(nu_sq * lam**2) * (1.0 + 1e-12) for lam, m in zip(lams, mgf))
-
-    return InfoProfile(
-        shannon=H,
-        renyi_half=renyi_half_entropy(d),
-        nu_sq=nu_sq,
-        b=float(b),
-        mgf_ok=mgf_ok,
-    )
+    return float(nu_sq)
 
 
 def target_to_json(dist: TargetDistribution) -> dict:

@@ -114,9 +114,8 @@ def _derivative(target, rng, seed):
 def _fitted_gap(target, rng, seed):
     if not isinstance(target, FiniteDiscrete):
         return None
-    prof = fit_subexponential(target, b=2.0)
-    ok, msg = _leq(prof.renyi_half, prof.renyi_half_bound, "H_1/2 <= H + nu^2/2", 1e-10)
-    return ok and prof.mgf_ok, msg + ("" if prof.mgf_ok else "; MGF fit fails on its grid")
+    bound = shannon_entropy(target) + 0.5 * fit_subexponential(target)
+    return _leq(renyi_half_entropy(target), bound, "H_1/2 <= H + nu^2/2", 1e-10)
 
 
 @_check("fourth moment dominates tr(Cov^2)")

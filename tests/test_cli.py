@@ -14,7 +14,7 @@ import pytest
 
 from oracles import brute_first_order, eta_of
 import snrsched
-from snrsched import channel, targets, verify
+from snrsched import SamplerConfig, channel, grid_geometric, sample, verify
 from snrsched.cli import main
 from snrsched.targets import build_toy, target_to_json, toy_discrete
 
@@ -283,8 +283,11 @@ def test_report_bounds_share_two_term_kl_total(tmp_path):
             "--loss", str(tmp_path / "loss.csv"), "--out", str(out)]
     assert main(argv) == 0
     (entry,) = json.loads((out / "report.json").read_text())
-    assert entry["two_term"]["stat_term"] > 0.0
-    assert entry["bounds"]["kl_total"] == pytest.approx(entry["two_term"]["kl_total"], rel=1e-12)
+    bounds = entry["bounds"]
+    assert bounds["kl_stat_term"] > 0.0
+    assert bounds["kl_total"] == pytest.approx(
+        bounds["kl_disc_term"] + bounds["kl_stat_term"], rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("entropy", [None, "0.8"], ids=["no_entropy", "entropy"])
@@ -299,15 +302,14 @@ def test_report_json_entry_key_set(tmp_path, entropy):
     assert main(argv) == 0
     (entry,) = json.loads((out / "report.json").read_text())
     keys = {"name", "K", "gammas", "e_disc", "e_apx", "kl_path_bound", "combined_objective",
-            "two_term", "provenance"}
+            "provenance"}
     if entropy is None:
         assert set(entry) == keys
-        assert entry["two_term"] == {}
     else:
         assert set(entry) == keys | {"bounds"}
-        assert set(entry["two_term"]) == {"disc_term", "stat_term", "kl_total", "applicable"}
         assert set(entry["bounds"]) == {
-            "disc_bound", "geo_disc_bound", "kl_total", "kl_total_applicable"
+            "disc_bound", "geo_disc_bound", "kl_total", "kl_disc_term", "kl_stat_term",
+            "kl_total_applicable",
         }
     assert entry["provenance"] == {"e_disc": "mmse_functional", "e_apx": "loss_profile"}
 
@@ -721,7 +723,7 @@ def test_verify_rejects_unknown_suite(capsys):
 @pytest.mark.parametrize("row, owner, name, wrap", [
     (4, channel, "_cov_trace", lambda f: lambda *a: 2.0 * f(*a)),
     (5, channel, "_cov_trace", lambda f: lambda *a: 1.01 * f(*a)),
-    (6, targets, "renyi_half_entropy", lambda f: lambda d: f(d) + 1e-6),
+    (6, verify, "renyi_half_entropy", lambda f: lambda d: f(d) + 1e-6),
     (7, verify, "posterior_fourth_moment", lambda f: lambda *a: tuple(0.01 * v for v in f(*a))),
     (8, channel.MmseCurve, "integral", lambda f: lambda self, lo, hi: 0.5 * f(self, lo, hi)),
 ], ids=["prior-variance", "derivative", "renyi-gap", "fourth-moment", "i-mmse"])
@@ -972,6 +974,26 @@ def test_simulate_discrete_target_writes_strict_json(tmp_path, capsys):
     assert rep["nll_mean"] is rep["nll_stderr"] is rep["denoised_nll_mean"] is None
 
 
+@pytest.mark.parametrize("dist, flags, cfg", [
+    (toy_discrete("circle8"), ["--final-denoise"], {"final_denoise": True}),
+    (build_toy("circle8"), ["--order", "second"], {"order": "second"}),
+], ids=["discrete-final-denoise", "circle8-second-order"])
+def test_sample_report_is_the_written_report(tmp_path, dist, flags, cfg):
+    # sample() returns the sample_report.json object; the CLI adds only "schedule"
+    target = tmp_path / "target.json"
+    write_target(target, dist)
+    out = tmp_path / "run"
+    argv = ["simulate", "--target", str(target), "--baseline", "geometric", "--K", "4",
+            "--samples", "50", "--seed", "3", *flags, "--out", str(out)]
+    assert main(argv) == 0
+    written = json.loads((out / "sample_report.json").read_text())
+    assert written.pop("schedule") == "geometric"
+    _, report = sample(dist, grid_geometric(1.0, 1e-3, 4),
+                       SamplerConfig(n_samples=50, seed=3, **cfg))
+    json.dumps(report, allow_nan=False)
+    assert report == written
+
+
 def test_simulate_rejects_overflowing_grid_before_sampling(tmp_path, capsys, monkeypatch):
     import snrsched.sampler as sampler
 
@@ -998,7 +1020,7 @@ def test_simulate_rejects_overflowing_grid_before_sampling(tmp_path, capsys, mon
 def test_perfbench_selftest_passes():
     # the benchmark traces snrsched names and signatures; this catches a change that breaks them
     script = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "selftest.py")
-    proc = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-B", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "selftest: ok"
 

@@ -47,8 +47,9 @@ def test_grid_derived_fields():
     assert g.T == 1.0
     assert g.delta == 0.25
     assert g.Lambda == pytest.approx(4.0, rel=1e-15)
-    np.testing.assert_allclose(g.ratios, [2.0, 2.0], rtol=1e-15)
-    np.testing.assert_allclose(g.log_steps, [math.log(2)] * 2, rtol=1e-14)
+    ratios = g.gammas[1:] / g.gammas[:-1]
+    np.testing.assert_allclose(ratios, [2.0, 2.0], rtol=1e-15)
+    np.testing.assert_allclose(np.log(ratios), [math.log(2)] * 2, rtol=1e-14)
 
 
 def test_grid_times_pin_endpoints():
@@ -61,7 +62,7 @@ def test_grid_times_pin_endpoints():
 
 def test_grid_lambda_is_ratio_product():
     g = SnrGrid(np.geomspace(0.25, 1000.0, 9))
-    assert g.Lambda == pytest.approx(float(np.prod(g.ratios)), rel=1e-9)
+    assert g.Lambda == pytest.approx(float(np.prod(g.gammas[1:] / g.gammas[:-1])), rel=1e-9)
 
 
 def test_grid_rejects_non_ascending():
@@ -101,14 +102,14 @@ def test_eps_to_x0_vectorized():
 
 
 def test_disc_error_closed_form_124():
-    got = disc_error(single_gauss(), SnrGrid([1.0, 2.0, 4.0]))
+    got = disc_error(MmseCurve(single_gauss()), SnrGrid([1.0, 2.0, 4.0]))
     assert got == pytest.approx(GAUSS_GRID_124_DISC, abs=1e-12)
     assert got == pytest.approx(0.250376, abs=5e-7)
 
 
 def test_disc_error_point_mass_zero():
     pm = FiniteDiscrete(points=[[1.0, 2.0]], probs=[1.0])
-    assert disc_error(pm, SnrGrid([0.5, 50.0])) == pytest.approx(0.0, abs=1e-12)
+    assert disc_error(MmseCurve(pm), SnrGrid([0.5, 50.0])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_disc_error_random_gaussian_grids_match_oracle():
@@ -119,7 +120,7 @@ def test_disc_error_random_gaussian_grids_match_oracle():
         knots = np.sort(np.exp(rng.uniform(-1.5, 5.0, size=int(rng.integers(2, 7)))))
         while np.any(np.diff(knots) <= 1e-9):
             knots = np.sort(np.exp(rng.uniform(-1.5, 5.0, size=knots.size)))
-        got = disc_error(single_gauss(sigma0, d), SnrGrid(knots))
+        got = disc_error(MmseCurve(single_gauss(sigma0, d)), SnrGrid(knots))
         assert got == pytest.approx(gauss_disc_error(sigma0, d, knots), abs=1e-10)
         assert got >= 0.0
 
@@ -388,10 +389,10 @@ def test_error_report_kl_is_half_sum():
 def test_error_report_two_term_with_entropy():
     grid = SnrGrid(np.geomspace(1.0, 100.0, 7))  # K=6 >= ln(100)
     rep = error_report(MmseCurve(single_gauss()), grid, None, H=0.8)
-    two_term = rep["two_term"]
-    assert two_term["applicable"]
-    assert two_term["kl_total"] == pytest.approx(
-        two_term["disc_term"] + two_term["stat_term"], rel=1e-12
+    bounds = rep["bounds"]
+    assert bounds["kl_total_applicable"]
+    assert bounds["kl_total"] == pytest.approx(
+        bounds["kl_disc_term"] + bounds["kl_stat_term"], rel=1e-12
     )
 
 

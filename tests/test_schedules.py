@@ -110,7 +110,7 @@ def test_geometric_example():
 
 def test_geometric_equal_log_steps():
     g = grid_geometric(4.0, 1e-3, 13)
-    h = g.log_steps
+    h = np.log(g.gammas[1:] / g.gammas[:-1])
     np.testing.assert_allclose(h, h[0], rtol=1e-12)
 
 

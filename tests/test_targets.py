@@ -187,8 +187,7 @@ def test_permutation_leaves_info_profile_unchanged():
     b = FiniteDiscrete(points=pts[perm], probs=p[perm])
     assert shannon_entropy(a) == shannon_entropy(b)  # bit for bit
     assert renyi_half_entropy(a) == renyi_half_entropy(b)
-    fa, fb = fit_subexponential(a, 2.0), fit_subexponential(b, 2.0)
-    assert (fa.shannon, fa.renyi_half, fa.nu_sq) == (fb.shannon, fb.renyi_half, fb.nu_sq)
+    assert fit_subexponential(a) == fit_subexponential(b)
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +195,25 @@ def test_permutation_leaves_info_profile_unchanged():
 
 
 def test_fit_uniform_nu_zero():
-    prof = fit_subexponential(uniform8(), 2.0)
-    assert prof.nu_sq == 0.0
-    assert prof.mgf_ok
-    assert prof.renyi_half == pytest.approx(prof.shannon, abs=1e-12)
+    assert fit_subexponential(uniform8()) == 0.0
 
 
 def test_fit_point_mass_nu_zero():
-    prof = fit_subexponential(FiniteDiscrete(points=[[0.0]], probs=[1.0]), 2.0)
-    assert prof.nu_sq == 0.0
+    assert fit_subexponential(FiniteDiscrete(points=[[0.0]], probs=[1.0])) == 0.0
 
 
 def test_fit_two_atoms_exact_mgf():
     """The fitted nu^2 is the max of ln M(lam)/lam^2 over the lambda grid."""
     p = [0.64, 0.36]
     d = FiniteDiscrete(points=[[0.0], [1.0]], probs=p)
-    prof = fit_subexponential(d, 2.0)
+    nu_sq = fit_subexponential(d)
     half = np.linspace(0.0, 0.5, 21)
     grid = np.concatenate([-half[::-1][:-1], half])
     want = max(
         math.log(surprisal_mgf(p, lam)) / lam**2 for lam in grid if lam != 0.0
     )
-    assert prof.nu_sq == pytest.approx(max(want, 0.0), abs=1e-12)
-    assert prof.renyi_half <= prof.shannon + prof.nu_sq / 2.0 + 1e-10
+    assert nu_sq == pytest.approx(max(want, 0.0), abs=1e-12)
+    assert renyi_half_entropy(d) <= shannon_entropy(d) + nu_sq / 2.0 + 1e-10
 
 
 def test_fit_bounds_renyi_on_random_dists():
@@ -227,20 +222,12 @@ def test_fit_bounds_renyi_on_random_dists():
         n = int(rng.integers(2, 11))
         p = random_probs(rng, n)
         d = FiniteDiscrete(points=np.arange(float(n))[:, None], probs=p)
-        prof = fit_subexponential(d, 2.0)
-        assert prof.mgf_ok
-        assert prof.nu_sq >= 0.0
-        assert prof.renyi_half <= prof.renyi_half_bound + 1e-10
+        nu_sq = fit_subexponential(d)
+        assert nu_sq >= 0.0
+        assert renyi_half_entropy(d) <= shannon_entropy(d) + nu_sq / 2.0 + 1e-10
         # the envelope really does dominate the MGF off the fitting grid too
         for lam in (-0.41, -0.13, 0.083, 0.29):
-            assert surprisal_mgf(p, lam) <= math.exp(prof.nu_sq * lam**2) * (1 + 1e-9)
-
-
-def test_fit_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        fit_subexponential(uniform8(), 0.0)
-    with pytest.raises(ValueError):
-        fit_subexponential(uniform8(), 2.5)
+            assert surprisal_mgf(p, lam) <= math.exp(nu_sq * lam**2) * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
