@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible optimization,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -65,10 +66,10 @@ def _write_json(path, obj) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    """Write the header and rows as csv.writer does: a field holding ``,``,
+    ``"`` or a line break is quoted, every other field is written as is."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _sha256(path) -> str:
@@ -293,18 +294,17 @@ def cmd_report(args) -> int:
 
 
 def _sample_lines(samples: np.ndarray):
-    """samples.csv rows as _fmt writes them, one string of about 4,096 values per block.
+    """samples.csv rows as _fmt writes them, as bytes, one block of about 4,096 values at a time.
 
-    One "%.17g" format over a whole block gives the same bytes as _fmt value
-    by value in a fraction of the time; formatting block by block keeps no
-    list of every value alive.
+    :func:`csvtext.format_block` computes a block's text with numpy, in a
+    fraction of the time "%.17g" takes value by value; formatting block by
+    block keeps no text of every value alive.
     """
-    d = samples.shape[1]
-    line = ",".join(["%.17g"] * d)
-    step = max(1, 4096 // d)
+    from .csvtext import format_block  # here, so no other subcommand compiles it
+
+    step = max(1, 4096 // samples.shape[1])
     for i in range(0, samples.shape[0], step):
-        block = samples[i:i + step]
-        yield ["\n".join([line] * block.shape[0]) % tuple(block.ravel().tolist())]
+        yield format_block(samples[i:i + step])
 
 
 def cmd_simulate(args) -> int:
@@ -326,8 +326,9 @@ def cmd_simulate(args) -> int:
     run.stage("sample")
     samples, report = sample(target, grid, cfg)
     run.stage("write")
-    _write_csv(run.path("samples.csv"), [f"x{i}" for i in range(samples.shape[1])],
-               _sample_lines(samples))
+    with open(run.path("samples.csv"), "wb") as fh:
+        fh.write(",".join(f"x{i}" for i in range(samples.shape[1])).encode() + b"\n")
+        fh.writelines(_sample_lines(samples))
     _write_json(run.path("sample_report.json"), {**report, "schedule": name})
     run.finish()
     nll = (

@@ -11,11 +11,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import brute_first_order, eta_of
 import snrsched
 from snrsched import SamplerConfig, channel, grid_geometric, sample, verify
-from snrsched.cli import main
+from snrsched.cli import _fmt, main
+from snrsched.csvtext import format_block
 from snrsched.targets import build_toy, target_to_json, toy_discrete
 
 
@@ -480,6 +484,65 @@ def test_samples_csv_writes_each_value_as_fmt(tmp_path, monkeypatch):
             assert (tmp_path / f"run{d}_{m}" / "samples.csv").read_text() == want
 
 
+def _fmt_lines(arr):
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in arr).encode()
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-5, 1e16, math.inf, -math.inf, math.nan,
+               float(np.nextafter(1e-5, 0)), float(np.nextafter(1e16, 0)), -9.9999999999999995e-06]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 64])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_samples_csv_writes_moderate_values_as_fmt(tmp_path, monkeypatch, d, extra):
+    # the magnitudes samples take, 1e-4..1e4, around one block of max(1, 4096 // d) rows
+    import snrsched.cli as cli
+
+    m = max(1, 4096 // d) + extra
+    rng = np.random.default_rng(d)
+    arr = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-4, 5, size=(m, d))
+    arr.ravel()[rng.choice(arr.size, min(arr.size, len(EDGE_VALUES)), replace=False)] = EDGE_VALUES[:arr.size]
+    real = cli.sample
+    monkeypatch.setattr(cli, "sample", lambda *a: (arr, real(*a)[1]))
+    assert main(simulate_args(tmp_path, "run")) == 0
+    want = ",".join(f"x{i}" for i in range(d)).encode() + b"\n" + _fmt_lines(arr)
+    assert (tmp_path / "run" / "samples.csv").read_bytes() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 5), data=st.data())
+def test_format_block_matches_fmt_on_any_float(d, data):
+    rows = data.draw(st.integers(1, 8))
+    floats = arrays(np.float64, (rows, d), elements=st.floats())
+    bits = arrays(np.uint64, (rows, d)).map(lambda a: a.view(np.float64))
+    arr = data.draw(st.one_of(floats, bits))
+    assert format_block(arr) == _fmt_lines(arr)
+
+
+def test_format_block_matches_fmt_at_decade_and_range_edges():
+    rng = np.random.default_rng(0)
+    values = []
+    for k in range(-7, 18):
+        up = down = 10.0**k
+        for _ in range(3):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0)
+            values += [up, down]
+        values.append(10.0**k)
+    for edge in (1e-5, 1e16):
+        values += [edge, np.nextafter(edge, 0), np.nextafter(edge, math.inf)]
+    # integers, dyadic fractions, and decimals of 1 to 17 significant digits
+    for digits in range(1, 18):
+        mant = rng.integers(10 ** (digits - 1), 10**digits, size=40)
+        values += [float(m) for m in mant[:10]]
+        values += [float(m) / 2.0 ** int(j) for m, j in zip(mant[10:20], rng.integers(1, 30, size=10))]
+        values += [float(f"{m}e{int(e)}") for m, e in zip(mant[20:], rng.integers(-25, 5, size=20))]
+    arr = np.array(values)
+    arr = np.concatenate([arr, -arr])
+    for d in (1, 3):
+        block = arr[: arr.size // d * d].reshape(-1, d)
+        assert format_block(block) == _fmt_lines(block)
+
+
 def test_manifest_lists_hashes_that_match(tmp_path):
     assert main(simulate_args(tmp_path, "run")) == 0
     out = tmp_path / "run"
@@ -635,6 +698,22 @@ def test_report_csv_holds_no_nan_or_inf(tmp_path, loss):
     assert not {"nan", "inf", "infinity"} & set(fields)
     combined = rows[0][header.index("combined_objective")]
     assert (combined != "") == loss
+
+
+def test_report_csv_quotes_a_name_that_holds_csv_syntax(tmp_path):
+    sched = tmp_path / 'c,d "e"\nf' / "s.json"
+    sched.parent.mkdir()
+    sched.write_text(json.dumps({"gammas": [1.0, 10.0, 100.0]}))
+    out = tmp_path / "run"
+    argv = ["report", "--target", "circle8", "--schedule", str(sched), "--baseline", "geometric",
+            "--K", "2", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [6, 6, 6]
+    assert [rows[1][0], rows[2][0]] == [str(sched), "geometric"]
+    # a field without a comma, quote or line break keeps its bytes
+    assert (out / "report.csv").read_text().splitlines()[-1].startswith("geometric,2,")
 
 
 # ---------------------------------------------------------------------------
@@ -928,6 +1007,12 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_cli_import_leaves_verify_unloaded():
     proc = _run_python("-c", "import sys, snrsched.cli; print('snrsched.verify' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_samples_csv_formatter_unloaded():
+    proc = _run_python("-c", "import sys, snrsched.cli; print('snrsched.csvtext' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
