@@ -1,9 +1,10 @@
 """Loss-adaptive SNR schedules for diffusion samplers.
 
 Exact denoiser/MMSE oracles for tractable targets under the Brownian forward
-process, discretization/approximation error functionals with a pathwise KL
-Monte-Carlo cross-check, schedule optimization (baseline grids and the
-loss-adaptive dynamic programs), and an exact-transition reverse sampler.
+process, discretization/approximation error functionals in MMSE form (their
+pathwise KL Monte-Carlo cross-check is a test oracle, ``tests/oracles.py``),
+schedule optimization (baseline grids and the loss-adaptive dynamic
+programs), and an exact-transition reverse sampler.
 """
 
 from .channel import (
@@ -23,7 +24,6 @@ from .functionals import (
     eps_to_x0,
     error_report,
     final_bounds,
-    pathwise_kl_mc,
 )
 from .sampler import SamplerConfig, reverse_step, sample
 from .schedules import (

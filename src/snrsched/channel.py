@@ -491,19 +491,23 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
     Given X = Z + sqrt(t) xi, Z and Z' are independent draws from the
     posterior w(X) over atoms, so the moment is the conditional form
     E_X sum_ij w_i(X) w_j(X) |z_i - z_j|^4, which :func:`_mc_expect`
-    averages over X. Finite discrete targets only. Returns (value, stderr).
+    averages over X. |z_i - z_j|^2 is the E of :func:`_pair_table` (t / s2 = 1
+    for atoms), and the rows run in blocks of (n, rows) arrays, as in every
+    kernel. Finite discrete targets only. Returns (value, stderr).
     """
     if not isinstance(dist, FiniteDiscrete):
         raise TypeError("posterior_fourth_moment requires a FiniteDiscrete target")
     if not t > 0:
         raise ValueError("t must be positive")
-    z = dist.points
-    d4 = (((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)) ** 2
+    d4 = _pair_table(dist, t)[3] ** 2
     comps = _components(dist)
 
     def f(X):
-        w = _responsibilities(comps, t, X.T).T
-        return (((w @ d4) * w).sum(axis=1),)
+        out = np.empty(X.shape[0])
+        for rows in _row_blocks(X.shape[0], d4.shape[0]):
+            w = _responsibilities(comps, t, X[rows].T)
+            out[rows] = np.einsum("im,im->m", w, d4 @ w)
+        return (out,)
 
     return _mc_expect(dist, t, f, n_samples, seed)[0]
 

@@ -14,9 +14,9 @@ exactly into a discretization part and a model-approximation part:
              ( L_x0(gamma_{k-1}) - mmse(gamma_{k-1}) ),
 
 where L_x0 is the model's x0-prediction risk at a given SNR. Both are
-computed here in the MMSE-functional form, and E_disc additionally via a
-direct Monte-Carlo estimate of the Girsanov drift-mismatch integral
-(:func:`pathwise_kl_mc`), so each route can serve as the other's oracle.
+computed here in the MMSE-functional form. The second, Monte-Carlo route to
+E_disc / 2, which integrates the Girsanov drift mismatch along simulated
+reverse paths, is the test oracle ``pathwise_kl`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MmseCurve, _mean_se, posterior_mean
-from .sampler import reverse_step
-from .targets import TargetDistribution
+from .channel import MmseCurve
+
+# unused here; perfbench/selftest.py checks that the tracer wraps this binding
+from .channel import posterior_mean
 
 __all__ = [
     "SnrGrid",
@@ -39,7 +40,6 @@ __all__ = [
     "apx_error",
     "combined_objective",
     "final_bounds",
-    "pathwise_kl_mc",
     "error_report",
 ]
 
@@ -60,9 +60,8 @@ def _knots(gammas, what: str) -> np.ndarray:
 class SnrGrid:
     """Strictly increasing SNR knots gamma_0 < ... < gamma_K.
 
-    The endpoint data follow from the knots: T = 1/gamma_0, delta = 1/gamma_K,
-    Lambda = gamma_K/gamma_0, and the reverse-time grid s_k = T - 1/gamma_k
-    with s_0 = 0 and s_K = T - delta.
+    The endpoint data follow from the knots: T = 1/gamma_0, delta = 1/gamma_K
+    and Lambda = gamma_K/gamma_0.
     """
 
     gammas: np.ndarray
@@ -85,11 +84,6 @@ class SnrGrid:
     @property
     def Lambda(self) -> float:
         return self.gammas[-1] / self.gammas[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        """Reverse-time knots s_k = T - 1/gamma_k, ascending from 0 to T - delta."""
-        return self.T - 1.0 / self.gammas
 
 
 def eps_to_x0(loss_eps, gamma):
@@ -260,78 +254,6 @@ def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
         if not math.isfinite(out[name]):
             raise ValueError(f"{name} is not finite with C_fit = {C_fit!r} and H = {H!r}")
     return out
-
-
-_PATH_CHUNK = 20_000
-
-
-def pathwise_kl_mc(
-    dist: TargetDistribution,
-    grid: SnrGrid,
-    n_paths: int,
-    substeps: int = 16,
-    seed=0,
-):
-    """Monte-Carlo estimate of the pathwise KL bound (1/2) E int ||delta_s||^2 ds.
-
-    delta_s is the drift mismatch between the exact reverse process and the
-    frozen-denoiser process, evaluated with the exact denoiser, so the
-    estimate converges to E_disc / 2. Per path the exact reverse trajectory
-    is simulated at ``substeps`` equally spaced sub-times per grid interval.
-    Given the sampled Z it is the Brownian bridge back to Z, whose transition
-    is the frozen-anchor step :func:`snrsched.sampler.reverse_step` with
-    anchor Z. The time integral is taken by the trapezoid rule (the
-    integrand vanishes exactly at each interval's left endpoint).
-
-    Returns (value, stderr). Deterministic given (seed, n_paths): paths are
-    drawn in chunks of 20 000 whose seeds are spawned from the root seed
-    via SeedSequence.spawn.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if substeps < 4:
-        raise ValueError("substeps must be >= 4")
-    T = grid.T
-    s_knots = grid.times
-    t_knots = 1.0 / grid.gammas  # descending from T to delta
-    K = grid.K
-
-    n_chunks = -(-n_paths // _PATH_CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    totals = np.empty(n_paths)
-    done = 0
-    for ss in seeds:
-        m = min(_PATH_CHUNK, n_paths - done)
-        rng = np.random.default_rng(ss)
-        Z = dist.sample(m, rng)
-        # column-major paths and reused buffers, as in the sampler; the noise
-        # buffer is C-ordered, so each draw keeps the values of a fresh one
-        X = np.asfortranarray(Z + math.sqrt(T) * rng.standard_normal(Z.shape))
-        Z = np.asfortranarray(Z)
-        noise = np.empty(X.shape)
-        anchor, drift = np.empty_like(X), np.empty_like(X)
-        t_cur = T
-        acc = np.zeros(m)
-        for k in range(1, K + 1):
-            ds = (s_knots[k] - s_knots[k - 1]) / substeps
-            posterior_mean(dist, t_cur, X, out=anchor)
-            for j in range(1, substeps + 1):
-                s = s_knots[k - 1] + j * ds
-                t_next = T - s
-                rng.standard_normal(out=noise)
-                reverse_step(X, t_cur, t_next, Z, noise, out=X)
-                t_cur = t_next
-                posterior_mean(dist, t_cur, X, out=drift)
-                drift -= anchor
-                drift *= drift
-                f = drift.sum(axis=1) / t_cur**2
-                weight = 0.5 if j == substeps else 1.0  # f = 0 at j = 0
-                acc += weight * ds * f
-        totals[done : done + m] = acc
-        done += m
-
-    value, se = _mean_se(totals)
-    return 0.5 * value, 0.5 * se
 
 
 def error_report(

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# functionals imports this module, so only the module object, not SnrGrid,
-# exists yet; the annotations read functionals.SnrGrid when resolved
-from . import functionals
 from .channel import _mean_se, posterior_mean
+from .functionals import SnrGrid
 from .targets import GaussianMixture, TargetDistribution, _row_blocks
 
 __all__ = [
@@ -132,7 +130,7 @@ def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:
     return Y
 
 
-def _run(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig):
+def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     t = 1.0 / grid.gammas  # descending from T to delta
     ell = np.log(grid.gammas)  # ascending log-SNR along the run
     K = grid.K
@@ -191,7 +189,7 @@ def _report(dist, grid, cfg, samples) -> dict:
     }
 
 
-def sample(dist: TargetDistribution, grid: functionals.SnrGrid, cfg: SamplerConfig):
+def sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     """Run the sampler over the grid; returns (samples at t = delta, report).
 
     ``report`` is the ``sample_report.json`` object: ``nll_mean`` and

@@ -95,9 +95,16 @@ def grid_edm(T: float, delta: float, K: int, rho: float = 7.0) -> SnrGrid:
     if not rho > 0:
         raise ValueError("rho must be positive")
     smax, smin = math.sqrt(T), math.sqrt(delta)
-    ramp = np.arange(K + 1) / K
-    sig = (smax ** (1.0 / rho) + ramp * (smin ** (1.0 / rho) - smax ** (1.0 / rho))) ** rho
-    g = 1.0 / sig**2
+    try:
+        hi = smax ** (1.0 / rho)
+    except OverflowError:  # a float power raises where a product gives inf
+        hi = math.inf
+    if not math.isfinite(hi):
+        raise ValueError(f"rho={rho!r} is too small: sqrt(T) ** (1/rho) overflows")
+    ramp = np.arange(1, K) / K
+    g = np.empty(K + 1)
+    # interior knots only: at small rho the last sigma rounds to 0
+    g[1:-1] = 1.0 / ((hi + ramp * (smin ** (1.0 / rho) - hi)) ** rho) ** 2
     g[0], g[-1] = 1.0 / T, 1.0 / delta
     return SnrGrid(g)
 

@@ -370,7 +370,9 @@ def target_from_json(obj: dict) -> TargetDistribution:
     """Build a target from the distribution-spec JSON object; ValueError if malformed."""
     try:
         variant = obj.get("variant")
-        dim = int(obj.get("dim", 0))
+        dim = obj.get("dim", 0)
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"dim must be a JSON integer, got {dim!r}")
         if variant == "gmm":
             comps = obj["components"]
             dist = GaussianMixture(

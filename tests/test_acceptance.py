@@ -15,6 +15,7 @@ from oracles import (
     GAUSS_GRID_124_DISC,
     brute_first_order,
     brute_second_order,
+    pathwise_kl,
     random_candidates,
     random_probs,
     ratio_sum,
@@ -39,7 +40,6 @@ from snrsched import (
     las_beam,
     las_exact,
     mmse_derivative,
-    pathwise_kl_mc,
     renyi_half_entropy,
     sample,
     shannon_entropy,
@@ -94,14 +94,15 @@ def test_c02_beam_dp_matches_exhaustive_enumeration():
 def test_c03_closed_form_area_gap_and_pathwise_route():
     """Single Gaussian sigma0 = 1, grid [1, 2, 4]: disc_error equals the
     closed form 7/6 - ln(5/2) = 0.250376 to 1e-9, and twice the pathwise
-    KL Monte Carlo (2e5 paths, 16 substeps) agrees within 3 sigma.
+    KL Monte Carlo of the independent oracle (2e5 paths, 16 substeps)
+    agrees within 3 sigma.
     Runtime < 60 s."""
     t0 = time.perf_counter()
     grid = SnrGrid([1.0, 2.0, 4.0])
     got = disc_error(MmseCurve(single_gauss()), grid)
     assert got == pytest.approx(GAUSS_GRID_124_DISC, abs=1e-9)
     assert got == pytest.approx(0.250376, abs=5e-7)
-    v, se = pathwise_kl_mc(single_gauss(), grid, n_paths=200_000, substeps=16, seed=33)
+    v, se = pathwise_kl([1.0], [[0.0]], [1.0], grid.gammas, n_paths=200_000, substeps=16, seed=33)
     assert abs(2.0 * v - got) <= 3.0 * 2.0 * se
     assert time.perf_counter() - t0 < 60.0
 

@@ -357,6 +357,21 @@ def test_fourth_moment_sweep_shape():
     assert ratios[0] < 0.5 * c_fit
 
 
+def test_fourth_moment_memory_does_not_grow_with_samples_times_atoms():
+    # one (20,000, 512) array of posterior weights alone is 78 MiB; the (n, n)
+    # pair table is 2 MiB, and the rows run in blocks of (n, rows) arrays
+    rng = np.random.default_rng(5)
+    dist = FiniteDiscrete(points=rng.normal(size=(512, 4)), probs=np.full(512, 1.0 / 512))
+    tracemalloc.start()
+    try:
+        v, se = posterior_fourth_moment(dist, 0.5, 20_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(v) and se > 0.0
+    assert peak < 16 * 2**20
+
+
 def test_covariance_chain_dominated_by_fourth_moment():
     # E tr(Cov^2) <= E ||Z' - Z||^4 at matched t
     for t in (0.2, 0.5):

@@ -670,6 +670,18 @@ def test_overflowing_reciprocal_names_its_flag(tmp_path, capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
+    ["grids", "--kind", "edm"],
+    ["report", "--target", "circle8", "--baseline", "edm"],
+    ["simulate", "--target", "circle8", "--baseline", "edm", "--samples", "10"],
+], ids=["grids", "report", "simulate"])
+def test_edm_rho_whose_power_overflows_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--T", "4", "--K", "4", "--rho", "1e-4", "--out", str(out)]) == 2
+    assert "rho" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["report", "--target", "circle8", "--baseline", "geometric", "--K", "4"],
     ["simulate", "--target", "circle8", "--baseline", "geometric", "--K", "4", "--samples", "10"],
     ["mmse-table", "--target", "circle8", "--points", "2"],

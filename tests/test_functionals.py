@@ -14,6 +14,7 @@ from oracles import (
     gauss_disc_error,
     gauss_mmse,
     gauss_mmse_integral,
+    pathwise_kl,
     ratio_sum,
 )
 from snrsched import FiniteDiscrete, GaussianMixture
@@ -27,7 +28,6 @@ from snrsched.functionals import (
     eps_to_x0,
     error_report,
     final_bounds,
-    pathwise_kl_mc,
 )
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
@@ -50,14 +50,6 @@ def test_grid_derived_fields():
     ratios = g.gammas[1:] / g.gammas[:-1]
     np.testing.assert_allclose(ratios, [2.0, 2.0], rtol=1e-15)
     np.testing.assert_allclose(np.log(ratios), [math.log(2)] * 2, rtol=1e-14)
-
-
-def test_grid_times_pin_endpoints():
-    g = SnrGrid(np.geomspace(0.5, 800.0, 7))
-    s = g.times
-    assert s[0] == 0.0
-    assert s[-1] == pytest.approx(g.T - g.delta, abs=1e-12)
-    assert np.all(np.diff(s) > 0)
 
 
 def test_grid_lambda_is_ratio_product():
@@ -265,41 +257,33 @@ def test_final_bounds_applicability_flag():
 
 
 # ---------------------------------------------------------------------------
-# pathwise Monte-Carlo route
+# pathwise Monte-Carlo route: the independent oracle against the MMSE form
 
 
 def test_pathwise_kl_point_mass_zero():
-    pm = FiniteDiscrete(points=[[0.5]], probs=[1.0])
-    v, se = pathwise_kl_mc(pm, SnrGrid([1.0, 4.0, 16.0]), n_paths=500, seed=0)
+    v, se = pathwise_kl([1.0], [[0.5]], [0.0], [1.0, 4.0, 16.0], n_paths=500, substeps=16, seed=0)
     assert v == pytest.approx(0.0, abs=1e-20)
     assert se == pytest.approx(0.0, abs=1e-20)
 
 
 def test_pathwise_kl_single_gaussian_half_disc():
-    v, se = pathwise_kl_mc(
-        single_gauss(), SnrGrid([1.0, 2.0, 4.0]), n_paths=50_000, substeps=16, seed=4
-    )
+    v, se = pathwise_kl([1.0], [[0.0]], [1.0], [1.0, 2.0, 4.0], n_paths=50_000, substeps=16, seed=4)
     assert abs(2.0 * v - GAUSS_GRID_124_DISC) <= 3.0 * 2.0 * se
 
 
 def test_pathwise_kl_two_atom_matches_area_gap():
     grid = SnrGrid(np.geomspace(0.5, 8.0, 5))
     want = disc_error(MmseCurve(TWO, policy="quadrature"), grid)
-    v, se = pathwise_kl_mc(TWO, grid, n_paths=50_000, substeps=128, seed=11)
+    v, se = pathwise_kl(
+        TWO.probs, TWO.points, [0.0, 0.0], grid.gammas, n_paths=50_000, substeps=128, seed=11
+    )
     assert abs(2.0 * v - want) <= 3.0 * 2.0 * se
 
 
 def test_pathwise_kl_deterministic_given_seed():
-    a = pathwise_kl_mc(single_gauss(), SnrGrid([1.0, 4.0]), n_paths=4000, seed=5)
-    b = pathwise_kl_mc(single_gauss(), SnrGrid([1.0, 4.0]), n_paths=4000, seed=5)
+    a = pathwise_kl([1.0], [[0.0]], [1.0], [1.0, 4.0], n_paths=4000, substeps=16, seed=5)
+    b = pathwise_kl([1.0], [[0.0]], [1.0], [1.0, 4.0], n_paths=4000, substeps=16, seed=5)
     assert a == b
-
-
-def test_pathwise_kl_rejects_bad_config():
-    with pytest.raises(ValueError):
-        pathwise_kl_mc(single_gauss(), SnrGrid([1.0, 4.0]), n_paths=0)
-    with pytest.raises(ValueError):
-        pathwise_kl_mc(single_gauss(), SnrGrid([1.0, 4.0]), n_paths=10, substeps=2)
 
 
 # ---------------------------------------------------------------------------

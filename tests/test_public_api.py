@@ -57,3 +57,42 @@ def test_public_annotations_resolve():
         except Exception as exc:  # report every unresolvable annotation at once
             broken.append(f"{qual}: {exc!r}")
     assert broken == []
+
+
+def _module_level_imports(tree):
+    """Import statements that run at import time: the module body, but not function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_package_import_graph_has_no_cycle():
+    src = Path(snrsched.__file__).parent
+    names = {p.stem for p in src.glob("*.py")}
+    graph = {}
+    for name in names:
+        deps = set()
+        for node in _module_level_imports(ast.parse((src / f"{name}.py").read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            if node.module:
+                deps.add(node.module)
+            else:  # from . import x: a module x, else a name of the package itself
+                deps.update(a.name if a.name in names else "__init__" for a in node.names)
+        graph[name] = deps
+
+    def cycle_from(name, path):
+        if name in path:
+            return path[path.index(name):] + [name]
+        for dep in sorted(graph[name]):
+            found = cycle_from(dep, path + [name])
+            if found:
+                return found
+        return None
+
+    cycles = [c for c in (cycle_from(n, []) for n in sorted(graph)) if c]
+    assert cycles == []

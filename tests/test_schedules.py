@@ -142,6 +142,26 @@ def test_edm_rejects_nonpositive_rho():
         grid_edm(1.0, 0.01, 4, rho=0.0)
 
 
+def test_edm_small_rho_computes_interior_knots_only():
+    # the last sigma rounds to 0 below rho ~ 0.09 here; 1/0 would warn, and
+    # the suite turns RuntimeWarning into an error
+    g = grid_edm(1.0, 1e-3, 4, rho=0.05)
+    assert g.gammas[0] == 1.0 and g.gammas[-1] == 1e3
+    assert np.all(np.diff(g.gammas) > 0)
+    for T, delta, K, rho in ((1.0, 1e-3, 8, 7.0), (2.0, 1e-4, 9, 3.0), (1.0, 0.01, 5, 7.5)):
+        smax, smin = math.sqrt(T), math.sqrt(delta)
+        ramp = np.arange(K + 1) / K
+        want = 1.0 / ((smax ** (1 / rho) + ramp * (smin ** (1 / rho) - smax ** (1 / rho))) ** rho) ** 2
+        want[0], want[-1] = 1.0 / T, 1.0 / delta
+        np.testing.assert_array_equal(grid_edm(T, delta, K, rho).gammas, want)
+
+
+@pytest.mark.parametrize("rho", [1e-4, 1e-320])
+def test_edm_rejects_rho_whose_power_overflows(rho):
+    with pytest.raises(ValueError, match="rho"):
+        grid_edm(4.0, 1e-3, 4, rho=rho)
+
+
 def test_edm_default_rho_is_seven():
     np.testing.assert_allclose(
         grid_edm(1.0, 0.01, 6).gammas, grid_edm(1.0, 0.01, 6, rho=7.0).gammas

@@ -255,6 +255,18 @@ def test_json_round_trip_mixture():
     np.testing.assert_array_equal(back.sigmas, gm.sigmas)
 
 
+@pytest.mark.parametrize("dist, dim", [
+    (GaussianMixture(weights=[1.0], means=[[0.0, 1.0]], sigmas=[0.5]), 2.5),
+    (GaussianMixture(weights=[1.0], means=[[0.0, 1.0]], sigmas=[0.5]), "2"),
+    (FiniteDiscrete(points=[[0.0], [1.0]], probs=[0.5, 0.5]), 1.5),
+    (FiniteDiscrete(points=[[0.0], [1.0]], probs=[0.5, 0.5]), True),
+], ids=["float", "string", "float_1d", "bool_1d"])
+def test_json_rejects_a_dim_that_is_not_an_integer(dist, dim):
+    obj = dict(target_to_json(dist), dim=dim)
+    with pytest.raises(ValueError, match="dim"):
+        target_from_json(obj)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=10))
 def test_entropy_range_property(raw):
