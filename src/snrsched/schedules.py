@@ -13,7 +13,7 @@ L(i) is the model's x0-prediction risk at knot i, and h_k are log-SNR
 steps. With alpha = 0 the objective is first-order and solved exactly by an
 O(K n^2) dynamic program; with alpha > 0 consecutive steps couple and an
 O(K n^3) dynamic program over (previous, current) index pairs solves it
-exactly.
+exactly. Only the first-order DP counts ties (``Schedule.tie_breaks``).
 """
 
 from __future__ import annotations
@@ -133,7 +133,9 @@ class Schedule:
     Needs K + 1 strictly increasing indices, K + 1 finite gammas and a finite
     objective, so ``schedule.json`` never holds NaN or Infinity. ``K`` and
     ``algorithm`` follow from the fields: K = len(indices) - 1, and the DP is
-    ``"exact"`` for alpha = 0, else ``"beam"``.
+    ``"exact"`` for alpha = 0, else ``"beam"``. ``tie_breaks`` counts the
+    tied predecessors on the exact DP's path (see :func:`las_exact`); the
+    pair DP counts none and leaves it 0.
     """
 
     indices: tuple
@@ -210,8 +212,11 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     block of costs dp[k - 1, i] + (eta_j - eta_i) L_i in a reused buffer:
     the live stages, which can still reach the pinned endpoint n - 1, and
     stage K at j = n - 1. The path is read back by recomputing those costs
-    at each of the K steps. Ties go to the smallest predecessor (the first
-    minimum); ``tie_breaks`` counts the extra equal-cost predecessors.
+    at each of the K steps, in the same float order. Ties go to the smallest
+    predecessor (the first minimum); ``tie_breaks`` counts the extra
+    equal-cost predecessors at those K steps, so it is positive exactly when
+    a second path takes a DP minimum at every step (walking back from the
+    endpoint, the two part at a path cell with a tied predecessor).
     """
     if cfg.alpha != 0:
         raise ValueError("las_exact requires alpha = 0; use las_beam for alpha > 0")
@@ -224,18 +229,18 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     dp = np.full((K + 1, n), np.inf)
     dp[0, 0] = 0.0
     block = np.empty((K, n))
-    ties = 0
     for j in range(1, n):
         lo, hi = max(1, K - (end - j)), K if j == end else min(j, K - 1)
         cost = block[: hi - lo + 1, :j]
         np.add(dp[lo - 1 : hi, :j], (eta[j] - eta[:j]) * L[:j], out=cost)
-        dp[lo : hi + 1, j] = best = cost.min(axis=1)
-        ties += int(np.count_nonzero(cost == best[:, None])) - best.size
+        cost.min(axis=1, out=dp[lo : hi + 1, j])
 
-    indices = [end]
+    indices, ties = [end], 0
     for k in range(K, 0, -1):
         j = indices[-1]
-        indices.append(int(np.argmin(dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j])))
+        c = dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j]
+        indices.append(int(np.argmin(c)))
+        ties += int(np.count_nonzero(c == c[indices[-1]])) - 1
     indices.reverse()
     return _make_schedule(profile, indices, cfg, tie_breaks=ties)
 

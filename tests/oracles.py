@@ -54,14 +54,14 @@ def brute_first_order(gammas, risks, K, lam):
     return best_idx, best_val
 
 
-def first_order_dp(gammas, risks, K, lam):
-    """Optimal first-order (indices, ties) by a plain stage-major DP.
+def first_order_table(gammas, risks, K, lam):
+    """Tables (dp, par, extra) of a plain stage-major first-order DP.
 
     dp[k][j] is the cheapest path from index 0 to j in k steps. Stages
     1..K-1 fill the live band k <= j <= end - (K - k), and stage K fills
     only (K, end). Each cell sums ``dp + (eta_j - eta_i) * L_i`` in that
-    float order and takes the first minimum, i.e. the smallest predecessor;
-    ``ties`` counts the extra equal-cost predecessors over all filled cells.
+    float order and takes the first minimum, i.e. the smallest predecessor
+    par[k][j]; extra[k][j] counts its other equal-cost predecessors.
     """
     n = len(gammas)
     end = n - 1
@@ -69,19 +69,52 @@ def first_order_dp(gammas, risks, K, lam):
     L = [float(r) for r in risks]
     dp = [[math.inf] * n for _ in range(K + 1)]
     par = [[-1] * n for _ in range(K + 1)]
+    extra = [[0] * n for _ in range(K + 1)]
     dp[0][0] = 0.0
-    ties = 0
     for k in range(1, K + 1):
         for j in [end] if k == K else range(k, end - (K - k) + 1):
             costs = [dp[k - 1][i] + (eta[j] - eta[i]) * L[i] for i in range(j)]
             best = min(costs)
             dp[k][j] = best
             par[k][j] = costs.index(best)
-            ties += costs.count(best) - 1
-    indices = [end]
+            extra[k][j] = costs.count(best) - 1
+    return dp, par, extra
+
+
+def first_order_dp(gammas, risks, K, lam):
+    """Optimal first-order (indices, ties) by :func:`first_order_table`.
+
+    ``ties`` sums the extra equal-cost predecessors of the K cells on the
+    traceback, the path that takes the smallest predecessor at each step.
+    """
+    dp, par, extra = first_order_table(gammas, risks, K, lam)
+    indices, ties = [len(gammas) - 1], 0
     for k in range(K, 0, -1):
+        ties += extra[k][indices[-1]]
         indices.append(par[k][indices[-1]])
     return tuple(reversed(indices)), ties
+
+
+def dp_minimal_paths(gammas, risks, K, lam):
+    """Number of index paths that take a DP minimum at every step.
+
+    Enumerates every 0 = i_0 < ... < i_K = n - 1 and keeps those whose every
+    step has ``dp[k - 1][i_{k-1}] + (eta_{i_k} - eta_{i_{k-1}}) * L_{i_{k-1}}``
+    equal to ``dp[k][i_k]``, with dp from :func:`first_order_table` and the
+    sum in its float order.
+    """
+    n = len(gammas)
+    dp, _, _ = first_order_table(gammas, risks, K, lam)
+    eta = [eta_of(float(g), lam) for g in gammas]
+    L = [float(r) for r in risks]
+    count = 0
+    for interior in itertools.combinations(range(1, n - 1), K - 1):
+        idx = (0, *interior, n - 1)
+        count += all(
+            dp[k - 1][a] + (eta[b] - eta[a]) * L[a] == dp[k][b]
+            for k, (a, b) in enumerate(zip(idx, idx[1:]), start=1)
+        )
+    return count
 
 
 def brute_second_order(gammas, risks, K, lam, alpha):

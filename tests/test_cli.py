@@ -107,6 +107,7 @@ def test_schedule_constant_loss_tie_break(tmp_path, capsys):
     assert rc == 0
     sched = json.loads((out / "schedule.json").read_text())
     assert sched["indices"] == [0, 1, 2, 8]
+    assert sched["tie_breaks"] == 5
     want = 0.7 * (eta_of(gam[-1], 1.5) - eta_of(gam[0], 1.5))
     assert sched["objective"] == pytest.approx(want, rel=1e-12)
     assert "objective" in capsys.readouterr().out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_first_order,
     brute_second_order,
+    dp_minimal_paths,
     eta_of,
     first_order_dp,
     first_order_objective,
@@ -201,25 +202,50 @@ def test_las_exact_matches_exhaustive_100_instances():
         assert sched.objective == pytest.approx(best_obj, rel=1e-12, abs=1e-15)
 
 
+def _tie_candidates(rng, n, case):
+    """Knots and risks of seeded DP instance ``case``: half are tie-heavy.
+
+    Cases 0 and 1 (mod 4) draw random candidates; case 2 puts risks in
+    {0, 0.5, 1} and case 3 a constant risk on geometric knots, so equal-cost
+    predecessors are common.
+    """
+    if case % 4 < 2:
+        return random_candidates(rng, n)
+    if case % 4 == 2:
+        gam, _ = random_candidates(rng, n)
+        return gam, rng.choice([0.0, 0.5, 1.0], size=n)
+    gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
+    return gam, np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
+
+
 def test_las_exact_matches_stage_major_dp_indices_and_ties():
-    # half the instances are tie-heavy: risks in {0, 0.5, 1}, or constant
-    # risk on geometric knots, so equal-cost predecessors are common
+    # tie_breaks sums the equal-cost predecessors along the chosen path
     rng = np.random.default_rng(8)
     for case in range(1200):
         n = int(rng.integers(2, 31))
         K = int(rng.integers(1, n))
         lam = float(rng.choice([0.3, 1.5, 4.0]))
-        if case % 4 < 2:
-            gam, risks = random_candidates(rng, n)
-        elif case % 4 == 2:
-            gam, _ = random_candidates(rng, n)
-            risks = rng.choice([0.0, 0.5, 1.0], size=n)
-        else:
-            gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
-            risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
+        gam, risks = _tie_candidates(rng, n, case)
         sched = las_exact(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam))
         want_idx, want_ties = first_order_dp(gam, risks, K, lam)
         assert (tuple(sched.indices), sched.tie_breaks) == (want_idx, want_ties), (n, K, lam, case)
+
+
+def test_las_exact_tie_breaks_flag_a_second_dp_minimal_path():
+    # tie_breaks > 0 exactly when two index paths take a DP minimum at every
+    # step, so a tied cell that no such path passes through does not count
+    rng = np.random.default_rng(12)
+    seen = set()
+    for n in range(2, 11):
+        for K in range(1, n):
+            for case in range(8):
+                lam = float(rng.choice([0.3, 1.5, 4.0]))
+                gam, risks = _tie_candidates(rng, n, case)
+                sched = las_exact(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam))
+                several = dp_minimal_paths(gam, risks, K, lam) >= 2
+                assert (sched.tie_breaks > 0) == several, (n, K, lam, case)
+                seen.add(several)
+    assert seen == {False, True}
 
 
 def test_las_exact_memory_stays_near_its_tables():
@@ -311,8 +337,8 @@ def test_las_beam_default_config_matches_brute_force():
 def _pair_dp_instances(count):
     """``count`` seeded pair-DP instances (gammas, risks, K, lam, alpha).
 
-    Half are tie-heavy: risks in {0, 0.5, 1}, or constant risk on geometric
-    knots; 31 of the first 1000 have equal-cost final picks.
+    Half are tie-heavy (:func:`_tie_candidates`); 31 of the first 1000 have
+    equal-cost final picks.
     """
     rng = np.random.default_rng(9)
     for case in range(count):
@@ -320,15 +346,7 @@ def _pair_dp_instances(count):
         K = int(rng.integers(1, n))
         lam = float(rng.choice([0.3, 1.5, 4.0]))
         alpha = float(rng.choice([1e-3, 0.1, 1.0, 12.0]))
-        if case % 4 < 2:
-            gam, risks = random_candidates(rng, n)
-        elif case % 4 == 2:
-            gam, _ = random_candidates(rng, n)
-            risks = rng.choice([0.0, 0.5, 1.0], size=n)
-        else:
-            gam = np.geomspace(float(rng.uniform(0.1, 2.0)), float(rng.uniform(5.0, 500.0)), n)
-            risks = np.full(n, float(rng.choice([0.0, 0.25, 1.0])))
-        yield gam, risks, K, lam, alpha
+        yield (*_tie_candidates(rng, n, case), K, lam, alpha)
 
 
 def test_las_beam_matches_stage_major_pair_dp_indices():
@@ -444,8 +462,8 @@ def test_schedule_json_round_trip():
 def test_schedule_json_keeps_tie_breaks():
     cands = LossProfile(gammas=np.geomspace(1.0, 100.0, 8), losses=np.full(8, 0.5))
     sched = las_exact(cands, LasConfig(K=4, lam=1.5))
-    assert sched.tie_breaks == 15
-    assert sched.to_json_dict()["tie_breaks"] == 15
+    assert sched.tie_breaks == 3
+    assert sched.to_json_dict()["tie_breaks"] == 3
 
 
 @pytest.mark.parametrize(
