@@ -11,9 +11,10 @@ mmse-table  tabulate mmse(gamma) and its derivative as CSV
 
 Every artifact-writing run also writes a ``manifest.json`` with the resolved
 configuration, SHA-256 hashes of the emitted files, library versions, and
-per-stage wall-clock times. All randomness flows from the ``--seed`` flag
-via SeedSequence-derived substreams, so re-running a command reproduces the
-artifacts byte for byte.
+per-stage wall-clock times. Every artifact but the streamed ``samples.csv`` is
+serialized before --out is created, so a failed run leaves no directory and no
+CSV field is nan or inf. All randomness flows from ``--seed`` via SeedSequence
+substreams, so re-running a command reproduces the artifacts byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible optimization,
 4 verification failure.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -58,38 +60,41 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_json(path, obj) -> None:
-    # serialize first, so an object that strict JSON cannot hold leaves no partial file
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _json_bytes(name: str, obj) -> bytes:
+    """``name``'s text as strict JSON; a value JSON cannot hold raises, naming the artifact."""
+    try:
+        return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write the header and rows as csv.writer does: a field holding ``,``,
-    ``"`` or a line break is quoted, every other field is written as is."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+def _csv_bytes(name: str, header, rows) -> bytes:
+    """The header and rows as csv.writer writes them (a field holding ``,``, ``"``
+    or a line break is quoted); a float cell is written with _fmt and must be
+    finite, any other cell with str."""
 
+    def cell(col, v):
+        if not isinstance(v, float):
+            return str(v)
+        if not math.isfinite(v):
+            raise ValueError(f"{name}: column {col} is not finite: {v!r}")
+        return _fmt(v)
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
+    buf = io.StringIO()
+    cells = ([cell(col, v) for col, v in zip(header, row)] for row in rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *cells])
+    return buf.getvalue().encode()
 
 
 class _Run:
-    """Collects artifacts and stage timings under ``args.out``, then writes the
-    manifest: the subcommand ``args.command`` and the config echo of
+    """Collects stage timings, then writes the artifacts under ``args.out`` and
+    the manifest: the subcommand ``args.command`` and the config echo of
     :func:`_config_dict`."""
 
     def __init__(self, args):
         self.outdir = args.out
         self.command = args.command
         self.config = _config_dict(args)
-        self.artifacts = []
         self.timings = {}
         self._t0 = time.perf_counter()
         self._stage = None
@@ -100,34 +105,34 @@ class _Run:
             self.timings[self._stage] = self.timings.get(self._stage, 0.0) + now - self._t0
         self._stage, self._t0 = name, now
 
-    def path(self, name: str):
-        """Path of a new artifact; the first one creates --out, so a failed run leaves none."""
+    def write(self, artifacts) -> None:
+        """Create --out and write each ``(name, chunks of bytes)`` artifact, hashing
+        its bytes as they are written, then ``manifest.json``. Nothing else in
+        this module creates --out or writes a file."""
+        self.stage("write")
         os.makedirs(self.outdir, exist_ok=True)
-        p = os.path.join(self.outdir, name)
-        self.artifacts.append(p)
-        return p
-
-    def finish(self) -> None:
+        listed = []
+        for name, chunks in artifacts:
+            digest = hashlib.sha256()
+            with open(os.path.join(self.outdir, name), "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                    digest.update(chunk)
+                listed.append({"path": name, "sha256": digest.hexdigest(), "bytes": fh.tell()})
         self.stage(None)
         manifest = {
             "command": self.command,
             "config": self.config,
-            "artifacts": [
-                {
-                    "path": os.path.basename(p),
-                    "sha256": _sha256(p),
-                    "bytes": os.path.getsize(p),
-                }
-                for p in self.artifacts
-            ],
+            "artifacts": listed,
             "versions": {
                 "snrsched": __version__,
                 "numpy": np.__version__,
                 "python": sys.version.split()[0],
             },
-            "timings_sec": {k: round(v, 6) for k, v in self.timings.items() if k},
+            "timings_sec": {k: round(v, 6) for k, v in self.timings.items()},
         }
-        _write_json(os.path.join(self.outdir, "manifest.json"), manifest)
+        with open(os.path.join(self.outdir, "manifest.json"), "wb") as fh:
+            fh.write(_json_bytes("manifest.json", manifest))
 
 
 def _load_target(spec: str):
@@ -187,9 +192,7 @@ def cmd_schedule(args) -> int:
             None if w is None or not math.isfinite(g / w) else g / w - 1.0
             for g, w in zip(sched.gammas[[0, -1]].tolist(), req)
         ]
-    run.stage("write")
-    _write_json(run.path("schedule.json"), obj)
-    run.finish()
+    run.write([("schedule.json", [_json_bytes("schedule.json", obj)])])
     h = np.diff(np.log(sched.gammas))
     print(f"objective {_fmt(sched.objective)} ({sched.algorithm} DP, K={sched.K})")
     print("h_k " + " ".join(f"{x:.6g}" for x in h))
@@ -208,18 +211,12 @@ def cmd_grids(args) -> int:
     run.stage("build")
     kinds = list(_BUILDERS) if args.kind == "all" else [args.kind]
     grids = {k: _BUILDERS[k](args) for k in kinds}
-    run.stage("write")
-    rows = [
-        (kind, str(k), _fmt(g))
-        for kind, grid in grids.items()
-        for k, g in enumerate(grid.gammas)
-    ]
-    _write_csv(run.path("grids.csv"), ["kind", "k", "gamma"], rows)
-    _write_json(
-        run.path("grids.json"),
-        {kind: [float(g) for g in grid.gammas] for kind, grid in grids.items()},
-    )
-    run.finish()
+    rows = [(kind, k, g) for kind, grid in grids.items() for k, g in enumerate(grid.gammas)]
+    obj = {kind: [float(g) for g in grid.gammas] for kind, grid in grids.items()}
+    run.write([
+        ("grids.csv", [_csv_bytes("grids.csv", ["kind", "k", "gamma"], rows)]),
+        ("grids.json", [_json_bytes("grids.json", obj)]),
+    ])
     for kind, grid in grids.items():
         print(f"{kind}: gamma {_fmt(grid.gammas[0])} .. {_fmt(grid.gammas[-1])}, K={grid.K}")
     return 0
@@ -266,25 +263,12 @@ def cmd_report(args) -> int:
         if loss is not None:
             entry["combined_objective"] = combined_objective(loss, grid)
         reports.append(entry)
-    run.stage("write")
-    rows = [
-        (
-            e["name"],
-            str(e["K"]),
-            _fmt(e["e_disc"]),
-            _fmt(e["e_apx"]),
-            _fmt(e["combined_objective"]) if "combined_objective" in e else "",
-            _fmt(e["kl_path_bound"]),
-        )
-        for e in reports
-    ]
-    _write_csv(
-        run.path("report.csv"),
-        ["name", "K", "e_disc", "e_apx", "combined_objective", "kl_path_bound"],
-        rows,
-    )
-    _write_json(run.path("report.json"), reports)
-    run.finish()
+    header = ["name", "K", "e_disc", "e_apx", "combined_objective", "kl_path_bound"]
+    rows = [[e.get(col, "") for col in header] for e in reports]
+    run.write([
+        ("report.csv", [_csv_bytes("report.csv", header, rows)]),
+        ("report.json", [_json_bytes("report.json", reports)]),
+    ])
     for e in reports:
         print(
             f"{e['name']}: K={e['K']} e_disc={e['e_disc']:.6g} "
@@ -294,7 +278,7 @@ def cmd_report(args) -> int:
 
 
 def _sample_lines(samples: np.ndarray):
-    """samples.csv rows as _fmt writes them, as bytes, one block of about 4,096 values at a time.
+    """samples.csv as bytes: its header, then blocks of about 4,096 values as _fmt writes them.
 
     :func:`csvtext.format_block` computes a block's text with numpy, in a
     fraction of the time "%.17g" takes value by value; formatting block by
@@ -302,6 +286,7 @@ def _sample_lines(samples: np.ndarray):
     """
     from .csvtext import format_block  # here, so no other subcommand compiles it
 
+    yield ",".join(f"x{i}" for i in range(samples.shape[1])).encode() + b"\n"
     step = max(1, 4096 // samples.shape[1])
     for i in range(0, samples.shape[0], step):
         yield format_block(samples[i:i + step])
@@ -325,12 +310,8 @@ def cmd_simulate(args) -> int:
     )
     run.stage("sample")
     samples, report = sample(target, grid, cfg)
-    run.stage("write")
-    with open(run.path("samples.csv"), "wb") as fh:
-        fh.write(",".join(f"x{i}" for i in range(samples.shape[1])).encode() + b"\n")
-        fh.writelines(_sample_lines(samples))
-    _write_json(run.path("sample_report.json"), {**report, "schedule": name})
-    run.finish()
+    text = _json_bytes("sample_report.json", {**report, "schedule": name})
+    run.write([("samples.csv", _sample_lines(samples)), ("sample_report.json", [text])])
     nll = (
         "n/a" if report["nll_mean"] is None
         else f"{report['nll_mean']:.6g} (stderr {report['nll_stderr']:.2g})"
@@ -353,10 +334,8 @@ def cmd_mmse_table(args) -> int:
     run.stage("compute")
     gammas = np.geomspace(args.gamma_min, args.gamma_max, args.points)
     knots = curve.tabulate(gammas)
-    run.stage("write")
-    rows = [tuple(_fmt(v) for v in knot) for knot in knots]
-    _write_csv(run.path("mmse.csv"), ["gamma", "mmse", "stderr", "dmmse", "dstderr"], rows)
-    run.finish()
+    text = _csv_bytes("mmse.csv", ["gamma", "mmse", "stderr", "dmmse", "dstderr"], knots)
+    run.write([("mmse.csv", [text])])
     print(f"wrote {len(knots)} knots over gamma [{_fmt(args.gamma_min)}, {_fmt(args.gamma_max)}]")
     return 0
 
@@ -374,8 +353,7 @@ def cmd_verify(args) -> int:
             targets[f"{name}_discrete"] = toy_discrete(name)
     results = verify.run_checks(targets, args.seed)
     if run is not None:
-        _write_json(run.path("verify.json"), results)
-        run.finish()
+        run.write([("verify.json", [_json_bytes("verify.json", results)])])
     return 0 if all(r["ok"] for r in results) else 4
 
 
@@ -477,7 +455,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

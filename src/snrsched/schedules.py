@@ -43,14 +43,19 @@ class InfeasibleError(ValueError):
     """Raised when no schedule with the requested K exists."""
 
 
+def _check_lam(lam) -> None:
+    lam = float(lam)  # a float product overflows to inf without a warning
+    if not (lam > 0 and math.isfinite(lam * lam)):
+        raise ValueError(f"lambda must be positive with a finite square, got {lam!r}")
+
+
 def eta_axis(gamma, lam: float):
     """Regularized SNR axis eta(gamma) = gamma / (1 + lambda^2 gamma).
 
     Strictly increasing in gamma and saturating at 1/lambda^2, which
     compresses the high-SNR end of the objective.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    _check_lam(lam)
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be nonnegative")
@@ -120,8 +125,7 @@ class LasConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lambda must be finite and positive")
+        _check_lam(self.lam)
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and nonnegative")
 

@@ -388,6 +388,8 @@ def target_from_json(obj: dict) -> TargetDistribution:
             )
         else:
             raise ValueError(f"unknown target variant: {variant!r}")
+    except KeyError as exc:
+        raise ValueError(f"malformed target spec: missing key {exc}") from None
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed target spec: {exc}") from None
     if dim and dist.dim != dim:

@@ -1,5 +1,6 @@
 """Command-line front end: toy builders, subcommands, artifacts, exit codes."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -189,6 +190,17 @@ def test_schedule_exit_codes(tmp_path):
     for flag, value in (("--T", "0"), ("--delta", "0"), ("--T", "-1")):
         argv = ["schedule", "--loss", str(small), "--K", "1", flag, value]
         assert main(argv + ["--out", str(tmp_path / "d")]) == 2
+
+
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_schedule_lambda_whose_square_overflows_exits_2(tmp_path, capsys, alpha):
+    loss = tmp_path / "p.csv"
+    write_loss_csv(loss, np.geomspace(1.0, 100.0, 16), np.ones(16))
+    out = tmp_path / "run"
+    argv = ["schedule", "--loss", str(loss), "--K", "4", "--lambda", "1e300", "--alpha", alpha]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "lambda must be positive with a finite square" in capsys.readouterr().err
 
 
 def test_schedule_trim_below_two_knots_names_the_trim(tmp_path, capsys):
@@ -884,13 +896,101 @@ def test_failed_run_leaves_no_out_dir(tmp_path, case, code):
     assert not out.exists()
 
 
-def test_write_json_leaves_no_partial_file(tmp_path):
-    from snrsched.cli import _write_json
+def test_write_json_leaves_no_partial_file():
+    # an artifact is serialized before --out exists; a value strict JSON cannot hold
+    # raises there, naming the artifact
+    from snrsched.cli import _json_bytes
 
-    path = tmp_path / "x.json"
-    with pytest.raises(ValueError):
-        _write_json(path, {"a": 1.0, "b": math.nan})
-    assert not path.exists()
+    with pytest.raises(ValueError, match=r"^x\.json: .*nan"):
+        _json_bytes("x.json", {"a": 1.0, "b": math.nan})
+    assert _json_bytes("x.json", {"b": 2, "a": 1.0}) == b'{\n  "a": 1.0,\n  "b": 2\n}\n'
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_csv_bytes_rejects_a_non_finite_float_naming_its_column(value):
+    from snrsched.cli import _csv_bytes
+
+    with pytest.raises(ValueError, match=r"^t\.csv: column b is not finite"):
+        _csv_bytes("t.csv", ["a", "b"], [("x", 1.0), ("y", value)])
+    text = _csv_bytes("t.csv", ["a", "b"], [("x,y", 3), ("", 0.1)])
+    assert text == b'a,b\n"x,y",3\n,0.10000000000000001\n'
+
+
+def _huge_target(tmp_path):
+    # means at +-1e300: every oracle value is nan
+    comps = [{"w": 0.5, "mean": [m], "sigma": 1.0} for m in (1e300, -1e300)]
+    return _gammas_file(tmp_path, {"variant": "gmm", "dim": 1, "components": comps}, "huge.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mmse-table", "--target", None, "--points", "3"],
+     "mmse.csv: column mmse is not finite: nan"),
+    (["report", "--target", None, "--baseline", "geometric", "--K", "3"],
+     "report.csv: column e_disc is not finite: nan"),
+], ids=["mmse-table", "report"])
+def test_non_finite_artifact_leaves_no_out_dir(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    argv = [_huge_target(tmp_path) if a is None else a for a in argv] + ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracles overflow on the way
+        assert main(argv) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_unwritable_sample_report_leaves_no_out_dir(tmp_path, capsys, monkeypatch):
+    # samples.csv is streamed into --out, so sample_report.json must be serialized first
+    import snrsched.cli as cli
+
+    real = cli.sample
+
+    def nan_nll(*args):
+        samples, report = real(*args)
+        return samples, {**report, "nll_mean": math.nan}
+
+    monkeypatch.setattr(cli, "sample", nan_nll)
+    out = tmp_path / "run"
+    assert main(simulate_args(tmp_path, "run")) == 2
+    assert not out.exists()
+    assert "sample_report.json: " in capsys.readouterr().err
+
+
+def _file_writers(tree) -> set:
+    """Qualified names of the functions in ``tree`` that open a file for writing
+    or make a directory."""
+
+    def writes(call):
+        f = call.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            return mode is not None and not (
+                isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+        return isinstance(f, ast.Attribute) and f.attr in {
+            "makedirs", "mkdir", "write_text", "write_bytes"}
+
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                found.add(".".join(scope) or "<module>")
+            walk(child, scope)
+
+    walk(tree, [])
+    return found
+
+
+def test_only_run_write_creates_out_or_writes_a_file():
+    # every subcommand hands _Run.write finished bytes; nothing else touches --out
+    import snrsched.cli as cli
+
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    assert _file_writers(tree) == {"_Run.write"}
 
 
 def _gammas_file(tmp_path, obj, name="plain.json"):
@@ -933,18 +1033,25 @@ def test_report_overflowing_bound_leaves_no_out_dir(tmp_path, capsys, flags, nam
 _GMM = {"variant": "gmm", "dim": 1, "components": [{"w": 1.0, "mean": [0.0], "sigma": 1.0}]}
 
 
-@pytest.mark.parametrize("spec", [
-    [_GMM],
-    dict(_GMM, dim=[1]),
-    dict(_GMM, components=5),
-    dict(_GMM, components=[{"w": 1.0, "mean": [0.0], "sigma": {"a": 1}}]),
-], ids=["top_level_list", "list_dim", "int_components", "dict_sigma"])
-def test_malformed_target_json_exits_2(tmp_path, spec):
+@pytest.mark.parametrize("spec, message", [
+    ([_GMM], "malformed target spec"),
+    (dict(_GMM, dim=[1]), "dim must be a JSON integer"),
+    (dict(_GMM, components=5), "malformed target spec"),
+    (dict(_GMM, components=[{"w": 1.0, "mean": [0.0], "sigma": {"a": 1}}]),
+     "malformed target spec"),
+    ({"variant": "gmm", "dim": 1}, "malformed target spec: missing key 'components'"),
+    (dict(_GMM, components=[{"mean": [0.0], "sigma": 1.0}]),
+     "malformed target spec: missing key 'w'"),
+    ({"variant": "discrete", "atoms": [{"x": [0.0]}]}, "malformed target spec: missing key 'p'"),
+], ids=["top_level_list", "list_dim", "int_components", "dict_sigma", "missing_components",
+        "missing_w", "missing_p"])
+def test_malformed_target_json_exits_2(tmp_path, capsys, spec, message):
     target = _gammas_file(tmp_path, spec, "target.json")
     out = tmp_path / "run"
     argv = ["report", "--target", target, "--baseline", "geometric", "--K", "4", "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -1043,12 +1150,13 @@ def test_discrete_target_leaves_numpy_ma_unloaded():
 
 
 def test_simulate_rejects_non_finite_samples(tmp_path):
-    # in a fresh interpreter: here the kernel's overflow warning would raise first
+    # in a fresh interpreter: here the kernel's overflow warning would raise first.
+    # Every step's std is finite, so the pre-pass lets the run through to the final check.
     out = tmp_path / "run"
     proc = _run_python("-m", "snrsched.cli", "simulate", "--target", "circle8", "--baseline",
-                       "geometric", "--T", "1e300", "--samples", "10", "--out", str(out))
+                       "geometric", "--sigma-err", "1e300", "--samples", "10", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
-    assert "non-finite samples" in proc.stderr
+    assert "error: the sampler produced non-finite samples" in proc.stderr
     assert not out.exists()
 
 

@@ -63,6 +63,16 @@ def test_eta_lambda_zero_is_identity():
         eta_axis(1.0, 0.0)
 
 
+@pytest.mark.parametrize("lam", [1e300, np.float64(1e300), 1.5e154, math.inf])
+def test_lambda_whose_square_overflows_is_rejected(lam):
+    # eta's lam**2 would overflow: a Python float raises OverflowError, numpy warns
+    with pytest.raises(ValueError, match="lambda"):
+        LasConfig(K=3, lam=lam)
+    with pytest.raises(ValueError, match="lambda"):
+        eta_axis(1.0, lam)
+    assert eta_axis(1.0, 1.3e154) > 0.0
+
+
 def test_eta_rejects_negative_gamma():
     with pytest.raises(ValueError):
         eta_axis(-0.5, 1.0)
