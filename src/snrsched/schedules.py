@@ -14,6 +14,15 @@ steps. With alpha = 0 the objective is first-order and solved exactly by an
 O(K n^2) dynamic program; with alpha > 0 consecutive steps couple and an
 O(K n^3) dynamic program over (previous, current) index pairs solves it
 exactly. Only the first-order DP counts ties (``Schedule.tie_breaks``).
+
+The first-order DP fills its targets in blocks of K and skips, per block
+and stage, every predecessor whose cost at the block's smallest eta already
+exceeds another predecessor's cost at its largest eta. The cost
+dp + (eta_j - eta_i) L_i is a chain of correctly rounded operations with
+L_i >= 0, so it does not decrease with eta_j, and a skipped predecessor can
+be neither a minimum nor a tie: the table is bit-identical to a full scan.
+Memory is the (K + 1, n) table, one (K, n) block of step costs and two
+buffers of 2^15 cells.
 """
 
 from __future__ import annotations
@@ -52,8 +61,11 @@ def _check_lam(lam) -> None:
 def eta_axis(gamma, lam: float):
     """Regularized SNR axis eta(gamma) = gamma / (1 + lambda^2 gamma).
 
-    Strictly increasing in gamma and saturating at 1/lambda^2, which
-    compresses the high-SNR end of the objective.
+    Strictly increasing in gamma in exact arithmetic, and saturating at
+    1/lambda^2, which compresses the high-SNR end of the objective. In
+    floats it need not increase: at lambda = 1.5, on 400 evenly spaced knots
+    inside [g0, g0 (1 + 1e-9)], it decreases at 70, 173 and 158 of the 399
+    steps for g0 = 1e6, 1e10 and 1e16.
     """
     _check_lam(lam)
     g = np.asarray(gamma, dtype=float)
@@ -207,39 +219,140 @@ def _make_schedule(profile, indices, cfg, tie_breaks=0) -> Schedule:
     )
 
 
+# cells per reused cost buffer: (b, c, a) costs per block of consecutive b
+# in las_beam, whose block of one b holds that b's whole (c, a) plane,
+# whatever its size; (column, predecessor) costs per chunk in las_exact
+_BLOCK_CELLS = 2**15
+# las_exact gathers a stage's surviving predecessors instead of reading the
+# contiguous span from the first of them when the gather is cheaper: a
+# gathered predecessor costs about _GATHER_COST contiguous ones, and the
+# gather's extra calls about _GATHER_CALL_CELLS cells
+_GATHER_COST = 2
+_GATHER_CALL_CELLS = 4096
+_min = np.minimum.reduce  # called positionally, without ndarray.min's Python wrapper
+
+
+def _fold_min(dp_row, step, lo, idx, out, buf) -> None:
+    """out[c] = min over predecessors i of dp_row[i] + step[c, i].
+
+    The predecessors are the index array ``idx``, or when it is None the
+    span lo <= i < step.shape[1]. Costs are built in chunks of at most
+    ``buf.size`` cells, whole rows of step when they fit.
+    """
+    width = step.shape[1] - lo if idx is None else idx.size
+    rows = max(1, buf.size // width)
+    for c0 in range(0, step.shape[0], rows):
+        blk, acc = step[c0 : c0 + rows], out[c0 : c0 + rows]
+        chunk = buf.size // blk.shape[0]
+        for i0 in range(0, width, chunk):
+            i1 = min(i0 + chunk, width)
+            t = buf[: blk.shape[0] * (i1 - i0)].reshape(blk.shape[0], i1 - i0)
+            if idx is None:
+                np.add(dp_row[lo + i0 : lo + i1], blk[:, lo + i0 : lo + i1], out=t)
+            else:
+                np.take(blk, idx[i0:i1], axis=1, out=t, mode="clip")  # "raise" buffers out
+                t += dp_row.take(idx[i0:i1])
+            if i0 == 0:
+                _min(t, 1, None, acc)
+            else:
+                np.minimum(acc, _min(t, 1), out=acc)
+
+
+def _first_order_table(eta, L, K: int) -> np.ndarray:
+    """First-order DP table: dp[k, j], the cheapest path 0 -> j in k steps.
+
+    Each cell is the minimum of dp[k - 1, i] + (eta_j - eta_i) L_i over
+    i < j, summed in that float order. Stages 1..K-1 hold the live band
+    k <= j <= end - (K - k) and stage K only (K, end); every other cell is
+    inf. The columns are filled in blocks of K consecutive targets
+    [j0, j1). A block's step costs (eta_j - eta_i) L_i, for all its columns
+    and all i < j1, go once into one (K, n) buffer, with inf where i >= j,
+    and serve every stage. For stage k, let j_lo and j_hi be the block
+    columns with the smallest and the largest eta, and let u < j0 be the
+    predecessor with the smallest cost at j_lo. A predecessor i < j0 whose
+    cost at j_lo exceeds UB = dp[k - 1, u] + (eta_{j_hi} - eta_u) L_u is
+    skipped: L >= 0 and each float operation is correctly rounded, hence
+    monotone, so a cell's cost does not decrease with eta_j, and that i
+    costs more than u at every column of the block. It can be neither a
+    minimum nor a tie, so the table is the one a full scan gives, bit for
+    bit. j_lo and j_hi are found by argmin and argmax because float eta
+    need not increase with the index. The survivors and the block's own
+    columns are then read as one contiguous span from the first survivor,
+    or gathered when that is cheaper, in chunks of at most
+    max(``_BLOCK_CELLS``, n) costs in one reused buffer, so memory stays
+    one (K + 1, n) table, one (K, n) step block and two chunk buffers.
+    """
+    n = eta.size
+    end = n - 1
+    dp = np.full((K + 1, n), np.inf)
+    dp[0, 0] = 0.0
+    step_buf = np.empty(K * n)
+    size = max(_BLOCK_CELLS, n)  # one stage's bounds fit
+    buf = np.empty(size)
+    keep_buf = np.empty(size + K * K, dtype=bool)
+    upper = ~np.tri(K, dtype=bool, k=-1)  # in-block predecessors i >= j
+    # stages 1..K-1 over columns 1..end-1; the cells that cannot reach the
+    # endpoint are filled too, then reset to inf
+    for j0 in range(1, end, K) if K > 1 else ():
+        j1 = min(j0 + K, end)
+        B = j1 - j0
+        step = step_buf[: B * j1].reshape(B, j1)
+        np.subtract(eta[j0:j1, None], eta[:j1], out=step)
+        step *= L[:j1]
+        np.copyto(step[:, j0:], np.inf, where=upper[:B, :B])
+        lo_row, hi_row = step[eta[j0:j1].argmin(), :j0], step[eta[j0:j1].argmax(), :j0]
+        stages = min(K - 1, j1 - 1)
+        rows = size // j0
+        for r0 in range(0, stages, rows):
+            r1 = min(r0 + rows, stages)
+            lb = buf[: (r1 - r0) * j0].reshape(r1 - r0, j0)
+            np.add(dp[r0:r1, :j0], lo_row, out=lb)
+            u = lb.argmin(axis=1)
+            ub = dp[np.arange(r0, r1), u] + hi_row[u]
+            keep = keep_buf[: (r1 - r0) * j1].reshape(r1 - r0, j1)
+            np.greater(lb, ub[:, None], out=keep[:, :j0])
+            np.logical_not(keep[:, :j0], out=keep[:, :j0])  # a nan bound drops nothing
+            keep[:, j0:] = True
+            first = keep.argmax(axis=1).tolist()
+            live = np.add.reduce(keep, 1, np.intp).tolist()
+            for r, a, m in zip(range(r0, r1), first, live):
+                gather = _GATHER_COST * m + _GATHER_CALL_CELLS // B < j1 - a
+                idx = keep[r - r0].nonzero()[0] if gather else None
+                _fold_min(dp[r], step, a, idx, dp[r + 1, j0:j1], buf)
+    for k in range(1, K):
+        dp[k, end - (K - k) + 1 : end] = np.inf
+    last = step_buf[:end]
+    np.subtract(eta[end], eta[:end], out=last)
+    last *= L[:end]
+    dp[K, end] = _min(np.add(dp[K - 1, :end], last, out=last))
+    return dp
+
+
 def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     """Globally optimal first-order schedule by dynamic programming.
 
     Requires cfg.alpha == 0. dp[k, j] is the best cost of reaching candidate
-    j in exactly k transitions from candidate 0. Predecessors are smaller
-    than j, so one ascending pass over j fills column j from one (stages, j)
-    block of costs dp[k - 1, i] + (eta_j - eta_i) L_i in a reused buffer:
-    the live stages, which can still reach the pinned endpoint n - 1, and
-    stage K at j = n - 1. The path is read back by recomputing those costs
-    at each of the K steps, in the same float order. Ties go to the smallest
-    predecessor (the first minimum); ``tie_breaks`` counts the extra
-    equal-cost predecessors at those K steps, so it is positive exactly when
-    a second path takes a DP minimum at every step (walking back from the
-    endpoint, the two part at a path cell with a tied predecessor).
+    j in exactly k transitions from candidate 0, filled by
+    :func:`_first_order_table`, which skips only predecessors that provably
+    can neither win nor tie. The path is read back by recomputing the costs
+    dp[k - 1, i] + (eta_j - eta_i) L_i at each of the K steps, in the
+    table's float order. Ties go to the smallest predecessor (the first
+    minimum); ``tie_breaks`` counts the extra equal-cost predecessors at
+    those K steps, so it is positive exactly when a second path takes a DP
+    minimum at every step (walking back from the endpoint, the two part at
+    a path cell with a tied predecessor). Time is O(K n^2) cells at worst,
+    when no predecessor can be skipped, as for a constant risk; memory is
+    the (K + 1, n) table, a (K, n) step block and two chunk buffers.
     """
     if cfg.alpha != 0:
         raise ValueError("las_exact requires alpha = 0; use las_beam for alpha > 0")
     K = cfg.K
     _feasible(profile, K)
-    n = profile.n
-    end = n - 1
     eta = eta_axis(profile.gammas, cfg.lam)
     L = profile.losses
-    dp = np.full((K + 1, n), np.inf)
-    dp[0, 0] = 0.0
-    block = np.empty((K, n))
-    for j in range(1, n):
-        lo, hi = max(1, K - (end - j)), K if j == end else min(j, K - 1)
-        cost = block[: hi - lo + 1, :j]
-        np.add(dp[lo - 1 : hi, :j], (eta[j] - eta[:j]) * L[:j], out=cost)
-        cost.min(axis=1, out=dp[lo : hi + 1, j])
+    dp = _first_order_table(eta, L, K)
 
-    indices, ties = [end], 0
+    indices, ties = [profile.n - 1], 0
     for k in range(K, 0, -1):
         j = indices[-1]
         c = dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j]
@@ -247,11 +360,6 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
         ties += int(np.count_nonzero(c == c[indices[-1]])) - 1
     indices.reverse()
     return _make_schedule(profile, indices, cfg, tie_breaks=ties)
-
-
-# (a, b, c) costs per block of consecutive b in las_beam; a block of one b
-# holds that b's whole (c, a) plane, whatever its size
-_BLOCK_CELLS = 2**15
 
 
 def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:

@@ -128,7 +128,8 @@ class GaussianMixture:
     means : (n, d) array
         Component means.
     sigmas : (n,) array
-        Per-component isotropic standard deviations, strictly positive.
+        Per-component isotropic standard deviations, strictly positive and
+        large enough that 1/(2 sigma^2) is finite (sigma >= about 5.3e-155).
     """
 
     weights: np.ndarray
@@ -148,6 +149,11 @@ class GaussianMixture:
         _check_finite(sig, "component sigmas")
         if np.any(sig <= 0):
             raise ValueError("component sigmas must be strictly positive")
+        with np.errstate(divide="ignore", over="ignore"):
+            tiny = np.flatnonzero(~np.isfinite(0.5 / (sig * sig)))
+        if tiny.size:  # log_prob scales by -1 / (2 sigma^2)
+            i = int(tiny[0])
+            raise ValueError(f"component {i} sigma {float(sig[i])!r} is too small: 1/(2 sigma^2) overflows")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sigmas", sig)

@@ -82,13 +82,19 @@ def first_order_table(gammas, risks, K, lam):
 
 
 def first_order_dp(gammas, risks, K, lam):
-    """Optimal first-order (indices, ties) by :func:`first_order_table`.
+    """Optimal first-order (indices, ties) by :func:`first_order_table`."""
+    _, par, extra = first_order_table(gammas, risks, K, lam)
+    return first_order_path(par, extra)
+
+
+def first_order_path(par, extra):
+    """(indices, ties) read back from :func:`first_order_table`'s par, extra.
 
     ``ties`` sums the extra equal-cost predecessors of the K cells on the
     traceback, the path that takes the smallest predecessor at each step.
     """
-    dp, par, extra = first_order_table(gammas, risks, K, lam)
-    indices, ties = [len(gammas) - 1], 0
+    K, n = len(par) - 1, len(par[0])
+    indices, ties = [n - 1], 0
     for k in range(K, 0, -1):
         ties += extra[k][indices[-1]]
         indices.append(par[k][indices[-1]])

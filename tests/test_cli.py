@@ -1043,8 +1043,10 @@ _GMM = {"variant": "gmm", "dim": 1, "components": [{"w": 1.0, "mean": [0.0], "si
     (dict(_GMM, components=[{"mean": [0.0], "sigma": 1.0}]),
      "malformed target spec: missing key 'w'"),
     ({"variant": "discrete", "atoms": [{"x": [0.0]}]}, "malformed target spec: missing key 'p'"),
+    (dict(_GMM, components=[{"w": 1.0, "mean": [0.0], "sigma": 1e-300}]),
+     "component 0 sigma 1e-300 is too small: 1/(2 sigma^2) overflows"),
 ], ids=["top_level_list", "list_dim", "int_components", "dict_sigma", "missing_components",
-        "missing_w", "missing_p"])
+        "missing_w", "missing_p", "underflowing_sigma"])
 def test_malformed_target_json_exits_2(tmp_path, capsys, spec, message):
     target = _gammas_file(tmp_path, spec, "target.json")
     out = tmp_path / "run"

@@ -16,6 +16,8 @@ from oracles import (
     eta_of,
     first_order_dp,
     first_order_objective,
+    first_order_path,
+    first_order_table,
     pair_dp,
     pair_dp_optimum,
     random_candidates,
@@ -258,12 +260,86 @@ def test_las_exact_tie_breaks_flag_a_second_dp_minimal_path():
     assert seen == {False, True}
 
 
-def test_las_exact_memory_stays_near_its_tables():
-    # one (K + 1, n) cost table and one (K, n) scratch block; a fresh block
-    # per target or a predecessor table pushes the peak over the bound
-    n, K = 4096, 32
-    rng = np.random.default_rng(5)
-    gam, risks = random_candidates(rng, n, gamma_lo=0.01, gamma_hi=1e4)
+def _block_candidates(rng, n, case):
+    """Knots and risks of seeded multi-block instance ``case``, by case % 4.
+
+    0: iid risks; 1: risks in {0, 0.5, 1}; 2: a constant risk on geometric
+    knots (as :func:`_tie_candidates` draws them); 3: iid risks on knots
+    inside [g0, g0 (1 + 1e-9)], g0 in {1e6, 1e10, 1e16}, where float
+    eta = g / (1 + 1.5^2 g) decreases at 70, 173 and 158 of 399 steps of
+    400 evenly spaced knots.
+    """
+    if case % 4 < 3:
+        return _tie_candidates(rng, n, case % 4 + 1)
+    g0 = [1e6, 1e10, 1e16][case // 4 % 3]
+    return np.linspace(g0, g0 * (1 + 1e-9), n), rng.uniform(0.05, 2.0, size=n)
+
+
+def test_first_order_table_matches_the_oracle_across_many_blocks(monkeypatch):
+    # blocks of K targets, so n up to 200 with K <= 11 spans many blocks;
+    # the table is compared whole, inf cells included. The defaults read
+    # every stage as one contiguous span in one chunk at these sizes, so
+    # every third case also runs with chunks of n cells and every stage
+    # gathered (even cases) or read as a span (odd cases).
+    rng = np.random.default_rng(26)
+    eta_lt_prev = 0
+    for case in range(150):
+        n = int(rng.integers(40, 201))
+        K = int(rng.integers(1, 12))
+        lam = 1.5 if case % 4 == 3 else float(rng.choice([0.3, 1.5, 4.0]))
+        gam, risks = _block_candidates(rng, n, case)
+        eta = eta_axis(gam, lam)
+        eta_lt_prev += int(np.sum(np.diff(eta) < 0))
+        dp, par, extra = first_order_table(gam, risks, K, lam)
+        want = np.array(dp)
+        assert np.array_equal(schedules._first_order_table(eta, risks, K), want), (n, K, lam, case)
+        if case % 3 == 0:
+            with monkeypatch.context() as m:
+                m.setattr(schedules, "_BLOCK_CELLS", 1)  # chunks hold max(_BLOCK_CELLS, n) cells
+                m.setattr(schedules, "_GATHER_CALL_CELLS", 0)
+                m.setattr(schedules, "_GATHER_COST", math.inf if case % 2 else 0)
+                got = schedules._first_order_table(eta, risks, K)
+            assert np.array_equal(got, want), (n, K, lam, case)
+        sched = las_exact(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam))
+        assert (sched.indices, sched.tie_breaks) == first_order_path(par, extra), (n, K, lam, case)
+    assert eta_lt_prev > 0  # float eta is not monotone on the narrow knots
+
+
+_BENCH_N = 4096
+
+
+def _bench_candidates(kind):
+    knots = np.geomspace(0.01, 1e4, _BENCH_N)
+    if kind == "noisy":
+        return random_candidates(np.random.default_rng(5), _BENCH_N, gamma_lo=0.01, gamma_hi=1e4)
+    if kind == "constant":
+        return knots, np.full(_BENCH_N, 0.25)
+    return knots, np.random.default_rng(1).choice([0.0, 0.5, 1.0], _BENCH_N)
+
+
+@pytest.mark.parametrize("kind, indices, ties, objective", [
+    ("noisy", (0, 1, 5, 6, 18, 147, 1570, 1574, 2912, 3726, 3927, 3965, 3970, 3986, 3988, 3992,
+               3993, 4044, 4045, 4046, 4048, 4051, 4060, 4061, 4063, 4069, 4070, 4071, 4072,
+               4073, 4091, 4092, 4095), 0, "0.02246246034371671"),
+    ("constant", tuple(range(32)) + (4095,), 3494, "0.10866118528391402"),
+    ("three", (0, 1, 4, 5, 8, 9, 12, 14, 18, 19, 25, 28, 29, 30, 33, 37, 39, 40, 42, 43, 46, 50,
+               52, 55, 57, 58, 62, 63, 73, 79, 84, 87, 4095), 1302, "6.495614948468561e-05"),
+], ids=["noisy", "constant", "three"])
+def test_las_exact_keeps_its_results_at_benchmark_scale(kind, indices, ties, objective):
+    # values of the one-pass full scan that the bounded block fill replaced
+    gam, risks = _bench_candidates(kind)
+    sched = las_exact(LossProfile(gammas=gam, losses=risks), LasConfig(K=32, lam=1.5))
+    assert (sched.indices, sched.tie_breaks, repr(sched.objective)) == (indices, ties, objective)
+
+
+@pytest.mark.parametrize("kind", ["noisy", "constant"])
+def test_las_exact_memory_stays_near_its_tables(kind):
+    # one (K + 1, n) cost table, one (K, n) step block and two buffers of
+    # 2^15 cells; a constant risk lets no predecessor be skipped, so its
+    # spans are as long as they get. A fresh block per target, a predecessor
+    # table, or spans and gathers built whole push the peak over the bound
+    n, K = _BENCH_N, 32
+    gam, risks = _bench_candidates(kind)
     cands = LossProfile(gammas=gam, losses=risks)
     cfg = LasConfig(K=K, lam=1.5)
     tracemalloc.start()

@@ -65,6 +65,18 @@ def test_sigmas_strictly_positive():
         GaussianMixture(weights=[1.0], means=[[0.0]], sigmas=[0.0])
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 5e-324])
+def test_sigma_whose_square_underflows_is_rejected(sigma):
+    # log_prob scales squared distances by -1 / (2 sigma^2), which is -inf here
+    with pytest.raises(ValueError, match=f"component 1 sigma {sigma!r} is too small"):
+        GaussianMixture(weights=[0.5, 0.5], means=[[0.0], [1.0]], sigmas=[1.0, sigma])
+
+
+def test_smallest_accepted_sigma_keeps_log_prob_finite():
+    gm = GaussianMixture(weights=[0.5, 0.5], means=[[0.0], [1.0]], sigmas=[1.0, 1e-150])
+    assert np.all(np.isfinite(gm.log_prob([[0.0], [1.0]])))
+
+
 def test_atoms_pairwise_distinct():
     with pytest.raises(ValueError):
         FiniteDiscrete(points=[[1.0], [1.0]], probs=[0.5, 0.5])
@@ -296,7 +308,7 @@ def _target_fields(draw):
     rows = draw(st.lists(st.tuples(*[_FINITE] * d), min_size=n, max_size=n, unique=True))
     sigmas = draw(
         st.lists(
-            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.floats(min_value=1e-154, allow_infinity=False),  # 1/(2 sigma^2) finite
             min_size=n,
             max_size=n,
         )
