@@ -22,7 +22,7 @@ dp + (eta_j - eta_i) L_i is a chain of correctly rounded operations with
 L_i >= 0, so it does not decrease with eta_j, and a skipped predecessor can
 be neither a minimum nor a tie: the table is bit-identical to a full scan.
 Memory is the (K + 1, n) table, one (K, n) block of step costs and two
-buffers of 2^15 cells.
+buffers of max(2^15, n) cells.
 """
 
 from __future__ import annotations
@@ -223,12 +223,10 @@ def _make_schedule(profile, indices, cfg, tie_breaks=0) -> Schedule:
 # in las_beam, whose block of one b holds that b's whole (c, a) plane,
 # whatever its size; (column, predecessor) costs per chunk in las_exact
 _BLOCK_CELLS = 2**15
-# las_exact gathers a stage's surviving predecessors instead of reading the
-# contiguous span from the first of them when the gather is cheaper: a
-# gathered predecessor costs about _GATHER_COST contiguous ones, and the
-# gather's extra calls about _GATHER_CALL_CELLS cells
+# las_exact gathers a stage's surviving predecessors, instead of reading the
+# contiguous span from the first of them, when they fill less than
+# 1/_GATHER_COST of that span: a gathered cell costs about two contiguous ones
 _GATHER_COST = 2
-_GATHER_CALL_CELLS = 4096
 _min = np.minimum.reduce  # called positionally, without ndarray.min's Python wrapper
 
 
@@ -236,26 +234,20 @@ def _fold_min(dp_row, step, lo, idx, out, buf) -> None:
     """out[c] = min over predecessors i of dp_row[i] + step[c, i].
 
     The predecessors are the index array ``idx``, or when it is None the
-    span lo <= i < step.shape[1]. Costs are built in chunks of at most
-    ``buf.size`` cells, whole rows of step when they fit.
+    span lo <= i < step.shape[1]. Costs are built whole rows of step at a
+    time in ``buf``, which holds at least one row.
     """
     width = step.shape[1] - lo if idx is None else idx.size
-    rows = max(1, buf.size // width)
+    rows = buf.size // width
     for c0 in range(0, step.shape[0], rows):
-        blk, acc = step[c0 : c0 + rows], out[c0 : c0 + rows]
-        chunk = buf.size // blk.shape[0]
-        for i0 in range(0, width, chunk):
-            i1 = min(i0 + chunk, width)
-            t = buf[: blk.shape[0] * (i1 - i0)].reshape(blk.shape[0], i1 - i0)
-            if idx is None:
-                np.add(dp_row[lo + i0 : lo + i1], blk[:, lo + i0 : lo + i1], out=t)
-            else:
-                np.take(blk, idx[i0:i1], axis=1, out=t, mode="clip")  # "raise" buffers out
-                t += dp_row.take(idx[i0:i1])
-            if i0 == 0:
-                _min(t, 1, None, acc)
-            else:
-                np.minimum(acc, _min(t, 1), out=acc)
+        blk = step[c0 : c0 + rows]
+        t = buf[: blk.shape[0] * width].reshape(blk.shape[0], width)
+        if idx is None:
+            np.add(dp_row[lo : step.shape[1]], blk[:, lo:], out=t)
+        else:
+            np.take(blk, idx, axis=1, out=t, mode="clip")  # "raise" buffers out
+            t += dp_row.take(idx)
+        _min(t, 1, None, out[c0 : c0 + rows])
 
 
 def _first_order_table(eta, L, K: int) -> np.ndarray:
@@ -278,9 +270,10 @@ def _first_order_table(eta, L, K: int) -> np.ndarray:
     bit. j_lo and j_hi are found by argmin and argmax because float eta
     need not increase with the index. The survivors and the block's own
     columns are then read as one contiguous span from the first survivor,
-    or gathered when that is cheaper, in chunks of at most
-    max(``_BLOCK_CELLS``, n) costs in one reused buffer, so memory stays
-    one (K + 1, n) table, one (K, n) step block and two chunk buffers.
+    or gathered when they fill less than half of that span, whole rows of
+    the step block at a time in one reused buffer of max(``_BLOCK_CELLS``, n)
+    costs, so memory stays one (K + 1, n) table, one (K, n) step block and
+    two chunk buffers.
     """
     n = eta.size
     end = n - 1
@@ -316,7 +309,7 @@ def _first_order_table(eta, L, K: int) -> np.ndarray:
             first = keep.argmax(axis=1).tolist()
             live = np.add.reduce(keep, 1, np.intp).tolist()
             for r, a, m in zip(range(r0, r1), first, live):
-                gather = _GATHER_COST * m + _GATHER_CALL_CELLS // B < j1 - a
+                gather = _GATHER_COST * m < j1 - a
                 idx = keep[r - r0].nonzero()[0] if gather else None
                 _fold_min(dp[r], step, a, idx, dp[r + 1, j0:j1], buf)
     for k in range(1, K):

@@ -277,10 +277,11 @@ def _block_candidates(rng, n, case):
 
 def test_first_order_table_matches_the_oracle_across_many_blocks(monkeypatch):
     # blocks of K targets, so n up to 200 with K <= 11 spans many blocks;
-    # the table is compared whole, inf cells included. The defaults read
-    # every stage as one contiguous span in one chunk at these sizes, so
-    # every third case also runs with chunks of n cells and every stage
-    # gathered (even cases) or read as a span (odd cases).
+    # the table is compared whole, inf cells included. The defaults gather
+    # about half of the (block, stage) pairs and read the rest as a span,
+    # each in one chunk at these sizes, so every third case also runs with
+    # chunks of n cells and every stage gathered (even cases) or read as a
+    # span (odd cases).
     rng = np.random.default_rng(26)
     eta_lt_prev = 0
     for case in range(150):
@@ -296,7 +297,6 @@ def test_first_order_table_matches_the_oracle_across_many_blocks(monkeypatch):
         if case % 3 == 0:
             with monkeypatch.context() as m:
                 m.setattr(schedules, "_BLOCK_CELLS", 1)  # chunks hold max(_BLOCK_CELLS, n) cells
-                m.setattr(schedules, "_GATHER_CALL_CELLS", 0)
                 m.setattr(schedules, "_GATHER_COST", math.inf if case % 2 else 0)
                 got = schedules._first_order_table(eta, risks, K)
             assert np.array_equal(got, want), (n, K, lam, case)
