@@ -15,32 +15,27 @@ The area under the curve comes from the I-MMSE identity (Guo, Shamai and
 Verdu 2005), dI/dgamma = mmse(gamma)/2 with I the mutual information
 I(Z; X_{1/gamma}), so the integral of mmse over [gamma_0, gamma_1] is
 2 (I(gamma_1) - I(gamma_0)). I(0) = 0, and for a discrete target
-I(inf) = H, its Shannon entropy, so the integral over all SNR is 2H.
+I(inf) = H, its Shannon entropy, so the integral over all SNR is 2H; I takes
+the conditional-entropy form of :func:`_info`, which cancels at no SNR.
 
 A finite discrete target is treated as the isotropic mixture whose components
 have zero variance, so one posterior kernel serves both target families. The
 component posterior is the softmax of the logits of
 :func:`snrsched.targets._component_logits`, which ``GaussianMixture.log_prob``
-also sums: each squared distance |x - c_i|^2 comes from one matrix product,
-|x|^2 - 2 x.c_i + |c_i|^2, so no (m, n, d) array is built at any dimension.
-That expansion cancels terms of size |x|^2 and |c_i|^2 to leave a small
-distance, so its rounding error scales with them; both x and the centers are
-centered on the weighted center mean first, which bounds the error by the
-centers' spread instead of their distance from the origin (atoms near
-1e3 + N(0, I) would otherwise lose ~1e-9 in the posterior mean).
+also sums: each |x - c_i|^2 comes from one matrix product, with x and the
+centers first centered on the weighted center mean, so no (m, n, d) array is
+built and the rounding scales with the centers' spread.
 
-Both covariance moments come from the squared pair distances D_ij of the
-per-component conjugate posterior means: tr Cov is (1/2) sum_ij r_i r_j D_ij
-plus the mean within-component variance, a sum of non-negative terms that
-does not cancel at high SNR, and tr Cov^2 comes from the Gram of the centered
-means, the r-weighted double centering of D. :func:`mmse` averages the trace
-alone. No array of size m n d, m d^2 or n^2 d is built.
+Both covariance moments come from the squared pair distances of the
+per-component conjugate posterior means (:func:`_pair_spread`), which do not
+cancel at high SNR; no array of size m n d, m d^2 or n^2 d is built.
 
-Three evaluation policies are provided and cross-checked against each other:
-closed form (single Gaussian component), Gauss-Hermite quadrature (exact up
-to quadrature error for dim <= 2), and Monte Carlo with reported standard
-errors. Posterior weights are always normalized in the log domain with the
-maximum subtracted first, so no overflow can occur at any SNR.
+Every expectation over X_t takes one route, :func:`_expect`, under one of
+three cross-checked rules: closed form (one node, for a single Gaussian),
+Gauss-Hermite quadrature (dim <= 2) and Monte Carlo with standard errors.
+Posterior weights are normalized in the log domain, largest logit first, so
+the normalization does not overflow; the logits themselves do where
+|x - c_i|^2 / (2 s2_i) leaves float64 (points x near 1e154).
 """
 
 from __future__ import annotations
@@ -168,14 +163,12 @@ def _pair_spread(dist: TargetDistribution, t: float, XT: np.ndarray, table):
     The spread of the mu_i under the responsibilities r has trace
     (1/2) sum_ij r_i r_j D_ij = (1/2) r.(D r): a weighted sum of non-negative
     pair distances, which does not cancel when one component dominates. D r
-    takes only products of fixed (n, n) tables with (n, m) arrays, and its
-    x-dependent terms are needed only when the a_i differ (unequal component
-    variances).
-    The within-component variance adds d tau, with tau = sum_i r_i a_i t.
+    takes products of fixed (n, n) tables with (n, m) arrays; its x terms are
+    needed only when the a_i (component variances) differ. The
+    within-component variance adds d tau, with tau = sum_i r_i a_i t.
 
-    Arrays are component-major, (n, m), so elementwise work runs along rows.
-    Its temporaries are (n, m), so callers pass it one row block at a time,
-    with ``table`` = :func:`_pair_table` (a, mu, e, E), where E is the (n, n)
+    Arrays are component-major (n, m) temporaries, so callers pass one row
+    block at a time, with ``table`` = :func:`_pair_table` (a, mu, e, E), E the (n, n)
     table |e_i - e_j|^2; the block's points are the columns of ``XT`` (d, rows).
     Returns (trace, r, D r, tau, tilt): tilt is None when the a_i are all
     equal, else (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
@@ -290,20 +283,20 @@ def _standard_normal_nodes(d: int):
 def _quad_expect(dist: TargetDistribution, t: float, f):
     """(E f_k(X), 0.0) pairs under X ~ p_t by pruned Gauss-Hermite, dim <= 2.
 
-    ``f`` maps a batch X to a tuple of per-row arrays f_k(X). Each component
-    of p_t gets the nodes of :func:`_standard_normal_nodes`: 84 in 1-d and
+    ``f`` maps a batch X of component i's nodes, and i, to a tuple of per-row
+    arrays f_k(X). Each component of p_t gets the nodes of
+    :func:`_standard_normal_nodes`: 84 in 1-d and
     2,668 in 2-d, the nodes of the 200-node and 96 x 96 rules that carry
     all but 1e-20 of the weight. The offsets are column-major, and so is
     each node batch, whose row blocks transpose to contiguous (d, rows) arrays.
     """
-    d = dist.dim
-    if d > 2:
+    if dist.dim > 2:
         raise ValueError("quadrature policy supports dim <= 2 only")
-    offsets, qw = _standard_normal_nodes(d)
+    offsets, qw = _standard_normal_nodes(dist.dim)
     probs, centers, variances = _components(dist)
     acc = 0.0
-    for c, s, p in zip(centers, np.sqrt(variances + t), probs):
-        acc = acc + p * np.array([qw @ v for v in f(c[None, :] + s * offsets)])
+    for i, (c, s, p) in enumerate(zip(centers, np.sqrt(variances + t), probs)):
+        acc = acc + p * np.array([qw @ v for v in f(c[None, :] + s * offsets, i)])
     return tuple((float(a), 0.0) for a in acc)
 
 
@@ -314,7 +307,7 @@ def _mean_se(v: np.ndarray):
 
 
 def _mc_expect(dist: TargetDistribution, t: float, f, n_samples: int, seed):
-    """Monte-Carlo (E f_k(X), stderr) pairs under X ~ p_t; ``f`` as in :func:`_quad_expect`."""
+    """Monte-Carlo (E f_k(X), stderr) under X ~ p_t; ``f`` as in :func:`_quad_expect`, i = None."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -323,33 +316,33 @@ def _mc_expect(dist: TargetDistribution, t: float, f, n_samples: int, seed):
         m = min(_CHUNK, n_samples - done)
         Z = dist.sample(m, rng)
         X = Z + math.sqrt(t) * rng.standard_normal(Z.shape)
-        chunks.append(f(X))
+        chunks.append(f(X, None))
     return tuple(_mean_se(np.concatenate(col)) for col in zip(*chunks))
 
 
-def _is_single_gaussian(dist) -> bool:
-    return isinstance(dist, GaussianMixture) and dist.n_components == 1
-
-
-def _resolve_policy(dist, policy: str, gamma: float) -> str:
-    """The concrete policy for ``dist`` at SNR ``gamma``; rejects bad input."""
+def _resolve_policy(dist, policy: str, gamma: float):
+    """(concrete policy for ``dist``, noise scale t = 1/gamma); rejects bad input."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    _check_noise(1.0 / gamma)
+    single = isinstance(dist, GaussianMixture) and dist.n_components == 1
     if policy == "auto":
-        if _is_single_gaussian(dist):
-            return "closed_form"
-        if dist.dim <= 2:
-            return "quadrature"
-        return "monte_carlo"
-    if policy not in ("closed_form", "quadrature", "monte_carlo"):
+        policy = "closed_form" if single else "quadrature" if dist.dim <= 2 else "monte_carlo"
+    elif policy not in ("closed_form", "quadrature", "monte_carlo"):
         raise ValueError(f"unknown evaluation policy {policy!r}")
-    if policy == "closed_form" and not _is_single_gaussian(dist):
+    elif policy == "closed_form" and not single:
         raise ValueError("closed_form policy applies to single-Gaussian targets only")
-    return policy
+    return policy, 1.0 / gamma
 
 
 def _expect(dist: TargetDistribution, t: float, pol: str, f, n_samples: int, seed):
-    """(E f_k(X), stderr) pairs under X ~ p_t by the resolved quadrature or Monte-Carlo policy."""
+    """(E f_k(X), stderr) pairs under X ~ p_t by the resolved policy.
+
+    "closed_form" is one node, f at the mean with weight 1: exact for every f
+    here, since tr Cov, tr Cov^2 and H(C | X) of one Gaussian do not depend on x.
+    """
+    if pol == "closed_form":
+        return tuple((float(v[0]), 0.0) for v in f(dist.means, 0))
     if pol == "quadrature":
         return _quad_expect(dist, t, f)
     return _mc_expect(dist, t, f, n_samples, seed)
@@ -358,34 +351,46 @@ def _expect(dist: TargetDistribution, t: float, pol: str, f, n_samples: int, see
 def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
     """((E tr Cov, stderr), (E tr Cov^2, stderr)) at t = 1/gamma under ``policy``.
 
-    Both moments come from one evaluation, and the first equals
-    :func:`mmse`'s bit for bit; stderrs are 0 for the closed_form
-    and quadrature policies.
+    One evaluation gives both; the first equals :func:`mmse`'s bit for bit.
     """
-    pol = _resolve_policy(dist, policy, gamma)
-    if pol == "closed_form":
-        s0sq = float(dist.sigmas[0] ** 2)
-        tr = dist.dim * s0sq / (1.0 + s0sq * gamma)
-        return (tr, 0.0), (dist.dim * (s0sq / (1.0 + s0sq * gamma)) ** 2, 0.0)
-    t = 1.0 / gamma
+    pol, t = _resolve_policy(dist, policy, gamma)
     table = _pair_table(dist, t)
-    return _expect(dist, t, pol, lambda X: _cov_stats(dist, t, X, table), n_samples, seed)
+    return _expect(dist, t, pol, lambda X, i: _cov_stats(dist, t, X, table), n_samples, seed)
 
 
 def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
     """Mutual information I(Z; X_{1/gamma}) in nats; returns (value, stderr).
 
-    X_t has the density p_t = sum_i w_i N(c_i, (v_i + t) I), so
-    I = h(X_t) - h(X_t | Z) = -E log p_t(X_t) - (d/2) log(2 pi e t).
+    With C the component index, I = I(C; X_t) + I(Z; X_t | C) is
+
+        I = H(w) - E H(C | X_t) + (d/2) sum_i w_i log1p(v_i gamma),
+
+    whose terms do not cancel at any SNR: for one component the first two are
+    0, and for a discrete target the last is, so I -> H(w) as gamma -> inf.
+    E H(C | X_t) = E -log r_C(X_t), r the softmax of :func:`_component_logits`.
+    Quadrature takes -log r_i on component i's own nodes, where the Gaussian
+    part of log r_i is a quadratic the rule integrates exactly; Monte Carlo
+    averages the posterior entropy h(r(X)) (Rao-Blackwellized), which the
+    rule would miss by about 1e-6 on grid8.
     """
-    pol = _resolve_policy(dist, policy, gamma)
-    if pol == "closed_form":
-        return 0.5 * dist.dim * math.log1p(float(dist.sigmas[0] ** 2) * gamma), 0.0
-    t = 1.0 / gamma
+    pol, t = _resolve_policy(dist, policy, gamma)
     weights, centers, variances = _components(dist)
-    p_t = GaussianMixture(weights, centers, np.sqrt(variances + t))
-    ((log_p, se),) = _expect(dist, t, pol, lambda X: (p_t.log_prob(X),), n_samples, seed)
-    return -log_p - 0.5 * dist.dim * math.log(2.0 * math.pi * math.e * t), se
+    s2 = variances + t
+
+    def neg_log_r(X, i):
+        out = np.empty(X.shape[0])
+        for rows in _row_blocks(X.shape[0], s2.size):
+            lr = _component_logits(weights, centers, s2, X[rows].T)
+            lr -= lr.max(axis=0)
+            lr -= np.log(np.exp(lr).sum(axis=0))
+            # exp(lr) is 0 below -746, so the clip only keeps 0 * -inf out
+            out[rows] = -lr[i] if i is not None else -np.einsum(
+                "im,im->m", np.exp(lr), np.maximum(lr, -746.0))
+        return (out,)
+
+    ((cond, se),) = _expect(dist, t, pol, neg_log_r, n_samples, seed)
+    h_w = math.fsum(-p * math.log(p) for p in weights)
+    return h_w - cond + 0.5 * dist.dim * float(weights @ np.log1p(variances * gamma)), se
 
 
 def mmse(
@@ -402,13 +407,9 @@ def mmse(
     form of E ||Z - m_t(X_t)||^2). stderr is 0 for the closed_form and
     quadrature policies. Only the trace is computed, not tr Cov^2.
     """
-    pol = _resolve_policy(dist, policy, gamma)
-    if pol == "closed_form":
-        s0sq = float(dist.sigmas[0] ** 2)
-        return dist.dim * s0sq / (1.0 + s0sq * gamma), 0.0
-    t = 1.0 / gamma
+    pol, t = _resolve_policy(dist, policy, gamma)
     table = _pair_table(dist, t)
-    return _expect(dist, t, pol, lambda X: (_cov_trace(dist, t, X, table),), n_samples, seed)[0]
+    return _expect(dist, t, pol, lambda X, i: (_cov_trace(dist, t, X, table),), n_samples, seed)[0]
 
 
 def mmse_derivative(
@@ -468,15 +469,16 @@ class MmseCurve:
     def integral(self, gamma_lo: float, gamma_hi: float) -> float:
         """Integral of mmse over [gamma_lo, gamma_hi] by the I-MMSE identity.
 
-        2 (I(gamma_hi) - I(gamma_lo)), since dI/dgamma = mmse/2 (see the module
-        docstring). Exact under "closed_form". Under "quadrature" each I is one
-        pruned Gauss-Hermite pass over log p_t. Against a dense trapezoid
-        reference (step 0.02 per standardized axis) at gamma in
-        {1, 3, 10, ..., 1000} it is within 1.3e-7 on the discrete grid8 toy,
-        6.3e-8 on the grid8 mixture and 5e-11 on both circle8 toys, so the
-        integral is within 1e-6 relative once it exceeds 0.52. Under
-        "monte_carlo" both ends share the curve's seed and the result carries
-        the noise of two I estimates.
+        2 (I(gamma_hi) - I(gamma_lo)), since dI/dgamma = mmse/2, with each I in
+        the form of :func:`_info`, so a discrete target's integral to any
+        gamma_hi up to 1e300 stays below 2H. Exact under "closed_form". Under
+        "quadrature" each I is one pruned Gauss-Hermite pass over -log r_i.
+        Against a dense trapezoid of -E log p_t (step 0.02 per standardized
+        axis) at gamma in {1, 3, 10, ..., 1000}, I is within 1.3e-7 on the
+        discrete grid8 toy, 6.3e-8 on the grid8 mixture and 5e-11 on both
+        circle8 toys, so the integral is within 1e-6 relative once it exceeds
+        0.52. Under "monte_carlo" both ends share the curve's seed and the
+        result carries the noise of two I estimates.
         """
         if not 0 < gamma_lo < gamma_hi:
             raise ValueError("need 0 < gamma_lo < gamma_hi")
@@ -497,12 +499,10 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
     """
     if not isinstance(dist, FiniteDiscrete):
         raise TypeError("posterior_fourth_moment requires a FiniteDiscrete target")
-    if not t > 0:
-        raise ValueError("t must be positive")
     d4 = _pair_table(dist, t)[3] ** 2
     comps = _components(dist)
 
-    def f(X):
+    def f(X, _):
         out = np.empty(X.shape[0])
         for rows in _row_blocks(X.shape[0], d4.shape[0]):
             w = _responsibilities(comps, t, X[rows].T)

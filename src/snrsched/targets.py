@@ -64,6 +64,15 @@ def _check_weights(w: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must sum to 1 within {_WEIGHT_TOL}")
 
 
+def _check_spread(c: np.ndarray, w: np.ndarray, what: str) -> None:
+    # the kernels' pair distances |c_i - c_j|^2 are at most 4 max_i |c_i - cbar|^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = c - w @ c
+        far = np.flatnonzero(~np.isfinite(4.0 * np.einsum("nd,nd->n", cc, cc)))
+    if far.size:
+        raise ValueError(f"{what} {far[0]} is too far from the weighted mean: 4 |c - cbar|^2 overflows")
+
+
 def _component_logits(weights, centers, s2, XT) -> np.ndarray:
     """(n, m) logits log w_i - |x - c_i|^2 / (2 s2_i) - (d/2) log s2_i.
 
@@ -130,6 +139,10 @@ class GaussianMixture:
     sigmas : (n,) array
         Per-component isotropic standard deviations, strictly positive and
         large enough that 1/(2 sigma^2) is finite (sigma >= about 5.3e-155).
+
+    A mean mu_i with 4 |mu_i - mu|^2 not finite in float64, mu = sum_i w_i mu_i
+    (|mu_i - mu| above about 6.7e153), is rejected: the squared pair distances
+    the kernels build would overflow.
     """
 
     weights: np.ndarray
@@ -146,6 +159,7 @@ class GaussianMixture:
         if mu.shape[0] != w.size or sig.shape != w.shape:
             raise ValueError("weights, means and sigmas must have matching leading size")
         _check_finite(mu, "component means")
+        _check_spread(mu, w, "component")
         _check_finite(sig, "component sigmas")
         if np.any(sig <= 0):
             raise ValueError("component sigmas must be strictly positive")
@@ -213,7 +227,9 @@ class FiniteDiscrete:
     """Finitely supported distribution sum_i p_i delta_{z_i} on R^d.
 
     Atoms must be pairwise distinct; probabilities strictly positive and
-    summing to 1 within 1e-12.
+    summing to 1 within 1e-12. As for :class:`GaussianMixture`, an atom z_i
+    with 4 |z_i - z|^2 not finite in float64, z = sum_i p_i z_i (|z_i - z|
+    above about 6.7e153), is rejected.
     """
 
     points: np.ndarray
@@ -226,6 +242,7 @@ class FiniteDiscrete:
         if z.shape[0] != p.size:
             raise ValueError("points and probs must have matching leading size")
         _check_finite(z, "atom points")
+        _check_spread(z, p, "atom")
         # equal rows are adjacent once sorted lexicographically; unlike
         # np.unique(axis=0), this loads no numpy.ma, and -0.0 == 0.0
         zs = z[np.lexsort(z.T[::-1])]

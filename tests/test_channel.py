@@ -1,7 +1,9 @@
 """Exact Bayes machinery for the additive Gaussian channel."""
 
+import ast
 import math
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +18,7 @@ from oracles import (
     two_atom_fourth_moment,
     two_atom_mmse,
 )
-from snrsched import FiniteDiscrete, GaussianMixture, renyi_half_entropy
+from snrsched import FiniteDiscrete, GaussianMixture, grid_geometric, renyi_half_entropy
 from snrsched.channel import (
     MmseCurve,
     _components,
@@ -31,7 +33,8 @@ from snrsched.channel import (
     derivative_ratio_constant,
 )
 from snrsched import targets
-from snrsched.targets import build_toy, toy_discrete
+from snrsched.functionals import disc_error
+from snrsched.targets import build_toy, shannon_entropy, toy_discrete
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
 POINT = FiniteDiscrete(points=[[2.0, -1.0]], probs=[1.0])
@@ -309,12 +312,93 @@ def test_mmse_curve_integral_two_atom_vs_simpson_free_route(lo, hi):
     assert got == pytest.approx(want, rel=1e-8)
 
 
-@pytest.mark.parametrize("dist", [TWO, toy_discrete("circle8")], ids=["two_atom", "circle8"])
-def test_mmse_integral_over_all_snr_is_twice_entropy(dist):
+@pytest.mark.parametrize("dist, gamma_hi", [
+    pytest.param(TWO, 1e8, id="two_atom"),
+    pytest.param(toy_discrete("circle8"), 1e8, id="circle8"),
+    *(pytest.param(d, g, id=f"{name}-{g:g}")
+      for name, d in (("two_atom", TWO), ("circle8", toy_discrete("circle8")))
+      for g in (1e20, 1e300)),
+])
+def test_mmse_integral_over_all_snr_is_twice_entropy(dist, gamma_hi):
     # I(0) = 0 and I(inf) = H for a discrete target; the cut at gamma = 1e-8
     # leaves out about gamma_lo * tr Cov of the integral
-    got = MmseCurve(dist).integral(1e-8, 1e8)
+    got = MmseCurve(dist).integral(1e-8, gamma_hi)
     assert abs(got - 2.0 * entropy_oracle(dist.probs)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["circle8", "grid8"])
+def test_discrete_integral_to_1e20_is_twice_the_entropy_gap(name):
+    # a form that subtracts two terms of size log(1/t), such as
+    # -E log p_t - (d/2) log(2 pi e t), loses I entirely here
+    dist = toy_discrete(name)
+    H = shannon_entropy(dist)
+    want = 2.0 * (H - _info(dist, 1.0, "quadrature", 1, 0)[0])
+    assert abs(MmseCurve(dist).integral(1.0, 1e20) - want) <= 1e-12
+    for g in (1e8, 1e12, 1e20, 1e34, 1e300):
+        assert _info(dist, g, "quadrature", 1, 0) == (H, 0.0)
+
+
+@pytest.mark.parametrize("delta", [1e-20, 1e-300])
+@pytest.mark.parametrize("name", ["circle8", "grid8"])
+def test_disc_error_nonnegative_up_to_extreme_snr(name, delta):
+    # mmse falls in gamma, so the left Riemann sum bounds its integral from above
+    dist = toy_discrete(name)
+    for K in (4, 16, 64):
+        e = disc_error(MmseCurve(dist), grid_geometric(1.0, delta, K))
+        assert 0.0 <= e < math.inf
+
+
+@pytest.mark.parametrize("gamma", [0.3, 3.0, 30.0])
+def test_info_monte_carlo_single_gaussian_is_the_closed_form(gamma):
+    # H(w) and H(C | X) vanish for one component, so no draw adds noise
+    dist = single_gauss(1.0, d=3)
+    assert _info(dist, gamma, "monte_carlo", 1000, 0) == (1.5 * math.log1p(gamma), 0.0)
+    assert _info(dist, gamma, "closed_form", 1, 0) == (1.5 * math.log1p(gamma), 0.0)
+
+
+def test_info_monte_carlo_survives_logits_that_overflow():
+    # at gamma = 1e300 the far atoms' logits overflow to -inf; their weight is
+    # 0, so each posterior entropy is 0 and I is H, not nan
+    dist = FiniteDiscrete(points=[[0, 0, 0], [1e5, 0, 0], [0, 2e5, 0]], probs=[0.5, 0.3, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the logit overflow itself
+        assert _info(dist, 1e300, "monte_carlo", 1000, 0) == (shannon_entropy(dist), 0.0)
+
+
+def test_info_monte_carlo_matches_quadrature_on_a_mixture():
+    for dist in (build_toy("grid8"), toy_discrete("circle8")):
+        for g in (0.3, 3.0, 30.0):
+            vq, _ = _info(dist, g, "quadrature", 1, 0)
+            vm, se = _info(dist, g, "monte_carlo", 200_000, 1)
+            assert abs(vm - vq) <= 4.0 * se + 1e-12
+
+
+def _channel_tree():
+    import snrsched.channel as channel
+
+    with open(channel.__file__) as fh:
+        return ast.parse(fh.read())
+
+
+def test_every_oracle_takes_the_one_expect_route():
+    # "closed_form" is a rule of _expect, not a branch of each oracle
+    funcs = {f.name: f for f in _channel_tree().body if isinstance(f, ast.FunctionDef)}
+    comparing = {
+        name
+        for name, fn in funcs.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value == "closed_form" for c in ast.walk(node))
+    }
+    assert comparing == {"_resolve_policy", "_expect"}
+    for name in ("mmse", "_cov_expect", "_info"):
+        calls = [n.func.id for n in ast.walk(funcs[name])
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        assert calls.count("_expect") == 1, name
+    # _info builds no p_t density: it works from log-responsibilities
+    called = {getattr(n.func, "attr", getattr(n.func, "id", None))
+              for n in ast.walk(funcs["_info"]) if isinstance(n, ast.Call)}
+    assert not called & {"log_prob", "GaussianMixture"}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -326,6 +410,12 @@ def test_mmse_curve_integral_monte_carlo_single_gaussian(seed):
 
 # ---------------------------------------------------------------------------
 # posterior-redraw fourth moment
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_fourth_moment_rejects_bad_noise_scale(t):
+    with pytest.raises(ValueError, match="noise scale t"):
+        posterior_fourth_moment(TWO, t, 10, seed=0)
 
 
 def test_fourth_moment_point_mass_zero():

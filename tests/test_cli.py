@@ -916,26 +916,54 @@ def test_csv_bytes_rejects_a_non_finite_float_naming_its_column(value):
     assert text == b'a,b\n"x,y",3\n,0.10000000000000001\n'
 
 
-def _huge_target(tmp_path):
-    # means at +-1e300: every oracle value is nan
-    comps = [{"w": 0.5, "mean": [m], "sigma": 1.0} for m in (1e300, -1e300)]
+def _huge_target(tmp_path, scale=1e100):
+    comps = [{"w": 0.5, "mean": [m], "sigma": 1.0} for m in (scale, -scale)]
     return _gammas_file(tmp_path, {"variant": "gmm", "dim": 1, "components": comps}, "huge.json")
 
 
+def _huge_loss(tmp_path):
+    path = tmp_path / "huge_loss.csv"
+    write_loss_csv(path, np.geomspace(0.5, 2000.0, 32), np.full(32, 1e308))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["mmse-table", "--target", None, "--points", "3"],
-     "mmse.csv: column mmse is not finite: nan"),
-    (["report", "--target", None, "--baseline", "geometric", "--K", "3"],
-     "report.csv: column e_disc is not finite: nan"),
+    # means at +-1e100: the squared Gram of tr Cov^2 overflows, so mmse' is nan
+    (["mmse-table", "--target", _huge_target, "--points", "3"],
+     "mmse.csv: column dmmse is not finite: nan"),
+    # risks of 1e308: the E_apx sum overflows
+    (["report", "--target", "circle8", "--baseline", "geometric", "--K", "3",
+      "--loss", _huge_loss],
+     "report.csv: column e_apx is not finite: inf"),
 ], ids=["mmse-table", "report"])
 def test_non_finite_artifact_leaves_no_out_dir(tmp_path, capsys, argv, message):
     out = tmp_path / "run"
-    argv = [_huge_target(tmp_path) if a is None else a for a in argv] + ["--out", str(out)]
+    argv = [a(tmp_path) if callable(a) else a for a in argv] + ["--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the oracles overflow on the way
         assert main(argv) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_target_whose_pair_distances_overflow_exits_2_naming_it(tmp_path, capsys):
+    # the oracles would read nan on these means, so the target is refused first
+    out = tmp_path / "run"
+    argv = ["mmse-table", "--target", _huge_target(tmp_path, 1e300), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "component 0 is too far from the weighted mean" in capsys.readouterr().err
+
+
+def test_report_on_a_discrete_target_to_snr_1e20_writes_a_nonnegative_e_disc(tmp_path):
+    # I must reach H at gamma = 1e20 without cancellation, or e_disc goes negative
+    target = _gammas_file(tmp_path, target_to_json(toy_discrete("circle8")), "c8d.json")
+    out = tmp_path / "run"
+    argv = ["report", "--target", target, "--baseline", "geometric", "--K", "8",
+            "--T", "1", "--delta", "1e-20", "--out", str(out)]
+    assert main(argv) == 0
+    (entry,) = json.loads((out / "report.json").read_text())
+    assert 0.0 <= entry["e_disc"] < math.inf
 
 
 def test_simulate_unwritable_sample_report_leaves_no_out_dir(tmp_path, capsys, monkeypatch):

@@ -77,6 +77,42 @@ def test_smallest_accepted_sigma_keeps_log_prob_finite():
     assert np.all(np.isfinite(gm.log_prob([[0.0], [1.0]])))
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e200, 1e154, 6.71e153])
+def test_centers_whose_pair_distances_overflow_are_rejected(scale):
+    # |c_i - c_j|^2 = (2 scale)^2 overflows, so the oracles would read nan
+    with pytest.raises(ValueError, match="component 0 is too far"):
+        GaussianMixture(weights=[0.5, 0.5], means=[[-scale], [scale]], sigmas=[1.0, 1.0])
+    with pytest.raises(ValueError, match="atom 0 is too far"):
+        FiniteDiscrete(points=[[-scale, 0.0], [scale, 0.0]], probs=[0.5, 0.5])
+    # the check is on the distance from the weighted mean, and names the far one
+    with pytest.raises(ValueError, match="component 2 is too far"):
+        GaussianMixture(weights=[0.5, 0.5, 1e-200], means=[[0.0], [1.0], [scale]], sigmas=[1.0] * 3)
+
+
+@pytest.mark.parametrize("scale", [1e153, 6.7e153])
+def test_centers_just_inside_the_spread_limit_keep_their_values(scale):
+    from snrsched.channel import mmse
+
+    atoms = FiniteDiscrete(points=[[-scale], [scale]], probs=[0.5, 0.5])
+    assert mmse(atoms, 1.0) == (0.0, 0.0)
+    GaussianMixture(weights=[0.5, 0.5], means=[[-scale], [scale]], sigmas=[1.0, 1.0])
+
+
+def test_spread_check_builds_no_pair_table():
+    # an (n, n) table of pair distances would be 128 MiB here
+    import tracemalloc
+
+    points = np.arange(4096.0)[:, None]
+    tracemalloc.start()
+    try:
+        FiniteDiscrete(points=points, probs=np.full(4096, 1.0 / 4096))
+        GaussianMixture(weights=np.full(4096, 1.0 / 4096), means=points, sigmas=np.ones(4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_atoms_pairwise_distinct():
     with pytest.raises(ValueError):
         FiniteDiscrete(points=[[1.0], [1.0]], probs=[0.5, 0.5])
@@ -295,7 +331,9 @@ def test_entropy_range_property(raw):
 # ---------------------------------------------------------------------------
 # JSON round trip and non-finite input, as properties
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# every center within 2 sqrt(3) 1e153 of the weighted mean at d <= 3, inside
+# the constructors' spread limit of about 6.7e153
+_COORD = st.floats(-1e153, 1e153)
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -305,7 +343,7 @@ def _target_fields(draw):
     n = draw(st.integers(1, 5))
     d = draw(st.integers(1, 3))
     raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
-    rows = draw(st.lists(st.tuples(*[_FINITE] * d), min_size=n, max_size=n, unique=True))
+    rows = draw(st.lists(st.tuples(*[_COORD] * d), min_size=n, max_size=n, unique=True))
     sigmas = draw(
         st.lists(
             st.floats(min_value=1e-154, allow_infinity=False),  # 1/(2 sigma^2) finite
