@@ -35,7 +35,10 @@ three cross-checked rules: closed form (one node, for a single Gaussian),
 Gauss-Hermite quadrature (dim <= 2) and Monte Carlo with standard errors.
 Posterior weights are normalized in the log domain, largest logit first, so
 the normalization does not overflow; the logits themselves do where
-|x - c_i|^2 / (2 s2_i) leaves float64 (points x near 1e154).
+|x - c_i|^2 / (2 s2_i) leaves float64 (points x near 1e154), except when all
+components share one variance, where :func:`_responsibilities` forms no
+|x|^2. The Gauss-Hermite rule is NumPy's, built here without importing
+``numpy.polynomial`` (:func:`_hermite_e_gauss`).
 """
 
 from __future__ import annotations
@@ -90,13 +93,34 @@ def _responsibilities(comps, t: float, XT: np.ndarray) -> np.ndarray:
     The softmax over components of :func:`_component_logits` with
     s2_i = v_i + t, the variance of X_t given component i, normalized in the
     log domain: the largest logit is subtracted before exponentiating.
-    Rejects a noise scale ``t`` that is not positive and finite, for which
-    the weights would be nan or silently wrong.
+    When the components share one variance, as a discrete target's atoms do,
+    the terms common to all components are left out: one matrix product
+    c~_i.x~ - |c~_i|^2 / 2 is shifted by its column max, then scaled by 1/s2
+    and given log w_i, so the weights still decide exact ties at tiny t and
+    no |x~|^2 is formed (as :func:`_pair_spread` skips its x terms when the
+    a_i are equal). Rejects a noise scale ``t`` that is not positive and
+    finite, for which the weights would be nan or silently wrong.
     """
     _check_noise(t)
     weights, centers, variances = comps
-    r = _component_logits(weights, centers, variances + t, XT)
-    r -= r.max(axis=0)
+    if np.any(variances != variances[0]):
+        r = _component_logits(weights, centers, variances + t, XT)
+        r -= r.max(axis=0)
+    else:
+        # one s2 for all: |x~|^2 / (2 s2) and log s2 cancel, leaving
+        # (c~.x~ - |c~|^2 / 2) / s2 + log w, shifted before it is scaled
+        s2 = variances[0] + t
+        mu = weights @ centers
+        Cc = centers - mu
+        r = Cc @ (XT - mu[:, None])
+        r -= 0.5 * np.einsum("nd,nd->n", Cc, Cc)[:, None]
+        r -= r.max(axis=0)
+        with np.errstate(over="ignore"):  # a shifted logit past -1.8e308 is -inf
+            if math.isfinite(1.0 / s2):
+                r *= 1.0 / s2
+            else:  # t below about 5.6e-309
+                r /= s2
+        r += np.log(weights)[:, None]
     np.exp(r, out=r)
     r /= r.sum(axis=0)
     return r
@@ -254,6 +278,39 @@ def _cov_stats(dist: TargetDistribution, t: float, X: np.ndarray, table):
     return trace, frob_sq
 
 
+def _normed_hermite_e(x: np.ndarray, n: int) -> np.ndarray:
+    """The normalized HermiteE polynomial of degree n >= 1 at ``x``, by its recurrence."""
+    c0, c1 = 0.0, 1.0 / np.sqrt(np.sqrt(2 * np.pi))
+    nd = float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(1.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x
+
+
+def _hermite_e_gauss(deg: int):
+    """Gauss-HermiteE (nodes, weights) for the weight exp(-x^2 / 2), deg >= 2.
+
+    NumPy's ``numpy.polynomial.hermite_e.hermegauss`` (BSD-3-Clause, Copyright
+    (c) NumPy Developers), copied so that its bits match without importing
+    ``numpy.polynomial``: eigenvalues of the symmetric companion matrix, one
+    Newton step on the normalized recurrence, weights 1 / He_{deg-1}^2
+    symmetrized and scaled to sum to sqrt(2 pi).
+    """
+    m = np.zeros((deg, deg))
+    m.reshape(-1)[1 :: deg + 1] = np.sqrt(np.arange(1, deg))
+    m.reshape(-1)[deg :: deg + 1] = m.reshape(-1)[1 :: deg + 1]
+    x = np.linalg.eigvalsh(m)
+    x -= _normed_hermite_e(x, deg) / (_normed_hermite_e(x, deg - 1) * np.sqrt(deg))
+    fm = _normed_hermite_e(x, deg - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(2 * np.pi) / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=None)
 def _standard_normal_nodes(d: int):
     """Read-only pruned Gauss-Hermite (offsets, weights) for N(0, I_d), built once per d.
@@ -265,7 +322,7 @@ def _standard_normal_nodes(d: int):
     ones in the grid's corners. The dropped weight is 1.7e-21 in 1-d and
     8.2e-21 in 2-d, below the rounding of any sum over the kept nodes.
     """
-    u, w1 = np.polynomial.hermite_e.hermegauss(200 if d == 1 else 96)
+    u, w1 = _hermite_e_gauss(200 if d == 1 else 96)
     w1 = w1 / math.sqrt(2.0 * math.pi)
     if d == 1:
         offsets, qw = u[:, None], w1
@@ -433,10 +490,10 @@ class MmseCurve:
     "auto" picks closed form for a single Gaussian, quadrature for dim <= 2
     and Monte Carlo otherwise. An unknown policy, "closed_form" for a target
     that is not a single Gaussian, or ``n_samples < 1`` raises ValueError
-    here rather than at the first evaluation. :meth:`mmse` remembers its
-    value at each gamma, since every evaluation at one gamma uses the same
-    seed and gives the same result; the curve is frozen so that memo cannot
-    go stale.
+    here rather than at the first evaluation. :meth:`mmse` and
+    :meth:`integral` remember mmse and I at each gamma, since every
+    evaluation at one gamma uses the same seed and gives the same result;
+    the curve is frozen so those memos cannot go stale.
     """
 
     dist: TargetDistribution
@@ -444,6 +501,7 @@ class MmseCurve:
     n_samples: int = 200_000
     seed: int = 0
     _mmse_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _info_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _resolve_policy(self.dist, self.policy, 1.0)
@@ -457,6 +515,15 @@ class MmseCurve:
                 self.dist, gamma, self.policy, n_samples=self.n_samples, seed=self.seed
             )
         return self._mmse_memo[key]
+
+    def _mutual_info(self, gamma: float) -> float:
+        """I(gamma) of :func:`_info`, remembered per gamma like :meth:`mmse`."""
+        key = float(gamma)
+        if key not in self._info_memo:
+            self._info_memo[key] = _info(
+                self.dist, gamma, self.policy, self.n_samples, self.seed
+            )[0]
+        return self._info_memo[key]
 
     def tabulate(self, gammas) -> list:
         """(gamma, mmse, mmse_stderr, dmmse, dmmse_stderr) tuples, one per gamma."""
@@ -478,13 +545,12 @@ class MmseCurve:
         discrete grid8 toy, 6.3e-8 on the grid8 mixture and 5e-11 on both
         circle8 toys, so the integral is within 1e-6 relative once it exceeds
         0.52. Under "monte_carlo" both ends share the curve's seed and the
-        result carries the noise of two I estimates.
+        result carries the noise of two I estimates. Grids that share an
+        endpoint compute its I once.
         """
         if not 0 < gamma_lo < gamma_hi:
             raise ValueError("need 0 < gamma_lo < gamma_hi")
-        lo, _ = _info(self.dist, gamma_lo, self.policy, self.n_samples, self.seed)
-        hi, _ = _info(self.dist, gamma_hi, self.policy, self.n_samples, self.seed)
-        return 2.0 * (hi - lo)
+        return 2.0 * (self._mutual_info(gamma_hi) - self._mutual_info(gamma_lo))
 
 
 def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, seed):

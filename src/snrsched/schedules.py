@@ -15,14 +15,14 @@ O(K n^2) dynamic program; with alpha > 0 consecutive steps couple and an
 O(K n^3) dynamic program over (previous, current) index pairs solves it
 exactly. Only the first-order DP counts ties (``Schedule.tie_breaks``).
 
-The first-order DP fills its targets in blocks of K and skips, per block
-and stage, every predecessor whose cost at the block's smallest eta already
-exceeds another predecessor's cost at its largest eta. The cost
+The first-order DP fills its targets in blocks of max(K, 32) and skips, per
+block and stage, every predecessor whose cost at the block's smallest eta
+already exceeds another predecessor's cost at its largest eta. The cost
 dp + (eta_j - eta_i) L_i is a chain of correctly rounded operations with
 L_i >= 0, so it does not decrease with eta_j, and a skipped predecessor can
 be neither a minimum nor a tie: the table is bit-identical to a full scan.
-Memory is the (K + 1, n) table, one (K, n) block of step costs and two
-buffers of max(2^15, n) cells.
+Memory is the (K + 1, n) table, one (max(K, 32), n) block of step costs and
+two buffers of max(2^15, n) cells.
 """
 
 from __future__ import annotations
@@ -223,6 +223,9 @@ def _make_schedule(profile, indices, cfg, tie_breaks=0) -> Schedule:
 # in las_beam, whose block of one b holds that b's whole (c, a) plane,
 # whatever its size; (column, predecessor) costs per chunk in las_exact
 _BLOCK_CELLS = 2**15
+# las_exact fills at least this many targets per block, so the per-block bound
+# bookkeeping (some 30 numpy calls) is spread over enough columns at small K
+_MIN_TARGETS = 32
 # las_exact gathers a stage's surviving predecessors, instead of reading the
 # contiguous span from the first of them, when they fill less than
 # 1/_GATHER_COST of that span: a gathered cell costs about two contiguous ones
@@ -256,14 +259,14 @@ def _first_order_table(eta, L, K: int) -> np.ndarray:
     Each cell is the minimum of dp[k - 1, i] + (eta_j - eta_i) L_i over
     i < j, summed in that float order. Stages 1..K-1 hold the live band
     k <= j <= end - (K - k) and stage K only (K, end); every other cell is
-    inf. The columns are filled in blocks of K consecutive targets
-    [j0, j1). A block's step costs (eta_j - eta_i) L_i, for all its columns
-    and all i < j1, go once into one (K, n) buffer, with inf where i >= j,
-    and serve every stage. For stage k, let j_lo and j_hi be the block
-    columns with the smallest and the largest eta, and let u < j0 be the
-    predecessor with the smallest cost at j_lo. A predecessor i < j0 whose
-    cost at j_lo exceeds UB = dp[k - 1, u] + (eta_{j_hi} - eta_u) L_u is
-    skipped: L >= 0 and each float operation is correctly rounded, hence
+    inf. The columns are filled in blocks of B = max(K, ``_MIN_TARGETS``)
+    consecutive targets [j0, j1). A block's step costs (eta_j - eta_i) L_i,
+    for all its columns and all i < j1, go once into one (B, n) buffer, with
+    inf where i >= j, and serve every stage. For stage k, let j_lo and j_hi
+    be the block columns with the smallest and the largest eta, and let
+    u < j0 be the predecessor with the smallest cost at j_lo. A predecessor
+    i < j0 whose cost at j_lo exceeds UB = dp[k - 1, u] + (eta_{j_hi} -
+    eta_u) L_u is skipped: L >= 0 and each float operation is correctly rounded, hence
     monotone, so a cell's cost does not decrease with eta_j, and that i
     costs more than u at every column of the block. It can be neither a
     minimum nor a tie, so the table is the one a full scan gives, bit for
@@ -272,27 +275,28 @@ def _first_order_table(eta, L, K: int) -> np.ndarray:
     columns are then read as one contiguous span from the first survivor,
     or gathered when they fill less than half of that span, whole rows of
     the step block at a time in one reused buffer of max(``_BLOCK_CELLS``, n)
-    costs, so memory stays one (K + 1, n) table, one (K, n) step block and
+    costs, so memory stays one (K + 1, n) table, one (B, n) step block and
     two chunk buffers.
     """
     n = eta.size
     end = n - 1
+    B = max(K, _MIN_TARGETS)
     dp = np.full((K + 1, n), np.inf)
     dp[0, 0] = 0.0
-    step_buf = np.empty(K * n)
+    step_buf = np.empty(B * n)
     size = max(_BLOCK_CELLS, n)  # one stage's bounds fit
     buf = np.empty(size)
-    keep_buf = np.empty(size + K * K, dtype=bool)
-    upper = ~np.tri(K, dtype=bool, k=-1)  # in-block predecessors i >= j
+    keep_buf = np.empty(size + K * B, dtype=bool)
+    upper = ~np.tri(B, dtype=bool, k=-1)  # in-block predecessors i >= j
     # stages 1..K-1 over columns 1..end-1; the cells that cannot reach the
     # endpoint are filled too, then reset to inf
-    for j0 in range(1, end, K) if K > 1 else ():
-        j1 = min(j0 + K, end)
-        B = j1 - j0
-        step = step_buf[: B * j1].reshape(B, j1)
+    for j0 in range(1, end, B) if K > 1 else ():
+        j1 = min(j0 + B, end)
+        w = j1 - j0
+        step = step_buf[: w * j1].reshape(w, j1)
         np.subtract(eta[j0:j1, None], eta[:j1], out=step)
         step *= L[:j1]
-        np.copyto(step[:, j0:], np.inf, where=upper[:B, :B])
+        np.copyto(step[:, j0:], np.inf, where=upper[:w, :w])
         lo_row, hi_row = step[eta[j0:j1].argmin(), :j0], step[eta[j0:j1].argmax(), :j0]
         stages = min(K - 1, j1 - 1)
         rows = size // j0
@@ -335,7 +339,7 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     minimum at every step (walking back from the endpoint, the two part at
     a path cell with a tied predecessor). Time is O(K n^2) cells at worst,
     when no predecessor can be skipped, as for a constant risk; memory is
-    the (K + 1, n) table, a (K, n) step block and two chunk buffers.
+    the (K + 1, n) table, a (max(K, 32), n) step block and two chunk buffers.
     """
     if cfg.alpha != 0:
         raise ValueError("las_exact requires alpha = 0; use las_beam for alpha > 0")

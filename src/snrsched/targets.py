@@ -23,6 +23,7 @@ bit-identical under atom permutations and across platforms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ _WEIGHT_TOL = 1e-12
 # (n, n, rows) Gram at n = 64. A circle8 simulate sampled as fast at 2^16 and
 # 17 % slower at 2^15; the peak RSS did not move between them
 _BLOCK_ELEMS = 1 << 17
+_LOWEST = -sys.float_info.max
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -185,19 +187,23 @@ class GaussianMixture:
 
         The log-sum-exp of :func:`_component_logits`, with the largest logit
         factored out so far-tail points stay finite, minus (d/2) log 2 pi.
-        The rows run in blocks of :func:`_row_blocks`, so beyond the (m,)
-        result it holds one block's (n, rows) logits.
+        A point whose every logit overflows to -inf (|x~|^2 / (2 sigma^2)
+        past float64, as for circle8 at (1e160, 0)) gets -inf, the limit,
+        and no warning. The rows run in blocks of :func:`_row_blocks`, so
+        beyond the (m,) result it holds one block's (n, rows) logits.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         s2 = self.sigmas**2
         log_norm = 0.5 * self.dim * math.log(2.0 * math.pi)
         out = np.empty(x.shape[0])
         for rows in _row_blocks(x.shape[0], self.n_components):
-            logits = _component_logits(self.weights, self.means, s2, x[rows].T)
-            top = logits.max(axis=0)
-            logits -= top
-            np.exp(logits, out=logits)
-            out[rows] = top + np.log(logits.sum(axis=0)) - log_norm
+            with np.errstate(over="ignore", divide="ignore"):
+                logits = _component_logits(self.weights, self.means, s2, x[rows].T)
+                # a finite shift for an all -inf column, whose log(0) is then -inf
+                top = np.maximum(logits.max(axis=0), _LOWEST)
+                logits -= top
+                np.exp(logits, out=logits)
+                out[rows] = top + np.log(logits.sum(axis=0)) - log_norm
             del logits  # so no two blocks' logits are held at once
         return out
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -387,6 +388,29 @@ def mixture_posterior_moments(weights, centers, variances, t, x):
         dev = mu - mean
         cov += p * (v * t / (v + t) * np.eye(d) + np.outer(dev, dev))
     return probs, mean, float(np.trace(cov)), float((cov * cov).sum())
+
+
+def exact_shared_variance_posterior(weights, centers, s2, x):
+    """Component posterior at one point x when every component has variance s2.
+
+    The squared distances |x - c_i|^2 are exact rationals, and the
+    log-weights log w_i - |x - c_i|^2 / (2 s2) are taken relative to the
+    nearest center's, so no rounding of the inputs' floats is amplified by
+    1 / s2, whatever the size of x or the smallness of s2. Returns
+    (probs, sq_gap), sq_gap the exact margin of the second smallest squared
+    distance over the smallest (inf for one component).
+    """
+    xs = [Fraction(float(v)) for v in x]
+    sq = [sum((xi - Fraction(float(ci))) ** 2 for xi, ci in zip(xs, c)) for c in centers]
+    near = min(sq)
+    den = 2 * Fraction(float(s2))
+    rel = [(near - q) / den for q in sq]
+    logp = [math.log(w) + (float(r) if r > -(10**308) else -math.inf) for w, r in zip(weights, rel)]
+    best = max(logp)
+    unnorm = [math.exp(a - best) for a in logp]
+    total = math.fsum(unnorm)
+    sq_gap = float(sorted(sq)[1] - near) if len(sq) > 1 else math.inf
+    return np.array([u / total for u in unnorm]), sq_gap
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,18 @@ import pytest
 from oracles import (
     central_diff,
     entropy_oracle,
+    exact_shared_variance_posterior,
     gauss_mmse_integral,
     isotropic_mixture_log_density,
     mixture_posterior_moments,
     two_atom_fourth_moment,
     two_atom_mmse,
 )
-from snrsched import FiniteDiscrete, GaussianMixture, grid_geometric, renyi_half_entropy
+from snrsched import FiniteDiscrete, GaussianMixture, grid_edm, grid_geometric, renyi_half_entropy
 from snrsched.channel import (
     MmseCurve,
     _components,
+    _hermite_e_gauss,
     _info,
     _responsibilities,
     _standard_normal_nodes,
@@ -34,7 +36,7 @@ from snrsched.channel import (
 )
 from snrsched import targets
 from snrsched.functionals import disc_error
-from snrsched.targets import build_toy, shannon_entropy, toy_discrete
+from snrsched.targets import _component_logits, build_toy, shannon_entropy, toy_discrete
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
 POINT = FiniteDiscrete(points=[[2.0, -1.0]], probs=[1.0])
@@ -92,6 +94,70 @@ def test_posterior_weights_normalized_no_overflow():
         w = _weights(d, t, np.array([7.5]))
         assert abs(w.sum() - 1.0) <= 1e-10
         assert np.all(np.isfinite(w))
+
+
+def _softmax_probe_points(centers):
+    """Atoms, pair midpoints and third points, and far points out to |x| = 1e150."""
+    n, d = centers.shape
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    between = [(centers[i] + centers[j]) / 2 for i, j in pairs]
+    between += [(2 * centers[i] + centers[j]) / 3 for i, j in pairs]
+    u = np.linspace(1.0, 0.37, d)
+    u /= np.linalg.norm(u)
+    far = [s * u for s in (1e3, -1e3, 1e50, 1e150, -1e150)]
+    return np.concatenate([centers, between, far])
+
+
+@pytest.mark.parametrize("dist", [
+    toy_discrete("circle8"), toy_discrete("grid8"), build_toy("circle8"), build_toy("grid8"), TWO,
+], ids=["circle8_discrete", "grid8_discrete", "circle8", "grid8", "two_atom"])
+def test_shared_variance_softmax_matches_exact_logits(dist):
+    # every component has one variance, so _responsibilities skips |x~|^2.
+    # Times s2, its logit differences round at about err = 16 eps |c~| |x~|.
+    # Where the nearest center leads the next by more than 2 err plus
+    # 2 s2 (40 + the log-weight spread) in squared distance, the weights are
+    # one-hot to 1e-17 and must match exactly computed ones within 1e-12;
+    # elsewhere within 1e-12 plus err / (2 s2). The general softmax, which
+    # rounds at about 16 eps |x~|^2 times s2, is compared where it is finite
+    comps = _components(dist)
+    weights, centers, variances = comps
+    assert np.all(variances == variances[0])
+    mu = weights @ centers
+    c_max = float(np.linalg.norm(centers - mu, axis=1).max()) + float(np.linalg.norm(mu))
+    spread = math.log(weights.max() / weights.min())
+    X = _softmax_probe_points(centers)
+    eps = math.ulp(1.0)  # a Python float, whose overflow gives inf without a warning
+    tight = 0
+    for t in (5e-324, 1e-300, 1e-8, 1e-3, 1.0, 1e8):
+        s2 = float(variances[0] + t)
+        r = _responsibilities(comps, t, np.asfortranarray(X).T)
+        assert np.all(np.isfinite(r))
+        np.testing.assert_allclose(r.sum(axis=0), 1.0, rtol=0, atol=4 * eps)
+        with np.errstate(all="ignore"):
+            g = _component_logits(weights, centers, variances + t, X.T)
+            g -= g.max(axis=0)
+            np.exp(g, out=g)
+            g /= g.sum(axis=0)
+        for m, x in enumerate(X):
+            x_norm = float(np.linalg.norm(x - mu))
+            err = 16 * eps * c_max * (x_norm + c_max)
+            want, sq_gap = exact_shared_variance_posterior(weights, centers, s2, x)
+            one_hot = sq_gap > 2 * err + 2 * s2 * (40 + spread)
+            tol = 1e-12 if one_hot else 1e-12 + err / (2 * s2)
+            tight += tol < 1e-11
+            assert np.all(np.abs(r[:, m] - want) <= tol), (t, x)
+            if np.all(np.isfinite(g[:, m])):
+                err_g = 16 * eps * (x_norm**2 + c_max**2)
+                assert np.all(np.abs(r[:, m] - g[:, m]) <= 1e-12 + (err + err_g) / (2 * s2)), (t, x)
+    assert tight >= 2 * X.shape[0]  # the bound is within 1e-11 at two t's worth of points
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-300, 1e-8])
+def test_shared_variance_softmax_leaves_exact_ties_to_the_weights(t):
+    # x = 0 is equidistant from -1 and 1, and the centered logits tie in float
+    # too (mean 0.5), so the weights decide even where 1/s2 overflows
+    dist = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.25, 0.75])
+    assert list(_weights(dist, t, np.array([0.0]))) == [0.25, 0.75]
 
 
 def test_posterior_summary_inequalities():
@@ -180,6 +246,14 @@ def _full_nodes(d):
         return u[:, None], w1
     ua, ub = np.meshgrid(u, u, indexing="ij")
     return np.stack([ua.ravel(), ub.ravel()], axis=1), np.outer(w1, w1).ravel()
+
+
+@pytest.mark.parametrize("deg", [96, 200])
+def test_gauss_hermite_rule_is_numpys(deg):
+    # the copied rule keeps numpy.polynomial out of the process, bit for bit
+    u, w = _hermite_e_gauss(deg)
+    want_u, want_w = np.polynomial.hermite_e.hermegauss(deg)
+    assert np.array_equal(u, want_u) and np.array_equal(w, want_w)
 
 
 def test_quadrature_nodes_built_once_and_read_only():
@@ -847,6 +921,31 @@ def test_tabulate_evaluates_each_knot_once(monkeypatch):
         assert len(calls) == (TWO.n_atoms if policy == "quadrature" else 1)
         assert (v, se) == curve.mmse(2.0)
         assert (dv, dse) == mmse_derivative(TWO, 2.0, policy, n_samples=2000, seed=5)
+
+
+@pytest.mark.parametrize("policy", ["quadrature", "monte_carlo"])
+def test_integral_computes_each_endpoint_once(monkeypatch, policy):
+    # two grids with the same endpoints, as report runs them, and a third
+    # interval that shares one: three distinct gammas, three I evaluations,
+    # each integral bit-identical to 2 (I(hi) - I(lo)) from the module function
+    import snrsched.channel as channel
+
+    dist = build_toy("circle8")
+    want = {g: _info(dist, g, policy, 2000, 3)[0] for g in (1.0, 30.0, 1000.0)}
+    calls = []
+    info = channel._info
+
+    def counting(dist, gamma, *args):
+        calls.append(gamma)
+        return info(dist, gamma, *args)
+
+    monkeypatch.setattr(channel, "_info", counting)
+    curve = MmseCurve(dist, policy, n_samples=2000, seed=3)
+    for grid in (grid_geometric(1.0, 1e-3, 8), grid_edm(1.0, 1e-3, 8)):
+        riemann = float(np.diff(grid.gammas) @ [curve.mmse(g)[0] for g in grid.gammas[:-1]])
+        assert disc_error(curve, grid) == riemann - 2.0 * (want[1000.0] - want[1.0])
+    assert curve.integral(30.0, 1000.0) == 2.0 * (want[1000.0] - want[30.0])
+    assert sorted(calls) == [1.0, 30.0, 1000.0]
 
 
 @pytest.mark.parametrize("policy", ["quadrature", "monte_carlo"])

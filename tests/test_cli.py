@@ -1161,6 +1161,20 @@ def test_cli_import_leaves_verify_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_report_leaves_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Hermite rule is built without numpy.polynomial, whose import
+    # cost several ms of every report
+    code = (
+        "import sys, snrsched.cli; "
+        f"rc = snrsched.cli.main(['report', '--target', 'circle8', '--baseline', 'geometric', "
+        f"'--baseline', 'edm', '--K', '8', '--out', {str(tmp_path / 'run')!r}]); "
+        "print(rc, 'numpy.polynomial' in sys.modules)"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_cli_import_leaves_the_samples_csv_formatter_unloaded():
     proc = _run_python("-c", "import sys, snrsched.cli; print('snrsched.csvtext' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -1180,13 +1194,15 @@ def test_discrete_target_leaves_numpy_ma_unloaded():
 
 
 def test_simulate_rejects_non_finite_samples(tmp_path):
-    # in a fresh interpreter: here the kernel's overflow warning would raise first.
-    # Every step's std is finite, so the pre-pass lets the run through to the final check.
+    # in a fresh interpreter: here the NLL stderr's warning would raise first.
+    # Every step's std is finite, so the pre-pass lets the run through; the
+    # states stay finite near 1e300, where log_prob is -inf, so the NLL is inf
+    # and the JSON writer refuses it before --out is made.
     out = tmp_path / "run"
     proc = _run_python("-m", "snrsched.cli", "simulate", "--target", "circle8", "--baseline",
                        "geometric", "--sigma-err", "1e300", "--samples", "10", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
-    assert "error: the sampler produced non-finite samples" in proc.stderr
+    assert "error: sample_report.json: Out of range float values are not JSON compliant" in proc.stderr
     assert not out.exists()
 
 

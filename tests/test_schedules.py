@@ -276,17 +276,18 @@ def _block_candidates(rng, n, case):
 
 
 def test_first_order_table_matches_the_oracle_across_many_blocks(monkeypatch):
-    # blocks of K targets, so n up to 200 with K <= 11 spans many blocks;
-    # the table is compared whole, inf cells included. The defaults gather
-    # about half of the (block, stage) pairs and read the rest as a span,
-    # each in one chunk at these sizes, so every third case also runs with
-    # chunks of n cells and every stage gathered (even cases) or read as a
-    # span (odd cases).
+    # blocks of max(K, 32) targets, so n up to 200 spans up to 7 blocks and
+    # the last 10 cases, at n >= 300 and K <= 8, at least 10; the table is
+    # compared whole, inf cells included. The defaults gather about half of
+    # the (block, stage) pairs and read the rest as a span, each in one chunk
+    # at these sizes, so every third case also runs with blocks of K
+    # targets, chunks of n cells and every stage gathered (even cases) or
+    # read as a span (odd cases).
     rng = np.random.default_rng(26)
     eta_lt_prev = 0
-    for case in range(150):
-        n = int(rng.integers(40, 201))
-        K = int(rng.integers(1, 12))
+    for case in range(160):
+        n = int(rng.integers(40, 201) if case < 150 else rng.integers(300, 401))
+        K = int(rng.integers(1, 12) if case < 150 else rng.integers(2, 9))
         lam = 1.5 if case % 4 == 3 else float(rng.choice([0.3, 1.5, 4.0]))
         gam, risks = _block_candidates(rng, n, case)
         eta = eta_axis(gam, lam)
@@ -297,6 +298,7 @@ def test_first_order_table_matches_the_oracle_across_many_blocks(monkeypatch):
         if case % 3 == 0:
             with monkeypatch.context() as m:
                 m.setattr(schedules, "_BLOCK_CELLS", 1)  # chunks hold max(_BLOCK_CELLS, n) cells
+                m.setattr(schedules, "_MIN_TARGETS", 1)  # blocks of K targets
                 m.setattr(schedules, "_GATHER_COST", math.inf if case % 2 else 0)
                 got = schedules._first_order_table(eta, risks, K)
             assert np.array_equal(got, want), (n, K, lam, case)
@@ -334,10 +336,11 @@ def test_las_exact_keeps_its_results_at_benchmark_scale(kind, indices, ties, obj
 
 @pytest.mark.parametrize("kind", ["noisy", "constant"])
 def test_las_exact_memory_stays_near_its_tables(kind):
-    # one (K + 1, n) cost table, one (K, n) step block and two buffers of
-    # 2^15 cells; a constant risk lets no predecessor be skipped, so its
-    # spans are as long as they get. A fresh block per target, a predecessor
-    # table, or spans and gathers built whole push the peak over the bound
+    # one (K + 1, n) cost table, one (max(K, 32), n) step block and two
+    # buffers of 2^15 cells; a constant risk lets no predecessor be skipped,
+    # so its spans are as long as they get. A fresh block per target, a
+    # predecessor table, or spans and gathers built whole push the peak over
+    # the bound
     n, K = _BENCH_N, 32
     gam, risks = _bench_candidates(kind)
     cands = LossProfile(gammas=gam, losses=risks)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from snrsched import (
     renyi_half_entropy,
     shannon_entropy,
 )
-from snrsched.targets import target_from_json, target_to_json
+from snrsched.targets import build_toy, target_from_json, target_to_json
 
 LN8 = math.log(8.0)
 
@@ -170,6 +171,16 @@ def test_log_prob_matches_oracle_including_far_tail():
     # an unshifted log(sum(exp(.))) would read -inf at the far point
     assert math.exp(want[-1]) == 0.0
     np.testing.assert_allclose(gm.log_prob(X[0]), want[:1], rtol=1e-12)
+
+
+def test_log_prob_is_minus_inf_where_every_logit_overflows():
+    # at (1e160, 0) |x|^2 overflows, so every component's logit is -inf; the
+    # density's limit is 0, and the max shift must not turn -inf - -inf into nan
+    gm = build_toy("circle8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gm.log_prob([[1e160, 0.0], [1e155, 0.0], [1e100, 0.0], [-1e300, 1e300]])
+    assert list(got) == [-math.inf, -math.inf, -8e200, -math.inf]
 
 
 def test_cov_trace_two_atoms():
