@@ -30,6 +30,12 @@ Both covariance moments come from the squared pair distances of the
 per-component conjugate posterior means (:func:`_pair_spread`), which do not
 cancel at high SNR; no array of size m n d, m d^2 or n^2 d is built.
 
+Every term of these kernels that does not depend on x (the weighted center
+mean, log w, 1/s2, the conjugate-mean offsets, the (n, n) pair table) is
+built once per (target, t) by :class:`_KernelTable`, which each public
+kernel and oracle call builds once and every row block and quadrature node
+batch reads; no kernel derives those terms itself.
+
 Every expectation over X_t takes one route, :func:`_expect`, under one of
 three cross-checked rules: closed form (one node, for a single Gaussian),
 Gauss-Hermite quadrature (dim <= 2) and Monte Carlo with standard errors.
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +60,7 @@ from .targets import (
     GaussianMixture,
     TargetDistribution,
     _component_logits,
+    _logit_terms,
     _row_blocks,
     shannon_entropy,
 )
@@ -87,40 +94,102 @@ def _check_noise(t: float) -> None:
         raise ValueError(f"noise scale t must be positive and finite, got {t!r}")
 
 
-def _responsibilities(comps, t: float, XT: np.ndarray) -> np.ndarray:
+class _KernelTable:
+    """The x-free terms of every posterior kernel for one (target, t).
+
+    A kernel call builds one table and hands it to each row block and node
+    batch it runs, so these terms are derived once per (target, t), not once
+    per block. With s2_i = v_i + t, the variance of X_t given component i:
+
+    - ``logits``: :func:`snrsched.targets._logit_terms` of (w, c, s2): the
+      weighted center mean mu, c~ = c - mu, -2 c~, |c~|^2, -0.5/s2, log w and
+      log w - (d/2) log s2, the terms of :func:`_component_logits`;
+    - ``shared``: whether every component has one variance, and if so
+      ``half_cc`` = |c~|^2 / 2, ``log_w`` and ``scale_by``, the in-place ufunc
+      and operand that scale the shifted logits by 1/s2 (a division by s2
+      where 1/s2 overflows, t below about 5.6e-309), for :func:`_responsibilities`;
+    - ``a`` = v / s2, the weight of x in each conjugate mean;
+    - the terms of :func:`_pair_spread`, each built on its first read, so
+      :func:`posterior_mean` and :func:`_info`, which read none of them, do
+      not pay the n einsum rows of E: ``at`` = a t, ``e`` = (t / s2) c~,
+      ``tilt``, None when the a_i are all equal, else (g, g * g) with
+      g_ij = a_i - a_j, and ``E``, the (n, n) table |e_i - e_j|^2.
+
+    Raises ValueError unless ``t`` is positive and finite, for which the
+    weights would be nan or silently wrong.
+    """
+
+    def __init__(self, dist: TargetDistribution, t: float):
+        _check_noise(t)
+        weights, centers, variances = _components(dist)
+        self.t, self.dim, self.n, self.centers = t, centers.shape[1], weights.size, centers
+        self.s2 = s2 = variances + t
+        # -0.5/s2 is -inf only for atoms at t below 2.8e-309, which take the
+        # shared-variance softmax; only _info reads it, and its t is 1/gamma
+        with np.errstate(over="ignore"):
+            self.logits = lt = _logit_terms(weights, centers, s2)
+        self.shared = not np.any(variances != variances[0])
+        if self.shared:
+            self.half_cc, self.log_w = 0.5 * lt.cc, lt.log_w[:, None]
+            with np.errstate(over="ignore"):
+                inv = 1.0 / s2[0]
+            self.scale_by = (np.multiply, inv) if math.isfinite(inv) else (np.true_divide, s2[0])
+        self.a = variances / s2
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        return self.a * self.t
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        return (self.t / self.s2)[:, None] * self.logits.Cc
+
+    @cached_property
+    def tilt(self):
+        a = self.a
+        if not np.any(a != a[0]):
+            return None
+        g = a[:, None] - a[None, :]
+        return g, g * g
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        # row by row, so no (n, n, d) array of differences is built
+        e = self.e
+        E = np.empty((self.n, self.n))
+        for row, ei in zip(E, e):
+            diff = e - ei
+            np.einsum("nd,nd->n", diff, diff, out=row)
+        return E
+
+
+def _responsibilities(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
     """Posterior component probabilities at the columns of ``XT`` (d, m), shape (n, m).
 
     The softmax over components of :func:`_component_logits` with
-    s2_i = v_i + t, the variance of X_t given component i, normalized in the
-    log domain: the largest logit is subtracted before exponentiating.
-    When the components share one variance, as a discrete target's atoms do,
-    the terms common to all components are left out: one matrix product
-    c~_i.x~ - |c~_i|^2 / 2 is shifted by its column max, then scaled by 1/s2
-    and given log w_i, so the weights still decide exact ties at tiny t and
-    no |x~|^2 is formed (as :func:`_pair_spread` skips its x terms when the
-    a_i are equal). Rejects a noise scale ``t`` that is not positive and
-    finite, for which the weights would be nan or silently wrong.
+    s2_i = v_i + t, normalized in the log domain: the largest logit is
+    subtracted before exponentiating. When the components share one
+    variance, as a discrete target's atoms do, the terms common to all
+    components are left out: one matrix product c~_i.x~ - |c~_i|^2 / 2 is
+    shifted by its column max, then scaled by 1/s2 and given log w_i, so the
+    weights still decide exact ties at tiny t and no |x~|^2 is formed (as
+    :func:`_pair_spread` skips its x terms when the a_i are equal). Every
+    x-free term comes from ``table``, the :class:`_KernelTable` of (dist, t).
     """
-    _check_noise(t)
-    weights, centers, variances = comps
-    if np.any(variances != variances[0]):
-        r = _component_logits(weights, centers, variances + t, XT)
+    lt = table.logits
+    if not table.shared:
+        r = _component_logits(lt, XT)
         r -= r.max(axis=0)
     else:
         # one s2 for all: |x~|^2 / (2 s2) and log s2 cancel, leaving
         # (c~.x~ - |c~|^2 / 2) / s2 + log w, shifted before it is scaled
-        s2 = variances[0] + t
-        mu = weights @ centers
-        Cc = centers - mu
-        r = Cc @ (XT - mu[:, None])
-        r -= 0.5 * np.einsum("nd,nd->n", Cc, Cc)[:, None]
+        r = lt.Cc @ (XT - lt.mu[:, None])
+        r -= table.half_cc
         r -= r.max(axis=0)
+        scale, by = table.scale_by
         with np.errstate(over="ignore"):  # a shifted logit past -1.8e308 is -inf
-            if math.isfinite(1.0 / s2):
-                r *= 1.0 / s2
-            else:  # t below about 5.6e-309
-                r /= s2
-        r += np.log(weights)[:, None]
+            scale(r, by, out=r)
+        r += table.log_w
     np.exp(r, out=r)
     r /= r.sum(axis=0)
     return r
@@ -141,40 +210,23 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
     is returned); by default it is a new array in the memory order of ``X``.
     Raises ValueError unless ``t`` is positive and finite.
     """
-    _check_noise(t)
+    table = _KernelTable(dist, t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if out is None:
         out = np.empty_like(X)
     elif out.shape != X.shape:
         raise ValueError(f"out has shape {out.shape}, expected {X.shape}")
-    comps = _components(dist)
-    _, centers, variances = comps
-    s2 = variances + t
-    a, BT = variances / s2, ((t / s2)[:, None] * centers).T
-    for rows in _row_blocks(X.shape[0], s2.size):
+    BT = ((t / table.s2)[:, None] * table.centers).T
+    for rows in _row_blocks(X.shape[0], table.n):
         XT, block = X[rows].T, out[rows].T
-        r = _responsibilities(comps, t, XT)
+        r = _responsibilities(table, XT)
         np.matmul(BT, r, out=block)
-        block += (a @ r) * XT
+        block += (table.a @ r) * XT
         del r  # so no two blocks' responsibilities are held at once
     return out
 
 
-def _pair_table(dist: TargetDistribution, t: float):
-    """The x-free terms (a, mu, e, E) of :func:`_pair_spread`, which each
-    kernel call builds once for all its row blocks. Raises ValueError unless
-    ``t`` is positive and finite."""
-    _check_noise(t)
-    weights, centers, variances = _components(dist)
-    s2 = variances + t
-    mu = weights @ centers
-    e = (t / s2)[:, None] * (centers - mu)
-    # row by row, so no (n, n, d) array of differences is built
-    E = np.stack([np.einsum("nd,nd->n", e - ei, e - ei) for ei in e])
-    return variances / s2, mu, e, E
-
-
-def _pair_spread(dist: TargetDistribution, t: float, XT: np.ndarray, table):
+def _pair_spread(table: _KernelTable, XT: np.ndarray):
     """tr Cov(Z | X_t = x) from the pair distances of the conjugate means.
 
     Given component i the posterior mean is mu_i = a_i x + (t / s2_i) c_i with
@@ -192,35 +244,35 @@ def _pair_spread(dist: TargetDistribution, t: float, XT: np.ndarray, table):
     within-component variance adds d tau, with tau = sum_i r_i a_i t.
 
     Arrays are component-major (n, m) temporaries, so callers pass one row
-    block at a time, with ``table`` = :func:`_pair_table` (a, mu, e, E), E the (n, n)
-    table |e_i - e_j|^2; the block's points are the columns of ``XT`` (d, rows).
-    Returns (trace, r, D r, tau, tilt): tilt is None when the a_i are all
-    equal, else (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
+    block at a time, with ``table`` the :class:`_KernelTable` of (dist, t),
+    whose pair table is E_ij = |e_i - e_j|^2; the block's points are
+    the columns of ``XT`` (d, rows). Returns (trace, r, D r, tau, tilt): tilt
+    is None when the a_i are all equal, else (|x~|^2, P, g) with
+    P_im = e_i.x~_m and g_ij = a_i - a_j.
     """
-    r = _responsibilities(_components(dist), t, XT)
-    a, mu, e, E = table
-    Dr = E @ r
+    r = _responsibilities(table, XT)
+    Dr = table.E @ r
     tilt = None
-    if np.any(a != a[0]):
-        Xc = XT - mu[:, None]
+    if table.tilt is not None:
+        g, gg = table.tilt
+        Xc = XT - table.logits.mu[:, None]
         xx = np.einsum("dm,dm->m", Xc, Xc, order="F")  # as in _component_logits
-        P = e @ Xc
-        g = a[:, None] - a[None, :]
-        Dr += xx * ((g * g) @ r) + 2.0 * (P * (g @ r) - g @ (r * P))
+        P = table.e @ Xc
+        Dr += xx * (gg @ r) + 2.0 * (P * (g @ r) - g @ (r * P))
         tilt = xx, P, g
-    tau = (a * t) @ r
-    trace = 0.5 * np.einsum("im,im->m", r, Dr) + dist.dim * tau
+    tau = table.at @ r
+    trace = 0.5 * np.einsum("im,im->m", r, Dr) + table.dim * tau
     return trace, r, Dr, tau, tilt
 
 
-def _cov_trace(dist: TargetDistribution, t: float, X: np.ndarray, table) -> np.ndarray:
+def _cov_trace(table: _KernelTable, X: np.ndarray) -> np.ndarray:
     """tr Cov(Z | X_t = x) alone, shape (m,), from blocks of (n, rows) temporaries.
 
-    ``table`` is :func:`_pair_table` of (dist, t), built once by the caller.
+    ``table`` is the :class:`_KernelTable` of (dist, t), built once by the caller.
     """
     out = np.empty(X.shape[0])
-    for rows in _row_blocks(X.shape[0], table[0].size):
-        out[rows] = _pair_spread(dist, t, X[rows].T, table)[0]
+    for rows in _row_blocks(X.shape[0], table.n):
+        out[rows] = _pair_spread(table, X[rows].T)[0]
     return out
 
 
@@ -246,36 +298,68 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     trace : (m,) array of tr Cov(Z | X_t = x).
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
+    table = _KernelTable(dist, t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _cov_stats(dist, t, X, _pair_table(dist, t))
+    return _cov_stats(table, X)
 
 
-def _cov_stats(dist: TargetDistribution, t: float, X: np.ndarray, table):
-    """:func:`posterior_cov_stats` of a 2-d float ``X`` with its :func:`_pair_table` given."""
-    E = table[3]
+def _cov_stats(table: _KernelTable, X: np.ndarray):
+    """:func:`posterior_cov_stats` of a 2-d float ``X``, its :class:`_KernelTable` given."""
     trace, frob_sq = np.empty(X.shape[0]), np.empty(X.shape[0])
-    for rows in _row_blocks(X.shape[0], E.size):
-        tr, r, Dr, tau, tilt = _pair_spread(dist, t, X[rows].T, table)
+    for rows in _row_blocks(X.shape[0], table.E.size):
+        tr, r, Dr, tau, tilt = _pair_spread(table, X[rows].T)
         rDr = np.einsum("im,im->m", r, Dr)
         u = Dr - 0.5 * rDr
-        # minus twice the Gram, D_ij - u_i - u_j, built in one (n, n, rows) buffer
-        if tilt is None:
-            B2 = E[:, :, None] - u[:, None, :]
-        else:
-            xx, P, g = tilt
-            B2 = g[:, :, None] * xx
-            B2 += 2.0 * P[:, None, :]
-            B2 -= 2.0 * P[None, :, :]
-            B2 *= g[:, :, None]
-            B2 += E[:, :, None]
-            B2 -= u[:, None, :]
-        B2 -= u[None, :, :]
-        B2 *= B2
-        spread_sq = 0.25 * np.einsum("im,im->m", r, np.einsum("ijm,jm->im", B2, r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread_sq = _gram_sq(table, r, u, tilt, fit=False)
+        bad = ~np.isfinite(spread_sq)
+        if bad.any():
+            # a Gram entry past 1.3e154 squared to inf (and inf * 0 to nan):
+            # refit those columns alone, so no finite value moves
+            if tilt is not None:
+                xx, P, g = tilt
+                tilt = xx[bad], P[:, bad], g
+            spread_sq[bad] = _gram_sq(table, r[:, bad], u[:, bad], tilt, fit=True)
         trace[rows] = tr
-        frob_sq[rows] = spread_sq + tau * (rDr + dist.dim * tau)
-        del B2  # so no two blocks' Gram terms are held at once
+        frob_sq[rows] = spread_sq + tau * (rDr + table.dim * tau)
     return trace, frob_sq
+
+
+def _gram_sq(table: _KernelTable, r, u, tilt, fit: bool) -> np.ndarray:
+    """tr S^2 = (1/4) sum_ij r_i r_j B2_ij^2 of one row block, shape (rows,).
+
+    B2_ij = D_ij - u_i - u_j, minus twice the Gram, is built in one
+    (n, n, rows) buffer and squared in place. With ``fit``, each term is
+    weighted before it is squared, W_ij = sqrt(r_i) B2_ij sqrt(r_j), so a
+    pair with r_i r_j = 0 adds 0 (not inf * 0), and each column of W is
+    scaled by 2^-k, k from its own largest |W|, with the column's sum scaled
+    back by 4^k. The squares then stay finite, the result overflows only if
+    tr S^2 itself does, and a term lost to underflow is below 2^-1072 of the
+    column's largest. The weighting rounds sqrt(r), so callers fit only the
+    columns whose plain pass was not finite.
+    """
+    E = table.E
+    if tilt is None:
+        B2 = E[:, :, None] - u[:, None, :]
+    else:
+        xx, P, g = tilt
+        B2 = g[:, :, None] * xx
+        B2 += 2.0 * P[:, None, :]
+        B2 -= 2.0 * P[None, :, :]
+        B2 *= g[:, :, None]
+        B2 += E[:, :, None]
+        B2 -= u[:, None, :]
+    B2 -= u[None, :, :]
+    if not fit:
+        B2 *= B2
+        return 0.25 * np.einsum("im,im->m", r, np.einsum("ijm,jm->im", B2, r))
+    sr = np.sqrt(r)
+    B2 *= sr[:, None, :]
+    B2 *= sr[None, :, :]
+    k = np.frexp(np.abs(B2).max(axis=(0, 1)))[1]
+    np.ldexp(B2, -k, out=B2)  # not B2 *= 2^-k, which overflows for a subnormal column
+    with np.errstate(over="ignore"):  # inf only where tr S^2 itself overflows
+        return np.ldexp(0.25 * np.einsum("ijm,ijm->m", B2, B2), 2 * k)
 
 
 def _normed_hermite_e(x: np.ndarray, n: int) -> np.ndarray:
@@ -411,8 +495,8 @@ def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: 
     One evaluation gives both; the first equals :func:`mmse`'s bit for bit.
     """
     pol, t = _resolve_policy(dist, policy, gamma)
-    table = _pair_table(dist, t)
-    return _expect(dist, t, pol, lambda X, i: _cov_stats(dist, t, X, table), n_samples, seed)
+    table = _KernelTable(dist, t)
+    return _expect(dist, t, pol, lambda X, i: _cov_stats(table, X), n_samples, seed)
 
 
 def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
@@ -431,13 +515,12 @@ def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, s
     rule would miss by about 1e-6 on grid8.
     """
     pol, t = _resolve_policy(dist, policy, gamma)
-    weights, centers, variances = _components(dist)
-    s2 = variances + t
+    table = _KernelTable(dist, t)
 
     def neg_log_r(X, i):
         out = np.empty(X.shape[0])
-        for rows in _row_blocks(X.shape[0], s2.size):
-            lr = _component_logits(weights, centers, s2, X[rows].T)
+        for rows in _row_blocks(X.shape[0], table.n):
+            lr = _component_logits(table.logits, X[rows].T)
             lr -= lr.max(axis=0)
             lr -= np.log(np.exp(lr).sum(axis=0))
             # exp(lr) is 0 below -746, so the clip only keeps 0 * -inf out
@@ -446,6 +529,7 @@ def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, s
         return (out,)
 
     ((cond, se),) = _expect(dist, t, pol, neg_log_r, n_samples, seed)
+    weights, _, variances = _components(dist)
     h_w = math.fsum(-p * math.log(p) for p in weights)
     return h_w - cond + 0.5 * dist.dim * float(weights @ np.log1p(variances * gamma)), se
 
@@ -465,8 +549,8 @@ def mmse(
     quadrature policies. Only the trace is computed, not tr Cov^2.
     """
     pol, t = _resolve_policy(dist, policy, gamma)
-    table = _pair_table(dist, t)
-    return _expect(dist, t, pol, lambda X, i: (_cov_trace(dist, t, X, table),), n_samples, seed)[0]
+    table = _KernelTable(dist, t)
+    return _expect(dist, t, pol, lambda X, i: (_cov_trace(table, X),), n_samples, seed)[0]
 
 
 def mmse_derivative(
@@ -559,19 +643,20 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
     Given X = Z + sqrt(t) xi, Z and Z' are independent draws from the
     posterior w(X) over atoms, so the moment is the conditional form
     E_X sum_ij w_i(X) w_j(X) |z_i - z_j|^4, which :func:`_mc_expect`
-    averages over X. |z_i - z_j|^2 is the E of :func:`_pair_table` (t / s2 = 1
-    for atoms), and the rows run in blocks of (n, rows) arrays, as in every
-    kernel. Finite discrete targets only. Returns (value, stderr).
+    averages over X. |z_i - z_j|^2 is the pair table E of :class:`_KernelTable`
+    (t / s2 = 1 for atoms), one table serves the responsibilities too, and
+    the rows run in blocks of (n, rows) arrays, as in every kernel. Finite
+    discrete targets only. Returns (value, stderr).
     """
     if not isinstance(dist, FiniteDiscrete):
         raise TypeError("posterior_fourth_moment requires a FiniteDiscrete target")
-    d4 = _pair_table(dist, t)[3] ** 2
-    comps = _components(dist)
+    table = _KernelTable(dist, t)
+    d4 = table.E**2
 
     def f(X, _):
         out = np.empty(X.shape[0])
-        for rows in _row_blocks(X.shape[0], d4.shape[0]):
-            w = _responsibilities(comps, t, X[rows].T)
+        for rows in _row_blocks(X.shape[0], table.n):
+            w = _responsibilities(table, X[rows].T)
             out[rows] = np.einsum("im,im->m", w, d4 @ w)
         return (out,)
 

@@ -110,11 +110,20 @@ def _step_std(t_prev: float, t_next: float) -> float:
     return math.sqrt(t_next * (t_prev - t_next) / t_prev)
 
 
-def _nll_stats(dist, samples):
-    """Mean NLL under the target density and its stderr; (None, None) without a density."""
+def _nll_stats(dist, samples, what: str):
+    """Mean NLL under the target density and its stderr; (None, None) without a density.
+
+    Raises ValueError naming ``what`` if a sample's NLL is not finite (a state
+    so far out that its log-density is -inf, or a nan state), whose mean and
+    stderr would be meaningless.
+    """
     if not isinstance(dist, GaussianMixture):
         return None, None
-    return _mean_se(-dist.log_prob(samples))
+    nll = -dist.log_prob(samples)
+    bad = int(np.count_nonzero(~np.isfinite(nll)))
+    if bad:
+        raise ValueError(f"the {what} is not finite at {bad} of {nll.size} samples")
+    return _mean_se(nll)
 
 
 def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:
@@ -168,10 +177,10 @@ def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
 
 
 def _report(dist, grid, cfg, samples) -> dict:
-    nll, se = _nll_stats(dist, samples)
+    nll, se = _nll_stats(dist, samples, "sample NLL")
     dn = dse = None
     if cfg.final_denoise:
-        dn, dse = _nll_stats(dist, posterior_mean(dist, grid.delta, samples))
+        dn, dse = _nll_stats(dist, posterior_mean(dist, grid.delta, samples), "denoised NLL")
     return {
         "nll_mean": nll,
         "nll_stderr": se,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,11 +76,41 @@ def _check_spread(c: np.ndarray, w: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} {far[0]} is too far from the weighted mean: 4 |c - cbar|^2 overflows")
 
 
-def _component_logits(weights, centers, s2, XT) -> np.ndarray:
+class _LogitTerms(NamedTuple):
+    """The x-free terms of :func:`_component_logits` for one (weights, centers, s2)."""
+
+    mu: np.ndarray  # (d,) weighted center mean
+    Cc: np.ndarray  # (n, d) centers centered on mu, c~
+    m2Cc: np.ndarray  # (n, d) -2 c~
+    cc: np.ndarray  # (n, 1) |c~|^2
+    scale: np.ndarray  # (n, 1) -0.5 / s2
+    log_w: np.ndarray  # (n,) log w
+    bias: np.ndarray  # (n, 1) log w - (d/2) log s2
+
+
+def _logit_terms(weights, centers, s2) -> _LogitTerms:
+    """Build :class:`_LogitTerms` once, for every row block a caller runs."""
+    mu = weights @ centers
+    Cc = centers - mu
+    log_w = np.log(weights)
+    return _LogitTerms(
+        mu,
+        Cc,
+        -2.0 * Cc,
+        np.einsum("nd,nd->n", Cc, Cc)[:, None],
+        (-0.5 / s2)[:, None],
+        log_w,
+        (log_w - 0.5 * centers.shape[1] * np.log(s2))[:, None],
+    )
+
+
+def _component_logits(terms: _LogitTerms, XT) -> np.ndarray:
     """(n, m) logits log w_i - |x - c_i|^2 / (2 s2_i) - (d/2) log s2_i.
 
     These are the log-weights of the components N(c_i, s2_i I) at each column
     of ``XT`` (d, m), one point per column, up to the shared -(d/2) log 2 pi.
+    ``terms`` is :func:`_logit_terms` of (weights, centers, s2), which holds
+    every term that does not depend on x, so a caller builds it once.
     The squared distances come from one matrix product, |x|^2 - 2 x.c + |c|^2
     clipped at 0, so no (m, n, d) array is built. The expansion cancels its
     terms against each other and so rounds at about eps (|x|^2 + |c|^2); X and
@@ -95,15 +126,13 @@ def _component_logits(weights, centers, s2, XT) -> np.ndarray:
     way, and |x~|^2 is summed over d = 0, 1, ... in turn for every layout,
     since ``order="F"`` makes einsum loop over the points innermost.
     """
-    mu = weights @ centers
-    Xc = XT - mu[:, None]
-    Cc = centers - mu
-    sq = (-2.0 * Cc) @ Xc
+    Xc = XT - terms.mu[:, None]
+    sq = terms.m2Cc @ Xc
     sq += np.einsum("dm,dm->m", Xc, Xc, order="F")
-    sq += np.einsum("nd,nd->n", Cc, Cc)[:, None]
+    sq += terms.cc
     np.maximum(sq, 0.0, out=sq)
-    sq *= (-0.5 / s2)[:, None]
-    sq += (np.log(weights) - 0.5 * centers.shape[1] * np.log(s2))[:, None]
+    sq *= terms.scale
+    sq += terms.bias
     return sq
 
 
@@ -193,12 +222,12 @@ class GaussianMixture:
         beyond the (m,) result it holds one block's (n, rows) logits.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        s2 = self.sigmas**2
+        terms = _logit_terms(self.weights, self.means, self.sigmas**2)
         log_norm = 0.5 * self.dim * math.log(2.0 * math.pi)
         out = np.empty(x.shape[0])
         for rows in _row_blocks(x.shape[0], self.n_components):
             with np.errstate(over="ignore", divide="ignore"):
-                logits = _component_logits(self.weights, self.means, s2, x[rows].T)
+                logits = _component_logits(terms, x[rows].T)
                 # a finite shift for an all -inf column, whose log(0) is then -inf
                 top = np.maximum(logits.max(axis=0), _LOWEST)
                 logits -= top

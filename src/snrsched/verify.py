@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import (
     MmseCurve,
-    _components,
+    _KernelTable,
     _responsibilities,
     mmse,
     mmse_derivative,
@@ -55,7 +55,7 @@ def _leq(a, b, what="value", slack=0.0) -> tuple:
 @_check("posterior weights normalize")
 def _weights_sum(target, rng, seed):
     X = rng.normal(size=(1, target.dim))
-    total = float(_responsibilities(_components(target), 0.5, X.T)[:, 0].sum())
+    total = float(_responsibilities(_KernelTable(target, 0.5), X.T)[:, 0].sum())
     return abs(total - 1.0) <= 1e-10, f"posterior weight sum: {total:.12g} vs 1 (tol 1e-10)"
 
 

@@ -414,6 +414,110 @@ def exact_shared_variance_posterior(weights, centers, s2, x):
 
 
 # ---------------------------------------------------------------------------
+# posterior kernels that derive every x-free term inside the call, in the
+# package's float order: a bit-for-bit reference for kernels that build
+# those terms once per (target, t)
+
+
+def per_call_logits(weights, centers, s2, XT):
+    """(n, m) logits log w_i - |x - c_i|^2 / (2 s2_i) - (d/2) log s2_i at the columns of XT."""
+    mu = weights @ centers
+    Xc = XT - mu[:, None]
+    Cc = centers - mu
+    sq = (-2.0 * Cc) @ Xc
+    sq += np.einsum("dm,dm->m", Xc, Xc, order="F")
+    sq += np.einsum("nd,nd->n", Cc, Cc)[:, None]
+    np.maximum(sq, 0.0, out=sq)
+    sq *= (-0.5 / s2)[:, None]
+    sq += (np.log(weights) - 0.5 * centers.shape[1] * np.log(s2))[:, None]
+    return sq
+
+
+def per_call_responsibilities(weights, centers, variances, t, XT):
+    """(n, m) component posterior at the columns of XT under X_t = Z + sqrt(t) xi.
+
+    The general softmax of :func:`per_call_logits`, or, when every component
+    has one variance, the shared-variance softmax: (c~.x~ - |c~|^2 / 2)
+    shifted by its column max, scaled by 1/s2 (divided by s2 where 1/s2
+    overflows), plus log w.
+    """
+    if np.any(variances != variances[0]):
+        r = per_call_logits(weights, centers, variances + t, XT)
+        r -= r.max(axis=0)
+    else:
+        s2 = variances[0] + t
+        mu = weights @ centers
+        Cc = centers - mu
+        r = Cc @ (XT - mu[:, None])
+        r -= 0.5 * np.einsum("nd,nd->n", Cc, Cc)[:, None]
+        r -= r.max(axis=0)
+        with np.errstate(over="ignore"):
+            if math.isfinite(1.0 / s2):
+                r *= 1.0 / s2
+            else:
+                r /= s2
+        r += np.log(weights)[:, None]
+    np.exp(r, out=r)
+    r /= r.sum(axis=0)
+    return r
+
+
+def per_call_posterior_mean(weights, centers, variances, t, X):
+    """Posterior mean at the rows of X (one block), shape (m, d), in X's memory order."""
+    s2 = variances + t
+    a, BT = variances / s2, ((t / s2)[:, None] * centers).T
+    out = np.empty_like(X)
+    XT, block = X.T, out.T
+    r = per_call_responsibilities(weights, centers, variances, t, XT)
+    np.matmul(BT, r, out=block)
+    block += (a @ r) * XT
+    return out
+
+
+def per_call_cov_stats(weights, centers, variances, t, XT):
+    """(tr Cov, tr Cov^2) at the columns of XT (one block), from pair distances.
+
+    The conjugate means a_i x~ + e_i, with a_i = v_i / s2_i and
+    e_i = (t / s2_i) c~_i, have squared pair distances D_ij; tr S = r.(D r) / 2,
+    and tr S^2 = (1/4) sum_ij r_i r_j (D_ij - u_i - u_j)^2 with
+    u = D r - r.(D r) / 2; tau = sum_i r_i a_i t adds d tau and
+    tau (r.D r + d tau).
+    """
+    d = centers.shape[1]
+    r = per_call_responsibilities(weights, centers, variances, t, XT)
+    s2 = variances + t
+    a = variances / s2
+    mu = weights @ centers
+    e = (t / s2)[:, None] * (centers - mu)
+    E = np.stack([np.einsum("nd,nd->n", e - ei, e - ei) for ei in e])
+    Dr = E @ r
+    tilted = np.any(a != a[0])
+    if tilted:
+        Xc = XT - mu[:, None]
+        xx = np.einsum("dm,dm->m", Xc, Xc, order="F")
+        P = e @ Xc
+        g = a[:, None] - a[None, :]
+        Dr += xx * ((g * g) @ r) + 2.0 * (P * (g @ r) - g @ (r * P))
+    tau = (a * t) @ r
+    trace = 0.5 * np.einsum("im,im->m", r, Dr) + d * tau
+    rDr = np.einsum("im,im->m", r, Dr)
+    u = Dr - 0.5 * rDr
+    if tilted:
+        B2 = g[:, :, None] * xx
+        B2 += 2.0 * P[:, None, :]
+        B2 -= 2.0 * P[None, :, :]
+        B2 *= g[:, :, None]
+        B2 += E[:, :, None]
+        B2 -= u[:, None, :]
+    else:
+        B2 = E[:, :, None] - u[:, None, :]
+    B2 -= u[None, :, :]
+    B2 *= B2
+    spread_sq = 0.25 * np.einsum("im,im->m", r, np.einsum("ijm,jm->im", B2, r))
+    return trace, spread_sq + tau * (rDr + d * tau)
+
+
+# ---------------------------------------------------------------------------
 # pathwise (Girsanov) KL of the frozen-denoiser reverse process by Monte Carlo
 
 _PATH_CHUNK = 20_000

@@ -16,12 +16,17 @@ from oracles import (
     gauss_mmse_integral,
     isotropic_mixture_log_density,
     mixture_posterior_moments,
+    per_call_cov_stats,
+    per_call_logits,
+    per_call_posterior_mean,
+    per_call_responsibilities,
     two_atom_fourth_moment,
     two_atom_mmse,
 )
 from snrsched import FiniteDiscrete, GaussianMixture, grid_edm, grid_geometric, renyi_half_entropy
 from snrsched.channel import (
     MmseCurve,
+    _KernelTable,
     _components,
     _hermite_e_gauss,
     _info,
@@ -36,7 +41,7 @@ from snrsched.channel import (
 )
 from snrsched import targets
 from snrsched.functionals import disc_error
-from snrsched.targets import _component_logits, build_toy, shannon_entropy, toy_discrete
+from snrsched.targets import _component_logits, _logit_terms, build_toy, shannon_entropy, toy_discrete
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
 POINT = FiniteDiscrete(points=[[2.0, -1.0]], probs=[1.0])
@@ -51,7 +56,7 @@ def single_gauss(sigma0, d=1):
 
 
 def _weights(dist, t, x):
-    return _responsibilities(_components(dist), t, np.atleast_2d(x).T)[:, 0]
+    return _responsibilities(_KernelTable(dist, t), np.atleast_2d(x).T)[:, 0]
 
 
 @pytest.mark.parametrize("t", [0.0, -0.01, math.nan, math.inf])
@@ -130,11 +135,11 @@ def test_shared_variance_softmax_matches_exact_logits(dist):
     tight = 0
     for t in (5e-324, 1e-300, 1e-8, 1e-3, 1.0, 1e8):
         s2 = float(variances[0] + t)
-        r = _responsibilities(comps, t, np.asfortranarray(X).T)
+        r = _responsibilities(_KernelTable(dist, t), np.asfortranarray(X).T)
         assert np.all(np.isfinite(r))
         np.testing.assert_allclose(r.sum(axis=0), 1.0, rtol=0, atol=4 * eps)
         with np.errstate(all="ignore"):
-            g = _component_logits(weights, centers, variances + t, X.T)
+            g = _component_logits(_logit_terms(weights, centers, variances + t), X.T)
             g -= g.max(axis=0)
             np.exp(g, out=g)
             g /= g.sum(axis=0)
@@ -301,9 +306,9 @@ def test_mmse_kernel_rows_are_the_pruned_grid(monkeypatch):
     rows = []
     kernel = channel._pair_spread
 
-    def counting(dist, t, XT, table):
+    def counting(table, XT):
         rows.append(XT.shape[1])  # a block's points are the columns of XT
-        return kernel(dist, t, XT, table)
+        return kernel(table, XT)
 
     monkeypatch.setattr(channel, "_pair_spread", counting)
     MmseCurve(build_toy("circle8")).mmse(2.0)
@@ -643,7 +648,7 @@ def test_posterior_matches_per_component_oracle(case, t):
     X = dist.sample(6, rng) + math.sqrt(t) * rng.standard_normal((6, dist.dim))
     tr, fr = posterior_cov_stats(dist, t, X)
     means = posterior_mean(dist, t, X)
-    resp = _responsibilities(_components(dist), t, X.T).T
+    resp = _responsibilities(_KernelTable(dist, t), X.T).T
     assert np.all(tr >= 0.0)
     for i, x in enumerate(X):
         probs, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
@@ -905,7 +910,7 @@ def test_tabulate_evaluates_each_knot_once(monkeypatch):
     import snrsched.channel as channel
 
     # _cov_stats is the body of posterior_cov_stats, which the oracles call
-    # with a pair table built once per knot
+    # with a kernel table built once per knot
     calls = []
     kernel = channel._cov_stats
 
@@ -961,3 +966,184 @@ def test_tabulate_mmse_column_is_the_trace_only_mmse(policy):
         curve = MmseCurve(dist, policy, n_samples=3000, seed=9)
         rows = curve.tabulate(gammas)
         assert [(v, se) for _, v, se, _, _ in rows] == [curve.mmse(g) for g in gammas]
+
+
+# ---------------------------------------------------------------------------
+# the kernel table: x-free terms built once per (target, t)
+
+_TILTED = GaussianMixture(
+    weights=[0.5, 0.3, 0.2], means=[[1.0, 2.0], [-2.0, 0.5], [0.5, -3.0]], sigmas=[0.3, 0.7, 1.5]
+)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """A list that grows by (t, table) on each build of the kernel table."""
+    import snrsched.channel as channel
+
+    builds = []
+    build = channel._KernelTable
+
+    def counting(dist, t):
+        table = build(dist, t)
+        builds.append((t, table))
+        return table
+
+    monkeypatch.setattr(channel, "_KernelTable", counting)
+    return builds
+
+
+@pytest.mark.parametrize("policy", ["quadrature", "monte_carlo"])
+def test_mmse_and_info_build_one_table_per_call(table_builds, policy):
+    # quadrature runs 8 node batches, Monte Carlo 2 chunks (65,536 and 4,464
+    # points) in 6 row blocks: all read the one table
+    dist = build_toy("circle8")
+    mmse(dist, 2.0, policy, n_samples=70_000)
+    assert [t for t, _ in table_builds] == [0.5]
+    assert "E" in vars(table_builds[0][1])
+    table_builds.clear()
+    _info(dist, 2.0, policy, 70_000, 0)
+    assert [t for t, _ in table_builds] == [0.5]
+    assert "E" not in vars(table_builds[0][1])  # no pair table: I reads only the logits
+
+
+def test_tabulate_builds_one_table_per_gamma(table_builds):
+    MmseCurve(build_toy("grid8")).tabulate([0.5, 2.0, 8.0])
+    assert [t for t, _ in table_builds] == [2.0, 0.5, 0.125]
+
+
+def test_posterior_mean_builds_one_table_without_pairs_over_many_blocks(table_builds, monkeypatch):
+    dist = build_toy("circle8")
+    X = np.random.default_rng(4).normal(size=(1000, 2))
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", 8 * 300)
+    assert len(list(targets._row_blocks(1000, 8))) >= 3
+    posterior_mean(dist, 0.7, X)
+    assert [t for t, _ in table_builds] == [0.7]
+    assert not {"at", "e", "tilt", "E"} & set(vars(table_builds[0][1]))
+    table_builds.clear()
+    posterior_cov_stats(dist, 0.7, X)
+    posterior_fourth_moment(toy_discrete("circle8"), 0.7, 2000, seed=0)
+    assert [t for t, _ in table_builds] == [0.7, 0.7]
+    assert all("E" in vars(table) for _, table in table_builds)
+
+
+def test_log_prob_builds_its_logit_terms_once_over_many_blocks(monkeypatch):
+    builds = []
+    build = targets._logit_terms
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(targets, "_logit_terms", counting)
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", 8 * 300)
+    assert len(list(targets._row_blocks(1000, 8))) >= 3
+    build_toy("grid8").log_prob(np.random.default_rng(5).normal(size=(1000, 2)))
+    assert builds == [1]
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-300, 1e-3, 1.0, 1e8])
+@pytest.mark.parametrize("dist", [toy_discrete("circle8"), build_toy("circle8"), _TILTED],
+                         ids=["circle8_discrete", "circle8", "tilted"])
+def test_kernel_table_matches_per_call_terms_bit_for_bit(dist, t):
+    # the shared-variance softmax (both circle8s) and the general one (tilted),
+    # against references that derive every x-free term inside the call
+    weights, centers, variances = _components(dist)
+    X = np.concatenate([centers, centers[0] + 3.0 * np.random.default_rng(8).normal(size=(40, 2))])
+    table = _KernelTable(dist, t)
+    for Xo in (np.ascontiguousarray(X), np.asfortranarray(X)):
+        XT = Xo.T
+        assert np.array_equal(_responsibilities(table, XT),
+                              per_call_responsibilities(weights, centers, variances, t, XT))
+        with np.errstate(over="ignore", invalid="ignore"):  # -0.5/s2 is -inf for atoms at 5e-324
+            assert np.array_equal(_component_logits(table.logits, XT),
+                                  per_call_logits(weights, centers, variances + t, XT), equal_nan=True)
+        assert np.array_equal(posterior_mean(dist, t, Xo),
+                              per_call_posterior_mean(weights, centers, variances, t, Xo))
+        for got, want in zip(posterior_cov_stats(dist, t, Xo),
+                             per_call_cov_stats(weights, centers, variances, t, XT)):
+            assert np.array_equal(got, want)
+
+
+def _x_free_derivations(path):
+    """(function, what) for each x-free term a module derives: weights @ centers,
+    np.log(weights) and an equality test of an array against its first entry."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult)
+                    and getattr(child.left, "id", None) == "weights"
+                    and getattr(child.right, "id", None) == "centers"):
+                found.append((where, "weights @ centers"))
+            elif (isinstance(child, ast.Call) and ast.unparse(child.func) == "np.log"
+                  and [ast.unparse(a) for a in child.args] == ["weights"]):
+                found.append((where, "np.log(weights)"))
+            elif (isinstance(child, ast.Compare) and isinstance(child.ops[0], (ast.Eq, ast.NotEq))
+                  and isinstance(child.comparators[0], ast.Subscript)
+                  and ast.unparse(child.comparators[0]) == f"{ast.unparse(child.left)}[0]"):
+                found.append((where, "equality test"))
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_x_free_terms_are_derived_only_in_the_table_builders():
+    import snrsched.channel as channel
+
+    found = _x_free_derivations(targets.__file__) + _x_free_derivations(channel.__file__)
+    assert {what for _, what in found} == {"weights @ centers", "np.log(weights)", "equality test"}
+    # the table class builds its terms in __init__ and in its lazy pair terms
+    assert {where.split(".")[0] for where, _ in found} == {"_logit_terms", "_KernelTable"}
+
+
+@pytest.mark.parametrize("scale", [1e76, 1e100, 1e150])
+def test_dmmse_of_far_apart_components_squares_its_gram_without_overflow(scale):
+    # at +-1e100 the Gram entries square past float64, and inf * 0 read nan
+    # with a RuntimeWarning; scaled by a power of two first, every scale
+    # reads the one-hot value -tau (d tau) = -0.25
+    curve = MmseCurve(GaussianMixture([0.5, 0.5], [[-scale], [scale]], [1.0, 1.0]))
+    assert curve.tabulate([1.0]) == [(1.0, 0.5, 0.0, -0.25, 0.0)]
+
+
+def test_dmmse_of_far_and_close_components_matches_the_oracle():
+    # the close pair (0, 1) carries all the posterior mass at x = 0.5, while
+    # the far pair +-1e100 makes the plain pass inf * 0 = nan; a fit scaled
+    # for the far Gram entries would square the close ones (about 0.125) to 0
+    weights, variances = [0.25] * 4, [1.0] * 4
+    centers = [[-1e100], [0.0], [1.0], [1e100]]
+    dist = GaussianMixture(weights, centers, [1.0] * 4)
+    X = np.array([[0.5], [0.2], [1.5], [-3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace, frob_sq = posterior_cov_stats(dist, 1.0, X)
+    for x, tr, fs in zip(X, trace, frob_sq):
+        _, _, want_tr, want_fs = mixture_posterior_moments(weights, centers, variances, 1.0, x)
+        assert tr == pytest.approx(want_tr, rel=1e-12)
+        assert fs == pytest.approx(want_fs, rel=1e-12)
+    assert frob_sq[0] > 0.25 + 0.003  # tau^2 = 0.25 plus the spread term
+
+
+@pytest.mark.parametrize("dist", [toy_discrete("grid8"), build_toy("circle8"), _TILTED],
+                         ids=["grid8_discrete", "circle8", "tilted"])
+def test_gram_fit_agrees_with_the_plain_pass(dist):
+    # the weighted, per-column scaled pass, forced on ordinary blocks, agrees
+    # with the plain pass to rounding (it rounds sqrt(r), so bits may move,
+    # which is why only non-finite columns are refit)
+    import snrsched.channel as channel
+
+    X = 4.0 * np.random.default_rng(2).normal(size=(300, 2))
+    for t in (1e-3, 0.5, 30.0):
+        table = _KernelTable(dist, t)
+        _, r, Dr, _, tilt = channel._pair_spread(table, X.T)
+        u = Dr - 0.5 * np.einsum("im,im->m", r, Dr)
+        plain = channel._gram_sq(table, r, u, tilt, fit=False)
+        assert np.all(np.isfinite(plain)) and np.any(plain > 0)
+        fitted = channel._gram_sq(table, r, u, tilt, fit=True)
+        np.testing.assert_allclose(fitted, plain, rtol=1e-12, atol=1e-300)

@@ -624,7 +624,7 @@ def cov_kernel_calls(monkeypatch):
     """A list that grows by one on each pass of the covariance kernel.
 
     That is _cov_stats, the body of posterior_cov_stats, which the oracles
-    call with a pair table built once per knot."""
+    call with a kernel table built once per knot."""
     from snrsched import channel
 
     calls = []
@@ -916,7 +916,7 @@ def test_csv_bytes_rejects_a_non_finite_float_naming_its_column(value):
     assert text == b'a,b\n"x,y",3\n,0.10000000000000001\n'
 
 
-def _huge_target(tmp_path, scale=1e100):
+def _huge_target(tmp_path, scale=1e120):
     comps = [{"w": 0.5, "mean": [m], "sigma": 1.0} for m in (scale, -scale)]
     return _gammas_file(tmp_path, {"variant": "gmm", "dim": 1, "components": comps}, "huge.json")
 
@@ -928,9 +928,11 @@ def _huge_loss(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # means at +-1e100: the squared Gram of tr Cov^2 overflows, so mmse' is nan
-    (["mmse-table", "--target", _huge_target, "--points", "3"],
-     "mmse.csv: column dmmse is not finite: nan"),
+    # means at +-1e120 and gamma near 1e-240, where the posterior spreads
+    # over both: mmse is about 4e239, so tr Cov^2 about 2e479 overflows
+    (["mmse-table", "--target", _huge_target, "--points", "3",
+      "--gamma-min", "1e-240", "--gamma-max", "4e-240"],
+     "mmse.csv: column dmmse is not finite: -inf"),
     # risks of 1e308: the E_apx sum overflows
     (["report", "--target", "circle8", "--baseline", "geometric", "--K", "3",
       "--loss", _huge_loss],
@@ -1194,15 +1196,16 @@ def test_discrete_target_leaves_numpy_ma_unloaded():
 
 
 def test_simulate_rejects_non_finite_samples(tmp_path):
-    # in a fresh interpreter: here the NLL stderr's warning would raise first.
+    # in a fresh interpreter, whose stderr shows any warning on the way.
     # Every step's std is finite, so the pre-pass lets the run through; the
-    # states stay finite near 1e300, where log_prob is -inf, so the NLL is inf
-    # and the JSON writer refuses it before --out is made.
+    # states stay finite near 1e300, where log_prob is -inf, so the sampler
+    # refuses the NLL by name before --out is made.
     out = tmp_path / "run"
     proc = _run_python("-m", "snrsched.cli", "simulate", "--target", "circle8", "--baseline",
                        "geometric", "--sigma-err", "1e300", "--samples", "10", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
-    assert "error: sample_report.json: Out of range float values are not JSON compliant" in proc.stderr
+    assert "error: the sample NLL is not finite at 10 of 10 samples" in proc.stderr
+    assert "Warning" not in proc.stderr
     assert not out.exists()
 
 

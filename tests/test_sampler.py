@@ -125,6 +125,15 @@ def test_reverse_step_in_place_and_in_row_blocks_matches_the_formula(monkeypatch
 # whole chains
 
 
+def test_non_finite_nll_is_refused_by_name():
+    # a denoiser error of 1e300 drives the states near 1e300, where log_prob
+    # is -inf; the report names the NLL rather than take the std of infinities
+    grid = grid_geometric(1.0, 1e-3, 32)
+    cfg = SamplerConfig(n_samples=10, sigma_err=1e300)
+    with pytest.raises(ValueError, match=r"^the sample NLL is not finite at 10 of 10 samples$"):
+        sample(build_toy("circle8"), grid, cfg)
+
+
 def test_point_mass_contracts_to_atom():
     z0 = np.array([0.3, -1.2])
     pm = FiniteDiscrete(points=[z0], probs=[1.0])
