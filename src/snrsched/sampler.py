@@ -106,8 +106,17 @@ def reverse_step(state, t_prev: float, t_next: float, anchor, noise, out=None):
 
 
 def _step_std(t_prev: float, t_next: float) -> float:
-    """Noise std of the step from t_prev down to t_next; inf where the product overflows."""
-    return math.sqrt(t_next * (t_prev - t_next) / t_prev)
+    """Noise std of the step from t_prev down to t_next, sqrt(t_next (t_prev - t_next) / t_prev).
+
+    Where t_next (t_prev - t_next) overflows, the ratio t_next / t_prev is
+    taken first, so the std is finite for every finite 0 < t_next < t_prev;
+    elsewhere the product is taken first, as every written sample was.
+    """
+    t_prev, t_next = float(t_prev), float(t_next)  # Python floats overflow without a warning
+    prod = t_next * (t_prev - t_next)
+    if math.isinf(prod):
+        return math.sqrt((t_next / t_prev) * (t_prev - t_next))
+    return math.sqrt(prod / t_prev)
 
 
 def _nll_stats(dist, samples, what: str):
@@ -212,8 +221,9 @@ def sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     the first-order or the second-order scheme; the second order falls back
     to first order on its first step and draws the same noise, so runs with
     equal seeds differ only in their anchors. Raises ValueError before any
-    denoiser call if a step's noise std is not finite, as on a grid whose T
-    overflows it, and after the run if any sample is not finite.
+    denoiser call if a step's noise std is not finite, as on a grid whose
+    first knot is so small that T = 1/gamma_0 overflows, and after the run
+    if any sample is not finite.
 
     The (m, d) state is column-major (Fortran order) for the whole run, and
     so are the returned samples. Each step fills buffers made once per run:
@@ -223,7 +233,8 @@ def sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     steps the state in place. The samples are bit for bit those of the same
     chain run on fresh C-ordered arrays.
     """
-    t = [float(v) for v in 1.0 / grid.gammas]
+    with np.errstate(over="ignore"):  # a t that overflows is named by the check below
+        t = [float(v) for v in 1.0 / grid.gammas]
     for k in range(1, grid.K + 1):
         if not math.isfinite(_step_std(t[k - 1], t[k])):
             raise ValueError(

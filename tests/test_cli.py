@@ -1261,8 +1261,10 @@ def test_simulate_rejects_overflowing_grid_before_sampling(tmp_path, capsys, mon
 
     monkeypatch.setattr(sampler, "posterior_mean", counting)
     out = tmp_path / "run"
-    argv = ["simulate", "--target", "circle8", "--baseline", "geometric", "--T", "1e300",
-            "--samples", "10", "--out", str(out)]
+    # a subnormal first knot puts T = 1/gamma_0 at inf
+    sched = _gammas_file(tmp_path, {"gammas": [1e-320, 1.0, 1000.0]})
+    argv = ["simulate", "--target", "circle8", "--schedule", sched, "--samples", "10",
+            "--out", str(out)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 2
@@ -1270,6 +1272,17 @@ def test_simulate_rejects_overflowing_grid_before_sampling(tmp_path, capsys, mon
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "step 1 of the grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("T", ["1e200", "1e300", "1e308"])
+def test_simulate_runs_where_the_step_std_product_overflows(tmp_path, T):
+    # t_1 (T - t_1) overflows at these T, but the step's noise std does not
+    out = tmp_path / "run"
+    argv = ["simulate", "--target", "circle8", "--baseline", "geometric", "--T", T,
+            "--samples", "10", "--out", str(out)]
+    assert main(argv) == 0
+    _, rows = read_csv(out / "samples.csv")
+    assert len(rows) == 10 and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_perfbench_selftest_passes():

@@ -1,9 +1,12 @@
 """Reverse-process simulation: per-step law, marginals, NLL behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import em_reverse_moments, gauss_terminal_variance
 from snrsched import FiniteDiscrete, GaussianMixture, targets
@@ -11,6 +14,7 @@ from snrsched.channel import posterior_mean
 from snrsched.functionals import SnrGrid
 from snrsched.sampler import (
     SamplerConfig,
+    _step_std,
     reverse_step,
     sample,
 )
@@ -74,6 +78,26 @@ def test_reverse_step_rejects_bad_times():
         reverse_step(np.zeros(1), 0.5, 0.9, np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError):
         reverse_step(np.zeros(1), 0.5, -0.1, np.zeros(1), np.zeros(1))
+
+
+_TIMES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@given(a=_TIMES, b=_TIMES)
+@example(a=1e200, b=1e199)
+@example(a=1e308, b=3.0e307)
+@example(a=1.7976931348623157e308, b=1e-300)
+def test_step_std_keeps_its_bits_and_is_finite_where_the_product_overflows(a, b):
+    t_next, t_prev = sorted((a, b))
+    if not t_next < t_prev:
+        return
+    got = _step_std(t_prev, t_next)
+    plain = math.sqrt(t_next * (t_prev - t_next) / t_prev)
+    if math.isfinite(plain):
+        assert got == plain
+    else:  # within a few ulps of the exact std
+        exact = math.sqrt(float(Fraction(t_next) * (Fraction(t_prev) - Fraction(t_next)) / Fraction(t_prev)))
+        assert math.isfinite(got) and got == pytest.approx(exact, rel=1e-15, abs=0)
 
 
 def test_reverse_step_empirical_moments():
