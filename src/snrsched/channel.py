@@ -43,8 +43,9 @@ Posterior weights are normalized in the log domain, largest logit first, so
 the normalization does not overflow; the logits themselves do where
 |x - c_i|^2 / (2 s2_i) leaves float64 (points x near 1e154), except when all
 components share one variance, where :func:`_responsibilities` forms no
-|x|^2. The Gauss-Hermite rule is NumPy's, built here without importing
-``numpy.polynomial`` (:func:`_hermite_e_gauss`).
+|x|^2. The Gauss-Hermite rules are NumPy's, rebuilt from the exact constants
+of :mod:`snrsched._gauss_hermite`, so no process runs an eigensolve or
+imports ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -362,39 +363,6 @@ def _gram_sq(table: _KernelTable, r, u, tilt, fit: bool) -> np.ndarray:
         return np.ldexp(0.25 * np.einsum("ijm,ijm->m", B2, B2), 2 * k)
 
 
-def _normed_hermite_e(x: np.ndarray, n: int) -> np.ndarray:
-    """The normalized HermiteE polynomial of degree n >= 1 at ``x``, by its recurrence."""
-    c0, c1 = 0.0, 1.0 / np.sqrt(np.sqrt(2 * np.pi))
-    nd = float(n)
-    for _ in range(n - 1):
-        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(1.0 / nd)
-        nd -= 1.0
-    return c0 + c1 * x
-
-
-def _hermite_e_gauss(deg: int):
-    """Gauss-HermiteE (nodes, weights) for the weight exp(-x^2 / 2), deg >= 2.
-
-    NumPy's ``numpy.polynomial.hermite_e.hermegauss`` (BSD-3-Clause, Copyright
-    (c) NumPy Developers), copied so that its bits match without importing
-    ``numpy.polynomial``: eigenvalues of the symmetric companion matrix, one
-    Newton step on the normalized recurrence, weights 1 / He_{deg-1}^2
-    symmetrized and scaled to sum to sqrt(2 pi).
-    """
-    m = np.zeros((deg, deg))
-    m.reshape(-1)[1 :: deg + 1] = np.sqrt(np.arange(1, deg))
-    m.reshape(-1)[deg :: deg + 1] = m.reshape(-1)[1 :: deg + 1]
-    x = np.linalg.eigvalsh(m)
-    x -= _normed_hermite_e(x, deg) / (_normed_hermite_e(x, deg - 1) * np.sqrt(deg))
-    fm = _normed_hermite_e(x, deg - 1)
-    fm /= np.abs(fm).max()
-    w = 1 / (fm * fm)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= np.sqrt(2 * np.pi) / w.sum()
-    return x, w
-
-
 @lru_cache(maxsize=None)
 def _standard_normal_nodes(d: int):
     """Read-only pruned Gauss-Hermite (offsets, weights) for N(0, I_d), built once per d.
@@ -406,7 +374,9 @@ def _standard_normal_nodes(d: int):
     ones in the grid's corners. The dropped weight is 1.7e-21 in 1-d and
     8.2e-21 in 2-d, below the rounding of any sum over the kept nodes.
     """
-    u, w1 = _hermite_e_gauss(200 if d == 1 else 96)
+    from ._gauss_hermite import rule  # here, so only quadrature loads the table
+
+    u, w1 = rule(200 if d == 1 else 96)
     w1 = w1 / math.sqrt(2.0 * math.pi)
     if d == 1:
         offsets, qw = u[:, None], w1

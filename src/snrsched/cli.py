@@ -379,13 +379,7 @@ def _add_endpoint_flags(p):
     p.add_argument("--rho", type=float, default=7.0, help="EDM exponent (default 7)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="snrsched", description="SNR schedule optimization and verification tools"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("schedule", help="optimize a schedule from a loss-profile CSV")
+def _schedule_args(p):
     p.add_argument("--loss", required=True, help="loss profile CSV (gamma,loss,kind)")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.5)
@@ -393,15 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=None, help="trim candidates to gamma >= 1/T")
     p.add_argument("--delta", type=float, default=None, help="trim candidates to gamma <= 1/delta")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("grids", help="emit baseline SNR grids")
+
+def _grids_args(p):
     _add_endpoint_flags(p)
     p.add_argument("--kind", choices=[*_BUILDERS, "all"], default="all")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_grids)
 
-    p = sub.add_parser("report", help="error functionals for schedules against a target")
+
+def _report_args(p):
     p.add_argument("--target", required=True, help="circle8, grid8, or a target JSON file")
     p.add_argument("--schedule", action="append", help="schedule JSON file (repeatable)")
     p.add_argument("--baseline", action="append", choices=list(_BUILDERS))
@@ -411,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     _add_endpoint_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("simulate", help="run the reverse sampler")
+
+def _simulate_args(p):
     p.add_argument("--target", required=True)
     p.add_argument("--schedule", action="append")
     p.add_argument("--baseline", action="append", choices=list(_BUILDERS))
@@ -425,16 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--final-denoise", dest="final_denoise", action="store_true")
     _add_endpoint_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="check a target's oracle and entropy properties")
+
+def _verify_args(p):
     p.add_argument("--target", default=None, help="circle8, grid8, or a target JSON file "
                    "(default: both toys and their discrete companions)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("mmse-table", help="tabulate the mmse curve as CSV")
+
+def _mmse_table_args(p):
     p.add_argument("--target", required=True)
     p.add_argument("--gamma-min", dest="gamma_min", type=float, default=1.0)
     p.add_argument("--gamma-max", dest="gamma_max", type=float, default=1000.0)
@@ -443,13 +437,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_mmse_table)
 
+
+# name: (help, argument adder, handler), in --help order
+_COMMANDS = {
+    "schedule": ("optimize a schedule from a loss-profile CSV", _schedule_args, cmd_schedule),
+    "grids": ("emit baseline SNR grids", _grids_args, cmd_grids),
+    "report": ("error functionals for schedules against a target", _report_args, cmd_report),
+    "simulate": ("run the reverse sampler", _simulate_args, cmd_simulate),
+    "verify": ("check a target's oracle and entropy properties", _verify_args, cmd_verify),
+    "mmse-table": ("tabulate the mmse curve as CSV", _mmse_table_args, cmd_mmse_table),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The snrsched parser, with every subcommand, or with ``command``'s alone.
+
+    A parser for one command parses that command's argv, prints its --help
+    and reports its errors exactly as the full parser does, without building
+    the other subcommands' parsers.
+    """
+    parser = argparse.ArgumentParser(
+        prog="snrsched", description="SNR schedule optimization and verification tools"
+    )
+    # a one-command parser names every command in the usage line that its
+    # "unrecognized arguments" error prints; the full parser derives the same
+    # line itself, and names the argument "command" in its own errors
+    names = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:

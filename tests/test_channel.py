@@ -28,7 +28,6 @@ from snrsched.channel import (
     MmseCurve,
     _KernelTable,
     _components,
-    _hermite_e_gauss,
     _info,
     _responsibilities,
     _standard_normal_nodes,
@@ -39,7 +38,7 @@ from snrsched.channel import (
     posterior_mean,
     derivative_ratio_constant,
 )
-from snrsched import targets
+from snrsched import _gauss_hermite, targets
 from snrsched.functionals import disc_error
 from snrsched.targets import _component_logits, _logit_terms, build_toy, shannon_entropy, toy_discrete
 
@@ -255,10 +254,22 @@ def _full_nodes(d):
 
 @pytest.mark.parametrize("deg", [96, 200])
 def test_gauss_hermite_rule_is_numpys(deg):
-    # the copied rule keeps numpy.polynomial out of the process, bit for bit
-    u, w = _hermite_e_gauss(deg)
+    # the constant table keeps numpy.polynomial out of the process, bit for bit
+    u, w = _gauss_hermite.rule(deg)
     want_u, want_w = np.polynomial.hermite_e.hermegauss(deg)
     assert np.array_equal(u, want_u) and np.array_equal(w, want_w)
+
+
+def test_quadrature_runs_no_eigensolve(monkeypatch):
+    # the rule comes from constants: no LAPACK call builds it
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    _standard_normal_nodes.cache_clear()
+    for dist in (TWO, build_toy("circle8")):  # the 1-d and the 2-d rule
+        v, _ = mmse(dist, 2.0, "quadrature")
+        assert math.isfinite(v)
 
 
 def test_quadrature_nodes_built_once_and_read_only():

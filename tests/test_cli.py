@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import brute_first_order, eta_of
 import snrsched
 from snrsched import SamplerConfig, channel, grid_geometric, sample, verify
-from snrsched.cli import _fmt, main
+from snrsched.cli import _fmt, build_parser, main
 from snrsched.csvtext import format_block
 from snrsched.targets import build_toy, target_to_json, toy_discrete
 
@@ -1133,6 +1133,65 @@ def test_schedule_file_must_hold_a_list_of_numbers(tmp_path, capsys, obj):
     assert main(["report", "--target", "circle8", "--schedule", bad, "--out", str(out)]) == 2
     assert not out.exists()
     assert bad in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+USAGE = "usage: snrsched [-h] {schedule,grids,report,simulate,verify,mmse-table} ...\n"
+
+ARGV = {
+    "schedule": ["--loss", "l.csv", "--K", "4", "--alpha", "0.5", "--T", "10", "--out", "o"],
+    "grids": ["--kind", "edm", "--K", "3", "--rho", "5", "--out", "o"],
+    "report": ["--target", "circle8", "--baseline", "geometric", "--baseline", "edm",
+               "--schedule", "s.json", "--loss", "l.csv", "--c-fit", "2", "--seed", "3", "--out", "o"],
+    "simulate": ["--target", "circle8", "--schedule", "s.json", "--order", "second",
+                 "--final-denoise", "--sigma-err", "0.1", "--out", "o"],
+    "verify": ["--seed", "2"],
+    "mmse-table": ["--target", "grid8", "--policy", "monte_carlo", "--points", "5", "--out", "o"],
+}
+
+
+def _exit(parser, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("name", list(ARGV))
+def test_one_command_parser_matches_the_full_parser(name, capsys, monkeypatch):
+    # a parser built for one subcommand parses, helps and fails as the full one does
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [name, *ARGV[name]]
+    assert vars(build_parser(name).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    for tail in (["--help"], ["--bogus"], ["--seed", "-1"], ARGV[name] + ["stray"]):
+        one, full = (_exit(p, [name, *tail], capsys) for p in (build_parser(name), build_parser()))
+        assert one == full
+    assert full[2].startswith(USAGE)  # the stray argument's error prints the full usage line
+
+
+def test_cli_without_a_command_keeps_its_output_and_exit_codes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == USAGE + "snrsched: error: the following arguments are required: command\n"
+
+    monkeypatch.setattr(sys, "argv", ["snrsched", "--help"])  # main reads sys.argv itself
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help() and out.startswith(USAGE)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--K", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(USAGE) and "error: argument command: invalid choice: 'bogus'" in err
 
 
 # ---------------------------------------------------------------------------
