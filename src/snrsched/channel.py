@@ -36,13 +36,20 @@ built once per (target, t) by :class:`_KernelTable`, which each public
 kernel and oracle call builds once and every row block and quadrature node
 batch reads; no kernel derives those terms itself.
 
+The denoiser and the trace never divide a block's softmax numerators p by
+their sums S = sum_i p_i. Each multiplies p by one weighting table of
+:class:`_KernelTable` whose last row is all ones, so the one matrix product
+gives the weighted sums and S together, and only those few sums per point
+are divided by S. Only the Gram term of :func:`posterior_cov_stats`, where
+the responsibilities enter squared, forms r = p / S as an (n, rows) array.
+
 Every expectation over X_t takes one route, :func:`_expect`, under one of
 three cross-checked rules: closed form (one node, for a single Gaussian),
 Gauss-Hermite quadrature (dim <= 2) and Monte Carlo with standard errors.
 Posterior weights are normalized in the log domain, largest logit first, so
 the normalization does not overflow; the logits themselves do where
 |x - c_i|^2 / (2 s2_i) leaves float64 (points x near 1e154), except when all
-components share one variance, where :func:`_responsibilities` forms no
+components share one variance, where :func:`_numerators` forms no
 |x|^2. The Gauss-Hermite rules are NumPy's, rebuilt from the exact constants
 of :mod:`snrsched._gauss_hermite`, so no process runs an eigensolve or
 imports ``numpy.polynomial``.
@@ -112,9 +119,14 @@ class _KernelTable:
     - ``a`` = v / s2, the weight of x in each conjugate mean;
     - the terms of :func:`_pair_spread`, each built on its first read, so
       :func:`posterior_mean` and :func:`_info`, which read none of them, do
-      not pay the n einsum rows of E: ``at`` = a t, ``e`` = (t / s2) c~,
-      ``tilt``, None when the a_i are all equal, else (g, g * g) with
-      g_ij = a_i - a_j, and ``E``, the (n, n) table |e_i - e_j|^2.
+      not pay the n einsum rows of E: ``e`` = (t / s2) c~, ``tilt``, None
+      when the a_i are all equal, else (g, g * g) with g_ij = a_i - a_j, and
+      ``E``, the (n, n) table |e_i - e_j|^2;
+    - the weighting tables, each built on its first read and each ending in
+      a row of ones, so one matrix product with a block's softmax numerators
+      also gives their column sums: ``mean_weights`` = [(t / s2) c^T; a; 1]
+      for :func:`posterior_mean` and ``trace_weights`` = [E; a t; 1] for
+      :func:`_pair_spread`.
 
     Raises ValueError unless ``t`` is positive and finite, for which the
     weights would be nan or silently wrong.
@@ -138,10 +150,6 @@ class _KernelTable:
         self.a = variances / s2
 
     @cached_property
-    def at(self) -> np.ndarray:
-        return self.a * self.t
-
-    @cached_property
     def e(self) -> np.ndarray:
         return (self.t / self.s2)[:, None] * self.logits.Cc
 
@@ -163,13 +171,24 @@ class _KernelTable:
             np.einsum("nd,nd->n", diff, diff, out=row)
         return E
 
+    @cached_property
+    def mean_weights(self) -> np.ndarray:
+        b = (self.t / self.s2)[:, None] * self.centers
+        return np.vstack([b.T, self.a, np.ones(self.n)])
 
-def _responsibilities(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities at the columns of ``XT`` (d, m), shape (n, m).
+    @cached_property
+    def trace_weights(self) -> np.ndarray:
+        return np.vstack([self.E, self.a * self.t, np.ones(self.n)])
+
+
+def _numerators(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
+    """Softmax numerators of the component posterior at the columns of ``XT`` (d, m), shape (n, m).
 
     The softmax over components of :func:`_component_logits` with
-    s2_i = v_i + t, normalized in the log domain: the largest logit is
-    subtracted before exponentiating. When the components share one
+    s2_i = v_i + t, before its division by the column sums: the largest
+    logit is subtracted before exponentiating, so each column's numerators
+    are at most 1 and their sum at least the smallest weight (general
+    softmax: at least 1). When the components share one
     variance, as a discrete target's atoms do, the terms common to all
     components are left out: one matrix product c~_i.x~ - |c~_i|^2 / 2 is
     shifted by its column max, then scaled by 1/s2 and given log w_i, so the
@@ -192,24 +211,53 @@ def _responsibilities(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
             scale(r, by, out=r)
         r += table.log_w
     np.exp(r, out=r)
+    return r
+
+
+def _responsibilities(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
+    """Posterior component probabilities at the columns of ``XT`` (d, m), shape (n, m).
+
+    :func:`_numerators` divided by their column sums. The kernels that reduce
+    the probabilities to a few statistics per point leave the division to
+    those statistics; this full form serves the rest.
+    """
+    r = _numerators(table, XT)
     r /= r.sum(axis=0)
     return r
+
+
+def _row_buffer(blocks, k: int) -> np.ndarray:
+    """One flat buffer with room for a (k, rows) array of the largest of ``blocks``."""
+    return np.empty(k * max(b.stop - b.start for b in blocks))
+
+
+def _weigh(W: np.ndarray, p: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """W @ p, written into the front of ``buf``, so each block reuses one allocation."""
+    M = buf[: W.shape[0] * p.shape[1]].reshape(W.shape[0], p.shape[1])
+    return np.matmul(W, p, out=M)
 
 
 def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarray:
     """Ideal denoiser m_t evaluated at a batch of points, shape (m, d).
 
     The responsibility-weighted conjugate means, sum_i r_i (v_i x + t c_i) / s2_i,
-    taken as two matrix products so no (m, n, d) tensor is built. The rows run
-    in blocks of :func:`snrsched.targets._row_blocks`; each block is worked as
-    (d, rows) and (n, rows) arrays and written into ``out[rows].T``, so beyond
-    the result it holds one block's responsibilities and (d, rows) terms.
-    A column-major ``X`` gives contiguous operands throughout; a C-ordered one
-    gives the same values, a little slower at small d.
+    so no (m, n, d) tensor is built. With p the softmax numerators of
+    :func:`_numerators`, one matrix product of ``mean_weights`` of
+    :class:`_KernelTable` with p gives
+    M = [sum_i p_i (t / s2_i) c_i; sum_i p_i a_i; sum_i p_i], and the result
+    is (M[d] x + M[:d]) / M[d + 1]: only these d + 2 sums per point are
+    normalized. The rows run in blocks of :func:`snrsched.targets._row_blocks`
+    of width n + d + 2, the per-row size of what a block holds: its (n, rows)
+    numerators and its (d + 2, rows) sums, in one buffer for the whole call.
+    Each block is written into ``out[rows].T``. A column-major ``X`` gives
+    contiguous operands throughout; a C-ordered one gives the same values, a
+    little slower at small d.
 
     ``out``, if given, is a float (m, d) array that receives the result (and
     is returned); by default it is a new array in the memory order of ``X``.
-    Raises ValueError unless ``t`` is positive and finite.
+    ``out`` may be ``X`` itself, since each block reads its points before it
+    writes them, but no other array whose memory overlaps ``X``'s. Raises
+    ValueError for such an ``out``, and unless ``t`` is positive and finite.
     """
     table = _KernelTable(dist, t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -217,17 +265,23 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
         out = np.empty_like(X)
     elif out.shape != X.shape:
         raise ValueError(f"out has shape {out.shape}, expected {X.shape}")
-    BT = ((t / table.s2)[:, None] * table.centers).T
-    for rows in _row_blocks(X.shape[0], table.n):
+    elif np.shares_memory(out, X) and (out.ctypes.data, out.strides) != (X.ctypes.data, X.strides):
+        raise ValueError("out overlaps X without being X; pass X itself or a separate array")
+    W, d = table.mean_weights, table.dim
+    blocks = list(_row_blocks(X.shape[0], table.n + d + 2))
+    buf = _row_buffer(blocks, d + 2)
+    for rows in blocks:
         XT, block = X[rows].T, out[rows].T
-        r = _responsibilities(table, XT)
-        np.matmul(BT, r, out=block)
-        block += (table.a @ r) * XT
-        del r  # so no two blocks' responsibilities are held at once
+        p = _numerators(table, XT)
+        M = _weigh(W, p, buf)
+        del p  # so no two blocks' numerators are held at once
+        np.multiply(M[d], XT, out=block)  # reads each point before it is overwritten
+        block += M[:d]
+        block /= M[d + 1]
     return out
 
 
-def _pair_spread(table: _KernelTable, XT: np.ndarray):
+def _pair_spread(table: _KernelTable, XT: np.ndarray, buf: np.ndarray):
     """tr Cov(Z | X_t = x) from the pair distances of the conjugate means.
 
     Given component i the posterior mean is mu_i = a_i x + (t / s2_i) c_i with
@@ -239,31 +293,35 @@ def _pair_spread(table: _KernelTable, XT: np.ndarray):
 
     The spread of the mu_i under the responsibilities r has trace
     (1/2) sum_ij r_i r_j D_ij = (1/2) r.(D r): a weighted sum of non-negative
-    pair distances, which does not cancel when one component dominates. D r
-    takes products of fixed (n, n) tables with (n, m) arrays; its x terms are
-    needed only when the a_i (component variances) differ. The
+    pair distances, which does not cancel when one component dominates. The
     within-component variance adds d tau, with tau = sum_i r_i a_i t.
 
-    Arrays are component-major (n, m) temporaries, so callers pass one row
-    block at a time, with ``table`` the :class:`_KernelTable` of (dist, t),
-    whose pair table is E_ij = |e_i - e_j|^2; the block's points are
-    the columns of ``XT`` (d, rows). Returns (trace, r, D r, tau, tilt): tilt
-    is None when the a_i are all equal, else (|x~|^2, P, g) with
-    P_im = e_i.x~_m and g_ij = a_i - a_j.
+    With r = p / S, p the softmax numerators of :func:`_numerators` and S
+    their column sums, the trace is ((1/2) p.(D p) / S + d sum_i p_i a_i t) / S,
+    so only (rows,) sums are divided. One matrix product of ``trace_weights``
+    of ``table``, the :class:`_KernelTable` of (dist, t), with p gives
+    M = [E p; (a t).p; S] with E_ij = |e_i - e_j|^2; the x terms of D p,
+    linear in p, are added to M[:n] only when the a_i (component variances)
+    differ. Arrays are component-major (n, rows) temporaries, so callers pass
+    one row block at a time, the block's points the columns of ``XT``
+    (d, rows), and ``buf``, a flat array with room for M, which is built in
+    it. Returns (trace, p, M, tilt): tilt is None when the a_i are all equal,
+    else (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
     """
-    r = _responsibilities(table, XT)
-    Dr = table.E @ r
+    n = table.n
+    p = _numerators(table, XT)
+    M = _weigh(table.trace_weights, p, buf)
     tilt = None
     if table.tilt is not None:
         g, gg = table.tilt
         Xc = XT - table.logits.mu[:, None]
         xx = np.einsum("dm,dm->m", Xc, Xc, order="F")  # as in _component_logits
         P = table.e @ Xc
-        Dr += xx * (gg @ r) + 2.0 * (P * (g @ r) - g @ (r * P))
+        M[:n] += xx * (gg @ p) + 2.0 * (P * (g @ p) - g @ (p * P))
         tilt = xx, P, g
-    tau = table.at @ r
-    trace = 0.5 * np.einsum("im,im->m", r, Dr) + table.dim * tau
-    return trace, r, Dr, tau, tilt
+    S = M[n + 1]
+    trace = (0.5 * np.einsum("im,im->m", p, M[:n]) / S + table.dim * M[n]) / S
+    return trace, p, M, tilt
 
 
 def _cov_trace(table: _KernelTable, X: np.ndarray) -> np.ndarray:
@@ -272,8 +330,10 @@ def _cov_trace(table: _KernelTable, X: np.ndarray) -> np.ndarray:
     ``table`` is the :class:`_KernelTable` of (dist, t), built once by the caller.
     """
     out = np.empty(X.shape[0])
-    for rows in _row_blocks(X.shape[0], table.n):
-        out[rows] = _pair_spread(table, X[rows].T)[0]
+    blocks = list(_row_blocks(X.shape[0], table.n))
+    buf = _row_buffer(blocks, table.n + 2)
+    for rows in blocks:
+        out[rows] = _pair_spread(table, X[rows].T, buf)[0]
     return out
 
 
@@ -306,11 +366,21 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
 
 def _cov_stats(table: _KernelTable, X: np.ndarray):
     """:func:`posterior_cov_stats` of a 2-d float ``X``, its :class:`_KernelTable` given."""
+    n = table.n
     trace, frob_sq = np.empty(X.shape[0]), np.empty(X.shape[0])
-    for rows in _row_blocks(X.shape[0], table.E.size):
-        tr, r, Dr, tau, tilt = _pair_spread(table, X[rows].T)
-        rDr = np.einsum("im,im->m", r, Dr)
-        u = Dr - 0.5 * rDr
+    blocks = list(_row_blocks(X.shape[0], table.E.size))
+    buf = _row_buffer(blocks, n + 2)
+    for rows in blocks:
+        tr, r, M, tilt = _pair_spread(table, X[rows].T, buf)
+        # the Gram term squares the responsibilities, so it takes them
+        # normalized: r = p / S and D r = M[:n] / S, in place
+        S = M[n + 1]
+        r /= S
+        u = M[:n]
+        u /= S
+        rDr = np.einsum("im,im->m", r, u)
+        tau = M[n] / S
+        u -= 0.5 * rDr
         with np.errstate(over="ignore", invalid="ignore"):
             spread_sq = _gram_sq(table, r, u, tilt, fit=False)
         bad = ~np.isfinite(spread_sq)

@@ -433,13 +433,13 @@ def per_call_logits(weights, centers, s2, XT):
     return sq
 
 
-def per_call_responsibilities(weights, centers, variances, t, XT):
-    """(n, m) component posterior at the columns of XT under X_t = Z + sqrt(t) xi.
+def per_call_numerators(weights, centers, variances, t, XT):
+    """(n, m) softmax numerators of the component posterior at the columns of XT.
 
-    The general softmax of :func:`per_call_logits`, or, when every component
-    has one variance, the shared-variance softmax: (c~.x~ - |c~|^2 / 2)
-    shifted by its column max, scaled by 1/s2 (divided by s2 where 1/s2
-    overflows), plus log w.
+    Under X_t = Z + sqrt(t) xi: the general softmax of :func:`per_call_logits`,
+    or, when every component has one variance, the shared-variance softmax:
+    (c~.x~ - |c~|^2 / 2) shifted by its column max, scaled by 1/s2 (divided
+    by s2 where 1/s2 overflows), plus log w; exponentiated, not normalized.
     """
     if np.any(variances != variances[0]):
         r = per_call_logits(weights, centers, variances + t, XT)
@@ -458,19 +458,31 @@ def per_call_responsibilities(weights, centers, variances, t, XT):
                 r /= s2
         r += np.log(weights)[:, None]
     np.exp(r, out=r)
+    return r
+
+
+def per_call_responsibilities(weights, centers, variances, t, XT):
+    """(n, m) component posterior at the columns of XT: the numerators over their column sums."""
+    r = per_call_numerators(weights, centers, variances, t, XT)
     r /= r.sum(axis=0)
     return r
 
 
 def per_call_posterior_mean(weights, centers, variances, t, X):
-    """Posterior mean at the rows of X (one block), shape (m, d), in X's memory order."""
+    """Posterior mean at the rows of X (one block), shape (m, d), in X's memory order.
+
+    One product of W = [(t / s2) c^T; a; 1] with the numerators p gives
+    M = [sum p_i b_i; a.p; sum p_i], and the mean is (M[d] x + M[:d]) / M[d + 1].
+    """
+    d = centers.shape[1]
     s2 = variances + t
-    a, BT = variances / s2, ((t / s2)[:, None] * centers).T
+    W = np.vstack([((t / s2)[:, None] * centers).T, variances / s2, np.ones(len(weights))])
     out = np.empty_like(X)
     XT, block = X.T, out.T
-    r = per_call_responsibilities(weights, centers, variances, t, XT)
-    np.matmul(BT, r, out=block)
-    block += (a @ r) * XT
+    M = W @ per_call_numerators(weights, centers, variances, t, XT)
+    np.multiply(M[d], XT, out=block)
+    block += M[:d]
+    block /= M[d + 1]
     return out
 
 
@@ -478,28 +490,31 @@ def per_call_cov_stats(weights, centers, variances, t, XT):
     """(tr Cov, tr Cov^2) at the columns of XT (one block), from pair distances.
 
     The conjugate means a_i x~ + e_i, with a_i = v_i / s2_i and
-    e_i = (t / s2_i) c~_i, have squared pair distances D_ij; tr S = r.(D r) / 2,
-    and tr S^2 = (1/4) sum_ij r_i r_j (D_ij - u_i - u_j)^2 with
-    u = D r - r.(D r) / 2; tau = sum_i r_i a_i t adds d tau and
-    tau (r.D r + d tau).
+    e_i = (t / s2_i) c~_i, have squared pair distances D_ij. With p the
+    softmax numerators and S their sum, one product of W = [E; a t; 1] with p
+    gives M = [E p; (a t).p; S], the x terms of D p are added to M[:n] when
+    the a_i differ, and tr Cov = ((1/2) p.(D p) / S + d (a t).p) / S. With
+    r = p / S: tr S^2 = (1/4) sum_ij r_i r_j (D_ij - u_i - u_j)^2 with
+    u = D r - r.(D r) / 2, and tau = sum_i r_i a_i t adds tau (r.D r + d tau).
     """
-    d = centers.shape[1]
-    r = per_call_responsibilities(weights, centers, variances, t, XT)
+    n, d = centers.shape
+    p = per_call_numerators(weights, centers, variances, t, XT)
     s2 = variances + t
     a = variances / s2
     mu = weights @ centers
     e = (t / s2)[:, None] * (centers - mu)
     E = np.stack([np.einsum("nd,nd->n", e - ei, e - ei) for ei in e])
-    Dr = E @ r
+    M = np.vstack([E, a * t, np.ones(n)]) @ p
     tilted = np.any(a != a[0])
     if tilted:
         Xc = XT - mu[:, None]
         xx = np.einsum("dm,dm->m", Xc, Xc, order="F")
         P = e @ Xc
         g = a[:, None] - a[None, :]
-        Dr += xx * ((g * g) @ r) + 2.0 * (P * (g @ r) - g @ (r * P))
-    tau = (a * t) @ r
-    trace = 0.5 * np.einsum("im,im->m", r, Dr) + d * tau
+        M[:n] += xx * ((g * g) @ p) + 2.0 * (P * (g @ p) - g @ (p * P))
+    S = M[n + 1]
+    trace = (0.5 * np.einsum("im,im->m", p, M[:n]) / S + d * M[n]) / S
+    r, Dr, tau = p / S, M[:n] / S, M[n] / S
     rDr = np.einsum("im,im->m", r, Dr)
     u = Dr - 0.5 * rDr
     if tilted:

@@ -48,21 +48,21 @@ PINS = {
         "manifest.json": "f3cad2e63d66ca04a5aa5fdee1dff01b82e61cd0e34604305ea6c4d13efd2826",
     },
     "mmse_monte_carlo": {
-        "manifest.json": "cef298349fd4df3ecd7c9e32fdf5b4461c54cb7726f342c3d2ba60ea67685c4c",
-        "mmse.csv": "27b506029b80204c683bba222a2d4d2d9dd70f42bdd7e49f6889dfbac1af1f79",
+        "manifest.json": "f60bde4def029c9ad3e084b4a442e0796c440a0ee9437216157ca2e101c8eddb",
+        "mmse.csv": "9493dd7643f4049c373062f7373e28f4315ab332f6cdf9d47db5cfb1439be84b",
     },
     "mmse_quadrature": {
-        "manifest.json": "61259808fda173a29bdb9c0af82b5bee1c89281d27624504fdbfa0a0d051a8c6",
-        "mmse.csv": "5a23647960ccd82a3ad66eac75ddb7aaad0c3bd50a5cd0abcdfd42d40e60121c",
+        "manifest.json": "d1c83d557b69c16305ac69d1690f4016fcbc86fe38bbaa7ec12c04d61735aed3",
+        "mmse.csv": "39adfdcd22e680e897761be70ebc13b621d72a95dd7bd4073231756198812e7f",
     },
     "mmse_quadrature_1d": {
-        "manifest.json": "0d963b5474b85329ee560a2ec03fae4169ae205df6659946fa5bb79d07ade94b",
-        "mmse.csv": "873bb56ee7fadc9a84326c418ab7fd93a64679a34fe75c4903fb1231417b3dab",
+        "manifest.json": "b03cde49f213bcfca224b6919764f49079f13ee50061f3c87bd01ffa965f007e",
+        "mmse.csv": "986ed7a3b2fe44e989b3cca1c683854688cf9e466b8893f580ec45df5c448423",
     },
     "report": {
-        "manifest.json": "e33f197fe8ff2edcc7a114d8dc0ae4dcbc20be778bf3cddf6e767bf9a762f54b",
-        "report.csv": "4c9812c1b653b20f79a36bdbeb24e50a771e9e038ca7a1f8d3e0523e262b2a9d",
-        "report.json": "e41844689cf0d95a9d34d8460ab8908dae9428954ec59100931fea753d19a5c2",
+        "manifest.json": "c4e913b6943f7f9b715146a7f47ed6db114a94bf40ec9a8a45814b7df06e8e2c",
+        "report.csv": "4c9b8e0b71e2749d944f32c17d9b4379e2e7c3843483658c6e4f53627f970442",
+        "report.json": "8b196c22b6dd737f7f542cf79acac372075e4f238add8661628782f1fd0e0480",
     },
     "schedule_alpha": {
         "manifest.json": "62b326d7e59f0fcd5e190a93241cdbee6699ef8c87f58b0eb80a6f9fc120fc4d",
@@ -73,14 +73,14 @@ PINS = {
         "schedule.json": "f713a6c5b26095b8942f8c6614acd12338b3a53dade177078a12ea7712f83ce1",
     },
     "simulate_circle8": {
-        "manifest.json": "e24e93ab227c2675ea20dbe610178ce283e98bc67720fc66a9c81030ecfdd32f",
-        "sample_report.json": "b0f9f5dbd527f8e5349ed0aa09b2332966dda377edab6a818cc2e42fcac402cc",
-        "samples.csv": "f9d8c9a40bbdeea0d73d13f235fdb74bb0f43fc941d2ecd32470f0f09f764d82",
+        "manifest.json": "bc6a17a2e74aea6a283f2fe13ff187ec58eb1f08f3519c8dfec698dca866b3fd",
+        "sample_report.json": "1da64e39738403294e82140987273690446e90f08115f9c5104731358830bd24",
+        "samples.csv": "50eb75f05cd2943c6c46b6e02651699516dd8a2a0c01e7177e6a3f9e76b3fc77",
     },
     "simulate_unequal": {
-        "manifest.json": "8470ecd5f4ce1b3a7da18eb60573141509959cc63dc5b07970cf5852b5b94507",
-        "sample_report.json": "a971c45656850dd12f2837e2fcb75f1381e709b84dbfdc3988d756a543f8e026",
-        "samples.csv": "154c68c426d08faeb2de3027723adb144b4454569f79d32222195cf6ffe4951c",
+        "manifest.json": "9189bcd28da1ae907a1eebe2f9220656cef61bdd434df552e34ff0f42ef58b3b",
+        "sample_report.json": "f5f2ddfbd4dacc77af22f10bc4b610900b7fca59e67cc6bdfd9e131ee39c3567",
+        "samples.csv": "dd56d69abd3623579c21fa7c515d81c355e6e8b32223cc4ded8d525c880c38ef",
     },
     "verify": {
         "manifest.json": "10895f7a3cdd9bebeeae424641ca260357d10e9d4f642bb858aa968aa49e7e20",
@@ -128,4 +128,26 @@ def test_every_subcommand_writes_its_pinned_bytes(tmp_path, monkeypatch, capsys)
         assert main([*argv, "--out", name]) == 0, name
         got[name] = _digests(tmp_path / name)
     capsys.readouterr()
-    assert got == PINS
+    moved = _moved(PINS, got)
+    if moved:
+        pytest.fail(f"{len(moved)} pinned artifact(s) moved:\n" + "\n".join(moved))
+
+
+def _moved(pins: dict, got: dict) -> list:
+    """One "case/file: old -> new" line per artifact whose hash differs; None where absent."""
+    lines = []
+    for case in sorted(pins.keys() | got.keys()):
+        old, new = pins.get(case, {}), got.get(case, {})
+        for name in sorted(old.keys() | new.keys()):
+            if old.get(name) != new.get(name):
+                lines.append(f"{case}/{name}: {old.get(name)} -> {new.get(name)}")
+    return lines
+
+
+def test_moved_names_each_changed_artifact_with_both_hashes():
+    pins = {"a": {"x.csv": "1", "m.json": "2"}, "b": {"y.json": "3"}}
+    got = {"a": {"x.csv": "1", "m.json": "9", "z.csv": "4"}, "c": {"w.csv": "5"}}
+    assert _moved(pins, got) == [
+        "a/m.json: 2 -> 9", "a/z.csv: None -> 4", "b/y.json: 3 -> None", "c/w.csv: None -> 5",
+    ]
+    assert _moved(pins, pins) == []

@@ -8,6 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     central_diff,
@@ -190,6 +192,35 @@ def test_posterior_mean_batched_matches_pointwise():
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dist", [
+    build_toy("circle8"), GaussianMixture([0.5, 0.5], [[-1.0, 0.5], [1.5, -0.5]], [1.0, 2.0]),
+], ids=["circle8", "two_sigmas"])
+def test_posterior_mean_written_over_its_input(dist, order):
+    # each block must read its points before it writes over them; a kernel
+    # that wrote the center term first was up to 0.70 off here on circle8
+    # and 8.6 off on the two-sigma mixture
+    X = np.asarray(3.0 * np.random.default_rng(4).normal(size=(300, 2)), order=order)
+    want = posterior_mean(dist, 0.5, X)
+    assert posterior_mean(dist, 0.5, X, out=X) is X
+    assert np.array_equal(X, want)
+
+
+def test_posterior_mean_rejects_an_out_that_partly_overlaps_x():
+    dist = build_toy("circle8")
+    buf = np.random.default_rng(4).normal(size=(41, 2))
+    X = buf[1:]
+    before = X.copy()
+    for out in (buf[:-1], X[::-1], X[:, ::-1]):
+        assert np.shares_memory(out, X)
+        with pytest.raises(ValueError, match="overlaps"):
+            posterior_mean(dist, 0.5, X, out=out)
+    assert np.array_equal(X, before)
+    # a second view with X's own layout is X itself
+    want = posterior_mean(dist, 0.5, before)
+    assert np.array_equal(posterior_mean(dist, 0.5, X, out=X.view()), want)
+
+
 def test_posterior_dimension_free_under_isometric_embedding():
     # a 6-atom d=2 target mapped into d=256 by an orthogonal map: the noise on
     # the 254 extra axes is independent of Z, so the posterior does not change
@@ -317,9 +348,9 @@ def test_mmse_kernel_rows_are_the_pruned_grid(monkeypatch):
     rows = []
     kernel = channel._pair_spread
 
-    def counting(table, XT):
+    def counting(table, XT, buf):
         rows.append(XT.shape[1])  # a block's points are the columns of XT
-        return kernel(table, XT)
+        return kernel(table, XT, buf)
 
     monkeypatch.setattr(channel, "_pair_spread", counting)
     MmseCurve(build_toy("circle8")).mmse(2.0)
@@ -671,6 +702,55 @@ def test_posterior_matches_per_component_oracle(case, t):
         assert 1e-300 < tr.max() < 1e-280
 
 
+@st.composite
+def _posterior_cases(draw):
+    """(target, weights, centers, variances, t, X) for the oracle property.
+
+    One to five components at distinct integer points of [-2, 2]^d, d = 1 to
+    3, moved to 1e3 or not; atoms, one shared sigma or one sigma each; t
+    log-uniform in [1e-300, 1e8]; six points x = c_i + sqrt(v_i + t) z with
+    |z_k| <= 4, as X_t draws them, in C or F order.
+    """
+    family = draw(st.sampled_from(["discrete", "shared", "unequal"]))
+    d = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=5, unique=True))
+    n = len(points)
+    centers = np.array(points, dtype=float) + draw(st.sampled_from([0.0, 1e3]))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    weights = raw / raw.sum()
+    sigma = st.floats(0.2, 2.0)
+    if family == "discrete":
+        dist, variances = FiniteDiscrete(points=centers, probs=weights), np.zeros(n)
+    else:
+        sigmas = np.array(draw(st.lists(sigma, min_size=n, max_size=n)) if family == "unequal"
+                          else [draw(sigma)] * n)
+        dist, variances = GaussianMixture(weights, centers, sigmas), sigmas**2
+    t = 10.0 ** draw(st.floats(-300.0, 8.0))
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=6, max_size=6))
+    z = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=6 * d, max_size=6 * d)))
+    X = centers[picks] + np.sqrt(variances[picks] + t)[:, None] * z.reshape(6, d)
+    return dist, weights, centers, variances, t, np.asarray(X, order=draw(st.sampled_from("CF")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_posterior_cases())
+def test_posterior_kernels_match_the_per_component_oracle_anywhere(case):
+    # the kernels normalize only their per-point sums; checked at every t
+    # from 1e-300 to 1e8 and in both memory orders, at the oracle test's
+    # bands. The oracle forms each mu_i - m from numbers of size |x|, so where
+    # the posterior means nearly coincide (t below about 1e-16 on a mixture)
+    # its own trace is off by up to about d (2 eps |x|)^2: that is its atol
+    dist, weights, centers, variances, t, X = case
+    means = posterior_mean(dist, t, X)
+    tr, fr = posterior_cov_stats(dist, t, X)
+    oracle_rounding = X.shape[1] * (2 * math.ulp(1.0) * max(np.abs(X).max(), np.abs(centers).max())) ** 2
+    for i, x in enumerate(X):
+        _, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
+        np.testing.assert_allclose(means[i], mean, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(tr[i], o_tr, rtol=1e-10, atol=oracle_rounding)
+        np.testing.assert_allclose(fr[i], o_fr, rtol=1e-10, atol=1e-14)
+
+
 @pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0])
 @pytest.mark.parametrize("d", [2, 16, 256])
 @pytest.mark.parametrize("family", ["discrete", "gmm"])
@@ -862,9 +942,9 @@ def test_blocked_mmse_matches_one_block(monkeypatch, dist, policy):
 
 
 def test_blocked_kernels_keep_the_bits_of_the_cli_shapes(monkeypatch):
-    # at the module's own budget simulate's 1e5 circle8 rows run in blocks of
-    # 16,384, simulate_hd's 4,096 rows of a 64-component d = 64 mixture in
-    # blocks of 2,048, and mmse-table's quadrature and Monte-Carlo batches in
+    # at the module's own budget simulate's 1e5 circle8 rows run in denoiser
+    # blocks of 10,922, simulate_hd's 4,096 rows of a 64-component d = 64
+    # mixture in blocks of 1,008, and mmse-table's quadrature and Monte-Carlo batches in
     # Gram blocks of 2,048; on these shapes the blocks give the one-block bits,
     # so those commands write the bytes an unblocked kernel writes (other
     # block sizes can move the last bits, see test_blocked_kernels_match_one_block)
@@ -1152,7 +1232,8 @@ def test_gram_fit_agrees_with_the_plain_pass(dist):
     X = 4.0 * np.random.default_rng(2).normal(size=(300, 2))
     for t in (1e-3, 0.5, 30.0):
         table = _KernelTable(dist, t)
-        _, r, Dr, _, tilt = channel._pair_spread(table, X.T)
+        _, p, M, tilt = channel._pair_spread(table, X.T, np.empty((table.n + 2) * len(X)))
+        r, Dr = p / M[-1], M[:-2] / M[-1]
         u = Dr - 0.5 * np.einsum("im,im->m", r, Dr)
         plain = channel._gram_sq(table, r, u, tilt, fit=False)
         assert np.all(np.isfinite(plain)) and np.any(plain > 0)

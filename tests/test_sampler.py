@@ -213,9 +213,9 @@ def test_seed_determinism_bitwise():
 def test_sample_peak_memory_is_a_few_state_arrays(order, arrays):
     # the peak is a denoiser call's: the state, the noise buffer, the anchor
     # it writes, plus the previous evaluation for the second order, and one
-    # row block of the kernel, the (8, 18,080) logits of the last, folded
-    # block with its (2, rows) terms, about one (m, d) array more (4.0 and
-    # 5.0 arrays in all). reverse_step works in place and holds one row block
+    # row block of the kernel, the (8, 10,922) numerators of a block with its
+    # (2, rows) terms and the call's (4, rows) sums, about 0.77 of an (m, d)
+    # array more (3.77 and 4.77 arrays in all). reverse_step works in place and holds one row block
     # of std * noise; an un-blocked kernel would hold (m, 8) logits, four
     # arrays more
     import tracemalloc
