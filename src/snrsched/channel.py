@@ -43,16 +43,21 @@ gives the weighted sums and S together, and only those few sums per point
 are divided by S. Only the Gram term of :func:`posterior_cov_stats`, where
 the responsibilities enter squared, forms r = p / S as an (n, rows) array.
 
-Every expectation over X_t takes one route, :func:`_expect`, under one of
-three cross-checked rules: closed form (one node, for a single Gaussian),
-Gauss-Hermite quadrature (dim <= 2) and Monte Carlo with standard errors.
+Every kernel but :func:`posterior_mean`, which writes its blocks in place,
+is a block kernel run by one row driver, :func:`snrsched.targets._map_rows`.
+Every expectation over X_t takes one route, :func:`_expect`, which runs a
+block kernel under one of three cross-checked rules: closed form (one node,
+for a single Gaussian), Gauss-Hermite quadrature (dim <= 2) and Monte Carlo
+with standard errors.
 Posterior weights are normalized in the log domain, largest logit first, so
 the normalization does not overflow; the logits themselves do where
 |x - c_i|^2 / (2 s2_i) leaves float64 (points x near 1e154), except when all
-components share one variance, where :func:`_numerators` forms no
-|x|^2. The Gauss-Hermite rules are NumPy's, rebuilt from the exact constants
-of :mod:`snrsched._gauss_hermite`, so no process runs an eigensolve or
-imports ``numpy.polynomial``.
+components share one variance, where :func:`_numerators` forms no |x|^2
+(there c~.x~ overflows only near 1e308). A point whose logits overflow, or
+that is not finite, raises ValueError rather than giving nan. The
+Gauss-Hermite rules are NumPy's, rebuilt from the exact constants of
+:mod:`snrsched._gauss_hermite`, so no process runs an eigensolve or imports
+``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .targets import (
     TargetDistribution,
     _component_logits,
     _logit_terms,
+    _map_rows,
     _row_blocks,
     shannon_entropy,
 )
@@ -126,7 +132,9 @@ class _KernelTable:
       a row of ones, so one matrix product with a block's softmax numerators
       also gives their column sums: ``mean_weights`` = [(t / s2) c^T; a; 1]
       for :func:`posterior_mean` and ``trace_weights`` = [E; a t; 1] for
-      :func:`_pair_spread`.
+      :func:`_pair_spread`;
+    - the call's one weighting buffer, a (k, rows) :meth:`workspace` for
+      each block's product, which a kernel takes before its numerators.
 
     Raises ValueError unless ``t`` is positive and finite, for which the
     weights would be nan or silently wrong.
@@ -148,6 +156,13 @@ class _KernelTable:
                 inv = 1.0 / s2[0]
             self.scale_by = (np.multiply, inv) if math.isfinite(inv) else (np.true_divide, s2[0])
         self.a = variances / s2
+        self._work = np.empty(0)
+
+    def workspace(self, k: int, rows: int) -> np.ndarray:
+        """A (k, rows) view of the call's one weighting buffer, grown first if smaller."""
+        if self._work.size < k * rows:
+            self._work = np.empty(k * rows)
+        return self._work[: k * rows].reshape(k, rows)
 
     @cached_property
     def e(self) -> np.ndarray:
@@ -195,21 +210,32 @@ def _numerators(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
     weights still decide exact ties at tiny t and no |x~|^2 is formed (as
     :func:`_pair_spread` skips its x terms when the a_i are equal). Every
     x-free term comes from ``table``, the :class:`_KernelTable` of (dist, t).
+    Raises ValueError, counting them, for points whose column max is not
+    finite: a point that is not finite, or whose logits overflow.
     """
     lt = table.logits
-    if not table.shared:
-        r = _component_logits(lt, XT)
-        r -= r.max(axis=0)
-    else:
-        # one s2 for all: |x~|^2 / (2 s2) and log s2 cancel, leaving
-        # (c~.x~ - |c~|^2 / 2) / s2 + log w, shifted before it is scaled
-        r = lt.Cc @ (XT - lt.mu[:, None])
-        r -= table.half_cc
-        r -= r.max(axis=0)
-        scale, by = table.scale_by
-        with np.errstate(over="ignore"):  # a shifted logit past -1.8e308 is -inf
+    # quiet: a point that overflows leaves a non-finite column max, which
+    # raises, and a finite shifted logit past -1.8e308 / s2 scales to -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not table.shared:
+            r = _component_logits(lt, XT)
+        else:
+            # one s2 for all: |x~|^2 / (2 s2) and log s2 cancel, leaving
+            # (c~.x~ - |c~|^2 / 2) / s2 + log w, shifted before it is scaled
+            r = lt.Cc @ (XT - lt.mu[:, None])
+            r -= table.half_cc
+        top = r.max(axis=0)
+        # one dot product screens the block; only a non-finite one (or a
+        # far point's square past float64) counts the bad points
+        bad = 0 if math.isfinite(top @ top) else np.count_nonzero(~np.isfinite(top))
+        if bad:
+            raise ValueError(f"the component posterior is not finite at {bad} of {top.size} "
+                             "points of a row block: each is nan or inf, or its logits overflow")
+        r -= top
+        if table.shared:
+            scale, by = table.scale_by
             scale(r, by, out=r)
-        r += table.log_w
+            r += table.log_w
     np.exp(r, out=r)
     return r
 
@@ -226,17 +252,6 @@ def _responsibilities(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
     return r
 
 
-def _row_buffer(blocks, k: int) -> np.ndarray:
-    """One flat buffer with room for a (k, rows) array of the largest of ``blocks``."""
-    return np.empty(k * max(b.stop - b.start for b in blocks))
-
-
-def _weigh(W: np.ndarray, p: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """W @ p, written into the front of ``buf``, so each block reuses one allocation."""
-    M = buf[: W.shape[0] * p.shape[1]].reshape(W.shape[0], p.shape[1])
-    return np.matmul(W, p, out=M)
-
-
 def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarray:
     """Ideal denoiser m_t evaluated at a batch of points, shape (m, d).
 
@@ -248,8 +263,9 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
     is (M[d] x + M[:d]) / M[d + 1]: only these d + 2 sums per point are
     normalized. The rows run in blocks of :func:`snrsched.targets._row_blocks`
     of width n + d + 2, the per-row size of what a block holds: its (n, rows)
-    numerators and its (d + 2, rows) sums, in one buffer for the whole call.
-    Each block is written into ``out[rows].T``. A column-major ``X`` gives
+    numerators and its (d + 2, rows) sums, in the table's workspace, sized
+    for the largest block before the first. Each block is written into
+    ``out[rows].T``. A column-major ``X`` gives
     contiguous operands throughout; a C-ordered one gives the same values, a
     little slower at small d.
 
@@ -257,7 +273,8 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
     is returned); by default it is a new array in the memory order of ``X``.
     ``out`` may be ``X`` itself, since each block reads its points before it
     writes them, but no other array whose memory overlaps ``X``'s. Raises
-    ValueError for such an ``out``, and unless ``t`` is positive and finite.
+    ValueError for such an ``out``, unless ``t`` is positive and finite, and
+    for a point whose posterior is not finite (see :func:`_numerators`).
     """
     table = _KernelTable(dist, t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -269,19 +286,18 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
         raise ValueError("out overlaps X without being X; pass X itself or a separate array")
     W, d = table.mean_weights, table.dim
     blocks = list(_row_blocks(X.shape[0], table.n + d + 2))
-    buf = _row_buffer(blocks, d + 2)
+    table.workspace(d + 2, max(b.stop - b.start for b in blocks))  # sized before the first block
     for rows in blocks:
         XT, block = X[rows].T, out[rows].T
-        p = _numerators(table, XT)
-        M = _weigh(W, p, buf)
-        del p  # so no two blocks' numerators are held at once
+        # the numerators are freed once the product is in the workspace
+        M = np.matmul(W, _numerators(table, XT), out=table.workspace(d + 2, XT.shape[1]))
         np.multiply(M[d], XT, out=block)  # reads each point before it is overwritten
         block += M[:d]
         block /= M[d + 1]
     return out
 
 
-def _pair_spread(table: _KernelTable, XT: np.ndarray, buf: np.ndarray):
+def _pair_spread(table: _KernelTable, XT: np.ndarray):
     """tr Cov(Z | X_t = x) from the pair distances of the conjugate means.
 
     Given component i the posterior mean is mu_i = a_i x + (t / s2_i) c_i with
@@ -304,13 +320,14 @@ def _pair_spread(table: _KernelTable, XT: np.ndarray, buf: np.ndarray):
     linear in p, are added to M[:n] only when the a_i (component variances)
     differ. Arrays are component-major (n, rows) temporaries, so callers pass
     one row block at a time, the block's points the columns of ``XT``
-    (d, rows), and ``buf``, a flat array with room for M, which is built in
-    it. Returns (trace, p, M, tilt): tilt is None when the a_i are all equal,
+    (d, rows); M is the table's workspace, which the next block overwrites.
+    Returns (trace, p, M, tilt): tilt is None when the a_i are all equal,
     else (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
     """
     n = table.n
+    M = table.workspace(n + 2, XT.shape[1])  # before p, so a grown buffer sits below it
     p = _numerators(table, XT)
-    M = _weigh(table.trace_weights, p, buf)
+    np.matmul(table.trace_weights, p, out=M)
     tilt = None
     if table.tilt is not None:
         g, gg = table.tilt
@@ -322,19 +339,6 @@ def _pair_spread(table: _KernelTable, XT: np.ndarray, buf: np.ndarray):
     S = M[n + 1]
     trace = (0.5 * np.einsum("im,im->m", p, M[:n]) / S + table.dim * M[n]) / S
     return trace, p, M, tilt
-
-
-def _cov_trace(table: _KernelTable, X: np.ndarray) -> np.ndarray:
-    """tr Cov(Z | X_t = x) alone, shape (m,), from blocks of (n, rows) temporaries.
-
-    ``table`` is the :class:`_KernelTable` of (dist, t), built once by the caller.
-    """
-    out = np.empty(X.shape[0])
-    blocks = list(_row_blocks(X.shape[0], table.n))
-    buf = _row_buffer(blocks, table.n + 2)
-    for rows in blocks:
-        out[rows] = _pair_spread(table, X[rows].T, buf)[0]
-    return out
 
 
 def posterior_cov_stats(dist: TargetDistribution, t: float, X):
@@ -361,39 +365,33 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     """
     table = _KernelTable(dist, t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _cov_stats(table, X)
+    return tuple(_map_rows(X, table.E.size, lambda XT: _cov_stats(table, XT)))
 
 
-def _cov_stats(table: _KernelTable, X: np.ndarray):
-    """:func:`posterior_cov_stats` of a 2-d float ``X``, its :class:`_KernelTable` given."""
+def _cov_stats(table: _KernelTable, XT: np.ndarray):
+    """(tr Cov, tr Cov^2) at the columns of ``XT``: :func:`posterior_cov_stats`' block kernel."""
     n = table.n
-    trace, frob_sq = np.empty(X.shape[0]), np.empty(X.shape[0])
-    blocks = list(_row_blocks(X.shape[0], table.E.size))
-    buf = _row_buffer(blocks, n + 2)
-    for rows in blocks:
-        tr, r, M, tilt = _pair_spread(table, X[rows].T, buf)
-        # the Gram term squares the responsibilities, so it takes them
-        # normalized: r = p / S and D r = M[:n] / S, in place
-        S = M[n + 1]
-        r /= S
-        u = M[:n]
-        u /= S
-        rDr = np.einsum("im,im->m", r, u)
-        tau = M[n] / S
-        u -= 0.5 * rDr
-        with np.errstate(over="ignore", invalid="ignore"):
-            spread_sq = _gram_sq(table, r, u, tilt, fit=False)
-        bad = ~np.isfinite(spread_sq)
-        if bad.any():
-            # a Gram entry past 1.3e154 squared to inf (and inf * 0 to nan):
-            # refit those columns alone, so no finite value moves
-            if tilt is not None:
-                xx, P, g = tilt
-                tilt = xx[bad], P[:, bad], g
-            spread_sq[bad] = _gram_sq(table, r[:, bad], u[:, bad], tilt, fit=True)
-        trace[rows] = tr
-        frob_sq[rows] = spread_sq + tau * (rDr + table.dim * tau)
-    return trace, frob_sq
+    tr, r, M, tilt = _pair_spread(table, XT)
+    # the Gram term squares the responsibilities, so it takes them
+    # normalized: r = p / S and D r = M[:n] / S, in place
+    S = M[n + 1]
+    r /= S
+    u = M[:n]
+    u /= S
+    rDr = np.einsum("im,im->m", r, u)
+    tau = M[n] / S
+    u -= 0.5 * rDr
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread_sq = _gram_sq(table, r, u, tilt, fit=False)
+    bad = ~np.isfinite(spread_sq)
+    if bad.any():
+        # a Gram entry past 1.3e154 squared to inf (and inf * 0 to nan):
+        # refit those columns alone, so no finite value moves
+        if tilt is not None:
+            xx, P, g = tilt
+            tilt = xx[bad], P[:, bad], g
+        spread_sq[bad] = _gram_sq(table, r[:, bad], u[:, bad], tilt, fit=True)
+    return tr, spread_sq + tau * (rDr + table.dim * tau)
 
 
 def _gram_sq(table: _KernelTable, r, u, tilt, fit: bool) -> np.ndarray:
@@ -464,8 +462,8 @@ def _standard_normal_nodes(d: int):
 def _quad_expect(dist: TargetDistribution, t: float, f):
     """(E f_k(X), 0.0) pairs under X ~ p_t by pruned Gauss-Hermite, dim <= 2.
 
-    ``f`` maps a batch X of component i's nodes, and i, to a tuple of per-row
-    arrays f_k(X). Each component of p_t gets the nodes of
+    ``f`` maps a batch X of component i's nodes, and i, to the (k, rows)
+    array of the f_k(X). Each component of p_t gets the nodes of
     :func:`_standard_normal_nodes`: 84 in 1-d and
     2,668 in 2-d, the nodes of the 200-node and 96 x 96 rules that carry
     all but 1e-20 of the weight. The offsets are column-major, and so is
@@ -516,12 +514,19 @@ def _resolve_policy(dist, policy: str, gamma: float):
     return policy, 1.0 / gamma
 
 
-def _expect(dist: TargetDistribution, t: float, pol: str, f, n_samples: int, seed):
+def _expect(dist: TargetDistribution, t: float, pol: str, kernel, width: int, n_samples: int, seed):
     """(E f_k(X), stderr) pairs under X ~ p_t by the resolved policy.
 
+    ``kernel(XT, i)`` maps a row block of component i's points (i None under
+    Monte Carlo), the columns of ``XT``, to a tuple of (rows,) arrays f_k;
+    :func:`snrsched.targets._map_rows` runs it at ``width`` over each batch.
     "closed_form" is one node, f at the mean with weight 1: exact for every f
     here, since tr Cov, tr Cov^2 and H(C | X) of one Gaussian do not depend on x.
     """
+
+    def f(X, i):
+        return _map_rows(X, width, lambda XT: kernel(XT, i))
+
     if pol == "closed_form":
         return tuple((float(v[0]), 0.0) for v in f(dist.means, 0))
     if pol == "quadrature":
@@ -536,7 +541,8 @@ def _cov_expect(dist: TargetDistribution, gamma: float, policy: str, n_samples: 
     """
     pol, t = _resolve_policy(dist, policy, gamma)
     table = _KernelTable(dist, t)
-    return _expect(dist, t, pol, lambda X, i: _cov_stats(table, X), n_samples, seed)
+    return _expect(dist, t, pol, lambda XT, i: _cov_stats(table, XT), table.E.size,
+                   n_samples, seed)
 
 
 def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, seed):
@@ -557,18 +563,15 @@ def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, s
     pol, t = _resolve_policy(dist, policy, gamma)
     table = _KernelTable(dist, t)
 
-    def neg_log_r(X, i):
-        out = np.empty(X.shape[0])
-        for rows in _row_blocks(X.shape[0], table.n):
-            lr = _component_logits(table.logits, X[rows].T)
-            lr -= lr.max(axis=0)
-            lr -= np.log(np.exp(lr).sum(axis=0))
-            # exp(lr) is 0 below -746, so the clip only keeps 0 * -inf out
-            out[rows] = -lr[i] if i is not None else -np.einsum(
-                "im,im->m", np.exp(lr), np.maximum(lr, -746.0))
-        return (out,)
+    def neg_log_r(XT, i):
+        lr = _component_logits(table.logits, XT)
+        lr -= lr.max(axis=0)
+        lr -= np.log(np.exp(lr).sum(axis=0))
+        # exp(lr) is 0 below -746, so the clip only keeps 0 * -inf out
+        return (-lr[i] if i is not None else -np.einsum(
+            "im,im->m", np.exp(lr), np.maximum(lr, -746.0)),)
 
-    ((cond, se),) = _expect(dist, t, pol, neg_log_r, n_samples, seed)
+    ((cond, se),) = _expect(dist, t, pol, neg_log_r, table.n, n_samples, seed)
     weights, _, variances = _components(dist)
     h_w = math.fsum(-p * math.log(p) for p in weights)
     return h_w - cond + 0.5 * dist.dim * float(weights @ np.log1p(variances * gamma)), se
@@ -590,7 +593,8 @@ def mmse(
     """
     pol, t = _resolve_policy(dist, policy, gamma)
     table = _KernelTable(dist, t)
-    return _expect(dist, t, pol, lambda X, i: (_cov_trace(table, X),), n_samples, seed)[0]
+    return _expect(dist, t, pol, lambda XT, i: _pair_spread(table, XT)[:1], table.n,
+                   n_samples, seed)[0]
 
 
 def mmse_derivative(
@@ -682,25 +686,21 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
 
     Given X = Z + sqrt(t) xi, Z and Z' are independent draws from the
     posterior w(X) over atoms, so the moment is the conditional form
-    E_X sum_ij w_i(X) w_j(X) |z_i - z_j|^4, which :func:`_mc_expect`
-    averages over X. |z_i - z_j|^2 is the pair table E of :class:`_KernelTable`
-    (t / s2 = 1 for atoms), one table serves the responsibilities too, and
-    the rows run in blocks of (n, rows) arrays, as in every kernel. Finite
-    discrete targets only. Returns (value, stderr).
+    E_X sum_ij w_i(X) w_j(X) |z_i - z_j|^4, which the Monte Carlo rule of
+    :func:`_expect` averages over X. |z_i - z_j|^2 is the pair table E of
+    :class:`_KernelTable` (t / s2 = 1 for atoms), and one table serves the
+    responsibilities too. Finite discrete targets only. Returns (value, stderr).
     """
     if not isinstance(dist, FiniteDiscrete):
         raise TypeError("posterior_fourth_moment requires a FiniteDiscrete target")
     table = _KernelTable(dist, t)
     d4 = table.E**2
 
-    def f(X, _):
-        out = np.empty(X.shape[0])
-        for rows in _row_blocks(X.shape[0], table.n):
-            w = _responsibilities(table, X[rows].T)
-            out[rows] = np.einsum("im,im->m", w, d4 @ w)
-        return (out,)
+    def kernel(XT, _):
+        w = _responsibilities(table, XT)
+        return (np.einsum("im,im->m", w, d4 @ w),)
 
-    return _mc_expect(dist, t, f, n_samples, seed)[0]
+    return _expect(dist, t, "monte_carlo", kernel, table.n, n_samples, seed)[0]
 
 
 def derivative_ratio_constant(

@@ -157,6 +157,25 @@ def _row_blocks(m: int, width: int):
     return (slice(i, j) for i, j in zip(starts, starts[1:] + [max(m, 1)]))
 
 
+def _map_rows(X: np.ndarray, width: int, f) -> np.ndarray:
+    """Per-point values of ``f`` over the row blocks of ``X`` (m, d), shape (k, m).
+
+    The one row loop of every kernel that reduces a block to a few values per
+    point. ``f`` maps one block's points, the columns of a (d, rows) array, to
+    a tuple of k (rows,) arrays; ``width`` is the per-row size of its largest
+    temporary, as for :func:`_row_blocks`. ``f``'s temporaries are freed when
+    it returns, so beyond the result a kernel holds one block's at a time.
+    """
+    out = None
+    for rows in _row_blocks(X.shape[0], width):
+        values = f(X[rows].T)
+        if out is None:
+            out = np.empty((len(values), X.shape[0]))
+        for row, v in zip(out, values):
+            row[rows] = v
+    return out
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Isotropic Gaussian mixture sum_i w_i N(mu_i, sigma_i^2 I_d).
@@ -218,23 +237,23 @@ class GaussianMixture:
         factored out so far-tail points stay finite, minus (d/2) log 2 pi.
         A point whose every logit overflows to -inf (|x~|^2 / (2 sigma^2)
         past float64, as for circle8 at (1e160, 0)) gets -inf, the limit,
-        and no warning. The rows run in blocks of :func:`_row_blocks`, so
-        beyond the (m,) result it holds one block's (n, rows) logits.
+        and no warning. The rows run through :func:`_map_rows`, so beyond the
+        (m,) result it holds one block's (n, rows) logits.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         terms = _logit_terms(self.weights, self.means, self.sigmas**2)
         log_norm = 0.5 * self.dim * math.log(2.0 * math.pi)
-        out = np.empty(x.shape[0])
-        for rows in _row_blocks(x.shape[0], self.n_components):
+
+        def block(XT):
             with np.errstate(over="ignore", divide="ignore"):
-                logits = _component_logits(terms, x[rows].T)
+                logits = _component_logits(terms, XT)
                 # a finite shift for an all -inf column, whose log(0) is then -inf
                 top = np.maximum(logits.max(axis=0), _LOWEST)
                 logits -= top
                 np.exp(logits, out=logits)
-                out[rows] = top + np.log(logits.sum(axis=0)) - log_norm
-            del logits  # so no two blocks' logits are held at once
-        return out
+                return (top + np.log(logits.sum(axis=0)) - log_norm,)
+
+        return _map_rows(x, self.n_components, block)[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` exact samples, shape (n, d)."""

@@ -364,8 +364,13 @@ def mixture_posterior_moments(weights, centers, variances, t, x):
     Component i is N(centers[i], variances[i] I); a zero variance is an atom.
     Component probabilities are proportional to w_i N(x; c_i, (v_i + t) I),
     and given component i the posterior is conjugate,
-    N((v_i x + t c_i) / (v_i + t), v_i t / (v_i + t) I). The law of total
-    covariance assembles Cov(Z | x) one component at a time.
+    N(mu_i, v_i t / (v_i + t) I) with mu_i = a_i x + b_i, a_i = v_i / (v_i + t)
+    and b_i = t c_i / (v_i + t). The law of total covariance assembles
+    Cov(Z | x) one component at a time, each deviation in difference form,
+    mu_i - m = sum_j p_j ((a_i - a_j) x + (b_i - b_j)), with a_i - a_j taken
+    as ((v_i - v_j) / (v_i + t)) (t / (v_j + t)), which neither cancels nor
+    underflows at tiny t; so no term of the size of x cancels where the
+    posterior means nearly coincide.
     Returns (probs, mean, tr Cov, tr Cov^2).
     """
     x = np.asarray(x, dtype=float)
@@ -383,10 +388,14 @@ def mixture_posterior_moments(weights, centers, variances, t, x):
     mean = np.zeros(d)
     for p, mu in zip(probs, means):
         mean += p * mu
+    s2 = [v + t for v in variances]
+    b = [t * np.asarray(c, dtype=float) / s for c, s in zip(centers, s2)]
     cov = np.zeros((d, d))
-    for p, mu, v in zip(probs, means, variances):
-        dev = mu - mean
-        cov += p * (v * t / (v + t) * np.eye(d) + np.outer(dev, dev))
+    for p, v, s, b_i in zip(probs, variances, s2, b):
+        dev = np.zeros(d)
+        for p_j, v_j, s_j, b_j in zip(probs, variances, s2, b):
+            dev += p_j * ((v - v_j) / s * (t / s_j) * x + (b_i - b_j))
+        cov += p * (v * t / s * np.eye(d) + np.outer(dev, dev))
     return probs, mean, float(np.trace(cov)), float((cov * cov).sum())
 
 

@@ -623,8 +623,8 @@ def test_mmse_table_single_gaussian_closed_form(tmp_path):
 def cov_kernel_calls(monkeypatch):
     """A list that grows by one on each pass of the covariance kernel.
 
-    That is _cov_stats, the body of posterior_cov_stats, which the oracles
-    call with a kernel table built once per knot."""
+    That is _cov_stats, the block kernel of posterior_cov_stats, which the
+    oracles run with a kernel table built once per knot."""
     from snrsched import channel
 
     calls = []
@@ -824,9 +824,22 @@ def test_verify_rejects_unknown_suite(capsys):
     assert "--suite" in capsys.readouterr().err
 
 
+def _scaled_trace(c):
+    """A wrapper of channel._pair_spread whose trace is c times the kernel's."""
+
+    def wrap(kernel):
+        def scaled(*args):
+            trace, *rest = kernel(*args)
+            return (c * trace, *rest)
+
+        return scaled
+
+    return wrap
+
+
 @pytest.mark.parametrize("row, owner, name, wrap", [
-    (4, channel, "_cov_trace", lambda f: lambda *a: 2.0 * f(*a)),
-    (5, channel, "_cov_trace", lambda f: lambda *a: 1.01 * f(*a)),
+    (4, channel, "_pair_spread", _scaled_trace(2.0)),
+    (5, channel, "_pair_spread", _scaled_trace(1.01)),
     (6, verify, "renyi_half_entropy", lambda f: lambda d: f(d) + 1e-6),
     (7, verify, "posterior_fourth_moment", lambda f: lambda *a: tuple(0.01 * v for v in f(*a))),
     (8, channel.MmseCurve, "integral", lambda f: lambda self, lo, hi: 0.5 * f(self, lo, hi)),
