@@ -24,7 +24,9 @@ component posterior is the softmax of the logits of
 :func:`snrsched.targets._component_logits`, which ``GaussianMixture.log_prob``
 also sums: each |x - c_i|^2 comes from one matrix product, with x and the
 centers first centered on the weighted center mean, so no (m, n, d) array is
-built and the rounding scales with the centers' spread.
+built and the rounding scales with the centers' spread. The kernel and its
+x-free terms live in :mod:`snrsched.targets`; this module holds the
+posterior moments and the expectations over X_t built on them.
 
 Both covariance moments come from the squared pair distances of the
 per-component conjugate posterior means (:func:`_pair_spread`), which do not
@@ -32,19 +34,22 @@ cancel at high SNR; no array of size m n d, m d^2 or n^2 d is built.
 
 Every term of these kernels that does not depend on x (the weighted center
 mean, log w, 1/s2, the conjugate-mean offsets, the (n, n) pair table) is
-built once per (target, t) by :class:`_KernelTable`, which each public
-kernel and oracle call builds once and every row block and quadrature node
-batch reads; no kernel derives those terms itself.
+built once per (target, t) by :class:`snrsched.targets._KernelTable`, the
+one builder of those terms, which ``log_prob`` builds too, at t = 0. Each
+public kernel and oracle call checks its t (or 1/gamma) and then builds one
+table, which every row block and quadrature node batch reads; no kernel
+derives those terms itself.
 
 The denoiser and the trace never divide a block's softmax numerators p by
-their sums S = sum_i p_i. Each multiplies p by one weighting table of
-:class:`_KernelTable` whose last row is all ones, so the one matrix product
-gives the weighted sums and S together, and only those few sums per point
-are divided by S. Only the Gram term of :func:`posterior_cov_stats`, where
+their sums S = sum_i p_i. Each multiplies p by one weighting table of the
+kernel table whose last row is all ones, so the one matrix product gives
+the weighted sums and S together, and only those few sums per point are
+divided by S. Only the Gram term of :func:`posterior_cov_stats`, where
 the responsibilities enter squared, forms r = p / S as an (n, rows) array.
 
-Every kernel but :func:`posterior_mean`, which writes its blocks in place,
-is a block kernel run by one row driver, :func:`snrsched.targets._map_rows`.
+Every kernel but :func:`posterior_mean`, which writes its (d, rows) blocks
+into an ``out`` that may not overlap its input, is a block kernel run by one
+row driver, :func:`snrsched.targets._map_rows`.
 Every expectation over X_t takes one route, :func:`_expect`, which runs a
 block kernel under one of three cross-checked rules: closed form (one node,
 for a single Gaussian), Gauss-Hermite quadrature (dim <= 2) and Monte Carlo
@@ -64,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +78,8 @@ from .targets import (
     GaussianMixture,
     TargetDistribution,
     _component_logits,
-    _logit_terms,
+    _components,
+    _KernelTable,
     _map_rows,
     _row_blocks,
     shannon_entropy,
@@ -92,108 +98,9 @@ __all__ = [
 _CHUNK = 65536
 
 
-def _components(dist: TargetDistribution):
-    """(weights, centers, variances) of ``dist`` as an isotropic mixture.
-
-    A finite discrete target is the mixture whose components have zero
-    variance, so every kernel below serves both target families.
-    """
-    if isinstance(dist, FiniteDiscrete):
-        return dist.probs, dist.points, np.zeros(dist.n_atoms)
-    return dist.weights, dist.means, dist.sigmas**2
-
-
 def _check_noise(t: float) -> None:
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"noise scale t must be positive and finite, got {t!r}")
-
-
-class _KernelTable:
-    """The x-free terms of every posterior kernel for one (target, t).
-
-    A kernel call builds one table and hands it to each row block and node
-    batch it runs, so these terms are derived once per (target, t), not once
-    per block. With s2_i = v_i + t, the variance of X_t given component i:
-
-    - ``logits``: :func:`snrsched.targets._logit_terms` of (w, c, s2): the
-      weighted center mean mu, c~ = c - mu, -2 c~, |c~|^2, -0.5/s2, log w and
-      log w - (d/2) log s2, the terms of :func:`_component_logits`;
-    - ``shared``: whether every component has one variance, and if so
-      ``half_cc`` = |c~|^2 / 2, ``log_w`` and ``scale_by``, the in-place ufunc
-      and operand that scale the shifted logits by 1/s2 (a division by s2
-      where 1/s2 overflows, t below about 5.6e-309), for :func:`_responsibilities`;
-    - ``a`` = v / s2, the weight of x in each conjugate mean;
-    - the terms of :func:`_pair_spread`, each built on its first read, so
-      :func:`posterior_mean` and :func:`_info`, which read none of them, do
-      not pay the n einsum rows of E: ``e`` = (t / s2) c~, ``tilt``, None
-      when the a_i are all equal, else (g, g * g) with g_ij = a_i - a_j, and
-      ``E``, the (n, n) table |e_i - e_j|^2;
-    - the weighting tables, each built on its first read and each ending in
-      a row of ones, so one matrix product with a block's softmax numerators
-      also gives their column sums: ``mean_weights`` = [(t / s2) c^T; a; 1]
-      for :func:`posterior_mean` and ``trace_weights`` = [E; a t; 1] for
-      :func:`_pair_spread`;
-    - the call's one weighting buffer, a (k, rows) :meth:`workspace` for
-      each block's product, which a kernel takes before its numerators.
-
-    Raises ValueError unless ``t`` is positive and finite, for which the
-    weights would be nan or silently wrong.
-    """
-
-    def __init__(self, dist: TargetDistribution, t: float):
-        _check_noise(t)
-        weights, centers, variances = _components(dist)
-        self.t, self.dim, self.n, self.centers = t, centers.shape[1], weights.size, centers
-        self.s2 = s2 = variances + t
-        # -0.5/s2 is -inf only for atoms at t below 2.8e-309, which take the
-        # shared-variance softmax; only _info reads it, and its t is 1/gamma
-        with np.errstate(over="ignore"):
-            self.logits = lt = _logit_terms(weights, centers, s2)
-        self.shared = not np.any(variances != variances[0])
-        if self.shared:
-            self.half_cc, self.log_w = 0.5 * lt.cc, lt.log_w[:, None]
-            with np.errstate(over="ignore"):
-                inv = 1.0 / s2[0]
-            self.scale_by = (np.multiply, inv) if math.isfinite(inv) else (np.true_divide, s2[0])
-        self.a = variances / s2
-        self._work = np.empty(0)
-
-    def workspace(self, k: int, rows: int) -> np.ndarray:
-        """A (k, rows) view of the call's one weighting buffer, grown first if smaller."""
-        if self._work.size < k * rows:
-            self._work = np.empty(k * rows)
-        return self._work[: k * rows].reshape(k, rows)
-
-    @cached_property
-    def e(self) -> np.ndarray:
-        return (self.t / self.s2)[:, None] * self.logits.Cc
-
-    @cached_property
-    def tilt(self):
-        a = self.a
-        if not np.any(a != a[0]):
-            return None
-        g = a[:, None] - a[None, :]
-        return g, g * g
-
-    @cached_property
-    def E(self) -> np.ndarray:
-        # row by row, so no (n, n, d) array of differences is built
-        e = self.e
-        E = np.empty((self.n, self.n))
-        for row, ei in zip(E, e):
-            diff = e - ei
-            np.einsum("nd,nd->n", diff, diff, out=row)
-        return E
-
-    @cached_property
-    def mean_weights(self) -> np.ndarray:
-        b = (self.t / self.s2)[:, None] * self.centers
-        return np.vstack([b.T, self.a, np.ones(self.n)])
-
-    @cached_property
-    def trace_weights(self) -> np.ndarray:
-        return np.vstack([self.E, self.a * self.t, np.ones(self.n)])
 
 
 def _numerators(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
@@ -208,21 +115,20 @@ def _numerators(table: _KernelTable, XT: np.ndarray) -> np.ndarray:
     components are left out: one matrix product c~_i.x~ - |c~_i|^2 / 2 is
     shifted by its column max, then scaled by 1/s2 and given log w_i, so the
     weights still decide exact ties at tiny t and no |x~|^2 is formed (as
-    :func:`_pair_spread` skips its x terms when the a_i are equal). Every
-    x-free term comes from ``table``, the :class:`_KernelTable` of (dist, t).
+    :func:`_pair_spread` skips its x terms then). Every x-free term comes
+    from ``table``, the :class:`snrsched.targets._KernelTable` of (dist, t).
     Raises ValueError, counting them, for points whose column max is not
     finite: a point that is not finite, or whose logits overflow.
     """
-    lt = table.logits
     # quiet: a point that overflows leaves a non-finite column max, which
     # raises, and a finite shifted logit past -1.8e308 / s2 scales to -inf
     with np.errstate(over="ignore", invalid="ignore"):
         if not table.shared:
-            r = _component_logits(lt, XT)
+            r = _component_logits(table, XT)
         else:
             # one s2 for all: |x~|^2 / (2 s2) and log s2 cancel, leaving
             # (c~.x~ - |c~|^2 / 2) / s2 + log w, shifted before it is scaled
-            r = lt.Cc @ (XT - lt.mu[:, None])
+            r = table.Cc @ (XT - table.mu[:, None])
             r -= table.half_cc
         top = r.max(axis=0)
         # one dot product screens the block; only a non-finite one (or a
@@ -258,7 +164,7 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
     The responsibility-weighted conjugate means, sum_i r_i (v_i x + t c_i) / s2_i,
     so no (m, n, d) tensor is built. With p the softmax numerators of
     :func:`_numerators`, one matrix product of ``mean_weights`` of
-    :class:`_KernelTable` with p gives
+    :class:`snrsched.targets._KernelTable` with p gives
     M = [sum_i p_i (t / s2_i) c_i; sum_i p_i a_i; sum_i p_i], and the result
     is (M[d] x + M[:d]) / M[d + 1]: only these d + 2 sums per point are
     normalized. The rows run in blocks of :func:`snrsched.targets._row_blocks`
@@ -271,19 +177,21 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
 
     ``out``, if given, is a float (m, d) array that receives the result (and
     is returned); by default it is a new array in the memory order of ``X``.
-    ``out`` may be ``X`` itself, since each block reads its points before it
-    writes them, but no other array whose memory overlaps ``X``'s. Raises
-    ValueError for such an ``out``, unless ``t`` is positive and finite, and
-    for a point whose posterior is not finite (see :func:`_numerators`).
+    Its memory must not overlap ``X``'s, ``X`` itself included: a point
+    rejected in a later block would leave the earlier blocks of ``X``
+    overwritten. Raises ValueError before any block runs for such an ``out``
+    or a ``t`` that is not positive and finite, and for a point whose
+    posterior is not finite (see :func:`_numerators`).
     """
-    table = _KernelTable(dist, t)
+    _check_noise(t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if out is None:
         out = np.empty_like(X)
     elif out.shape != X.shape:
         raise ValueError(f"out has shape {out.shape}, expected {X.shape}")
-    elif np.shares_memory(out, X) and (out.ctypes.data, out.strides) != (X.ctypes.data, X.strides):
-        raise ValueError("out overlaps X without being X; pass X itself or a separate array")
+    elif np.shares_memory(out, X):
+        raise ValueError("out overlaps X; pass a separate array")
+    table = _KernelTable(dist, t)
     W, d = table.mean_weights, table.dim
     blocks = list(_row_blocks(X.shape[0], table.n + d + 2))
     table.workspace(d + 2, max(b.stop - b.start for b in blocks))  # sized before the first block
@@ -291,7 +199,7 @@ def posterior_mean(dist: TargetDistribution, t: float, X, out=None) -> np.ndarra
         XT, block = X[rows].T, out[rows].T
         # the numerators are freed once the product is in the workspace
         M = np.matmul(W, _numerators(table, XT), out=table.workspace(d + 2, XT.shape[1]))
-        np.multiply(M[d], XT, out=block)  # reads each point before it is overwritten
+        np.multiply(M[d], XT, out=block)
         block += M[:d]
         block /= M[d + 1]
     return out
@@ -315,14 +223,14 @@ def _pair_spread(table: _KernelTable, XT: np.ndarray):
     With r = p / S, p the softmax numerators of :func:`_numerators` and S
     their column sums, the trace is ((1/2) p.(D p) / S + d sum_i p_i a_i t) / S,
     so only (rows,) sums are divided. One matrix product of ``trace_weights``
-    of ``table``, the :class:`_KernelTable` of (dist, t), with p gives
-    M = [E p; (a t).p; S] with E_ij = |e_i - e_j|^2; the x terms of D p,
-    linear in p, are added to M[:n] only when the a_i (component variances)
+    of ``table``, the :class:`snrsched.targets._KernelTable` of (dist, t),
+    with p gives M = [E p; (a t).p; S] with E_ij = |e_i - e_j|^2; the x terms
+    of D p, linear in p, are added to M[:n] only when the component variances
     differ. Arrays are component-major (n, rows) temporaries, so callers pass
     one row block at a time, the block's points the columns of ``XT``
     (d, rows); M is the table's workspace, which the next block overwrites.
-    Returns (trace, p, M, tilt): tilt is None when the a_i are all equal,
-    else (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
+    Returns (trace, p, M, tilt): tilt is None when the variances are all
+    equal, else (|x~|^2, P, g) with P_im = e_i.x~_m and g_ij = a_i - a_j.
     """
     n = table.n
     M = table.workspace(n + 2, XT.shape[1])  # before p, so a grown buffer sits below it
@@ -331,7 +239,7 @@ def _pair_spread(table: _KernelTable, XT: np.ndarray):
     tilt = None
     if table.tilt is not None:
         g, gg = table.tilt
-        Xc = XT - table.logits.mu[:, None]
+        Xc = XT - table.mu[:, None]
         xx = np.einsum("dm,dm->m", Xc, Xc, order="F")  # as in _component_logits
         P = table.e @ Xc
         M[:n] += xx * (gg @ p) + 2.0 * (P * (g @ p) - g @ (p * P))
@@ -363,6 +271,7 @@ def posterior_cov_stats(dist: TargetDistribution, t: float, X):
     trace : (m,) array of tr Cov(Z | X_t = x).
     frob_sq : (m,) array of tr( Cov(Z | X_t = x)^2 ).
     """
+    _check_noise(t)
     table = _KernelTable(dist, t)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return tuple(_map_rows(X, table.E.size, lambda XT: _cov_stats(table, XT)))
@@ -564,7 +473,7 @@ def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, s
     table = _KernelTable(dist, t)
 
     def neg_log_r(XT, i):
-        lr = _component_logits(table.logits, XT)
+        lr = _component_logits(table, XT)
         lr -= lr.max(axis=0)
         lr -= np.log(np.exp(lr).sum(axis=0))
         # exp(lr) is 0 below -746, so the clip only keeps 0 * -inf out
@@ -688,11 +597,14 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
     posterior w(X) over atoms, so the moment is the conditional form
     E_X sum_ij w_i(X) w_j(X) |z_i - z_j|^4, which the Monte Carlo rule of
     :func:`_expect` averages over X. |z_i - z_j|^2 is the pair table E of
-    :class:`_KernelTable` (t / s2 = 1 for atoms), and one table serves the
-    responsibilities too. Finite discrete targets only. Returns (value, stderr).
+    :class:`snrsched.targets._KernelTable` (t / s2 = 1 for atoms), and one
+    table serves the responsibilities too. Finite discrete targets only.
+    Raises ValueError unless ``t`` is positive and finite. Returns
+    (value, stderr).
     """
     if not isinstance(dist, FiniteDiscrete):
         raise TypeError("posterior_fourth_moment requires a FiniteDiscrete target")
+    _check_noise(t)
     table = _KernelTable(dist, t)
     d4 = table.E**2
 

@@ -61,13 +61,19 @@ class SnrGrid:
     """Strictly increasing SNR knots gamma_0 < ... < gamma_K.
 
     The endpoint data follow from the knots: T = 1/gamma_0, delta = 1/gamma_K
-    and Lambda = gamma_K/gamma_0.
+    and Lambda = gamma_K/gamma_0. A first knot whose 1/gamma_0 overflows
+    (gamma_0 below about 5.6e-309) is rejected, so every noise scale 1/gamma_k
+    of the grid is finite.
     """
 
     gammas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gammas", _knots(self.gammas, "an SNR grid"))
+        g = _knots(self.gammas, "an SNR grid")
+        g0 = float(g[0])
+        if math.isinf(1.0 / g0):  # Python floats overflow without a warning
+            raise ValueError(f"an SNR grid's first knot gamma_0 = {g0!r} puts T = 1/gamma_0 at inf")
+        object.__setattr__(self, "gammas", g)
 
     @property
     def K(self) -> int:

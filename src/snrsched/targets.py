@@ -15,6 +15,13 @@ sub-exponential fit of the surprisal -log p_i) are defined for the discrete
 family only; differential entropy of the mixture family is deliberately out
 of scope.
 
+The component-logit kernel that every posterior computation reads lives
+here too: :class:`_KernelTable` builds the terms of one (target, t) that do
+not depend on x, once, :func:`_component_logits` turns a block of points
+into the (components x points) logits that ``GaussianMixture.log_prob`` (at
+t = 0) and :mod:`snrsched.channel` read, and :func:`_map_rows` runs a block
+kernel over the row blocks of a batch.
+
 Determinism policy: all sums over atoms are taken in ascending-probability
 order with exact compensated summation (``math.fsum``), so entropy values are
 bit-identical under atom permutations and across platforms.
@@ -25,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -76,41 +83,123 @@ def _check_spread(c: np.ndarray, w: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} {far[0]} is too far from the weighted mean: 4 |c - cbar|^2 overflows")
 
 
-class _LogitTerms(NamedTuple):
-    """The x-free terms of :func:`_component_logits` for one (weights, centers, s2)."""
+def _components(dist: TargetDistribution):
+    """(weights, centers, variances) of ``dist`` as an isotropic mixture.
 
-    mu: np.ndarray  # (d,) weighted center mean
-    Cc: np.ndarray  # (n, d) centers centered on mu, c~
-    m2Cc: np.ndarray  # (n, d) -2 c~
-    cc: np.ndarray  # (n, 1) |c~|^2
-    scale: np.ndarray  # (n, 1) -0.5 / s2
-    log_w: np.ndarray  # (n,) log w
-    bias: np.ndarray  # (n, 1) log w - (d/2) log s2
-
-
-def _logit_terms(weights, centers, s2) -> _LogitTerms:
-    """Build :class:`_LogitTerms` once, for every row block a caller runs."""
-    mu = weights @ centers
-    Cc = centers - mu
-    log_w = np.log(weights)
-    return _LogitTerms(
-        mu,
-        Cc,
-        -2.0 * Cc,
-        np.einsum("nd,nd->n", Cc, Cc)[:, None],
-        (-0.5 / s2)[:, None],
-        log_w,
-        (log_w - 0.5 * centers.shape[1] * np.log(s2))[:, None],
-    )
+    A finite discrete target is the mixture whose components have zero
+    variance, so one kernel table serves both target families.
+    """
+    if isinstance(dist, FiniteDiscrete):
+        return dist.probs, dist.points, np.zeros(dist.n_atoms)
+    return dist.weights, dist.means, dist.sigmas**2
 
 
-def _component_logits(terms: _LogitTerms, XT) -> np.ndarray:
+class _KernelTable:
+    """The x-free terms of the component-logit kernel for one (target, t).
+
+    The one place that derives a term of :func:`_component_logits` or of the
+    posterior kernels of :mod:`snrsched.channel` that does not depend on x;
+    ``GaussianMixture.log_prob`` reads the table at t = 0. A call builds one
+    table and hands it to each row block and node batch it runs, so these
+    terms are derived once per (target, t), not once per block. With
+    s2_i = v_i + t, the variance of X_t given component i:
+
+    - the logit terms: the weighted center mean ``mu``, ``Cc`` = c~ = c - mu,
+      ``m2Cc`` = -2 c~, ``cc`` = |c~|^2, ``scale`` = -0.5/s2, ``log_w`` and
+      ``bias`` = log w - (d/2) log s2, the last four (n, 1) columns;
+    - ``shared``: whether every component has one variance, and if so
+      ``half_cc`` = |c~|^2 / 2 and ``scale_by``, the in-place ufunc and
+      operand that scale the shifted logits by 1/s2 (a division by s2 where
+      1/s2 overflows, t below about 5.6e-309), for the shared-variance
+      softmax of :func:`snrsched.channel._numerators`;
+    - ``a`` = v / s2, the weight of x in each conjugate mean;
+    - the pair terms of :func:`snrsched.channel._pair_spread`, each built on
+      its first read, so the denoiser and the mutual information, which read
+      none of them, do not pay the n einsum rows of E: ``e`` = (t / s2) c~,
+      ``tilt``, None when ``shared``, else (g, g * g) with g_ij = a_i - a_j,
+      and ``E``, the (n, n) table |e_i - e_j|^2;
+    - the weighting tables, each built on its first read and each ending in
+      a row of ones, so one matrix product with a block's softmax numerators
+      also gives their column sums: ``mean_weights`` = [(t / s2) c^T; a; 1]
+      for the denoiser and ``trace_weights`` = [E; a t; 1] for the trace;
+    - the call's one weighting buffer, a (k, rows) :meth:`workspace` for
+      each block's product, which a kernel takes before its numerators.
+
+    The table does not check ``t``: ``log_prob`` builds it at t = 0 for a
+    mixture, whose s2 = sigma^2 is positive, and every public kernel of
+    :mod:`snrsched.channel` that takes t from a caller, and every oracle's
+    1/gamma, is checked positive and finite before its table is built.
+    """
+
+    def __init__(self, dist: TargetDistribution, t: float):
+        weights, centers, variances = _components(dist)
+        self.t, self.dim, self.n, self.centers = t, centers.shape[1], weights.size, centers
+        self.s2 = s2 = variances + t
+        self.mu = weights @ centers
+        self.Cc = Cc = centers - self.mu
+        self.m2Cc = -2.0 * Cc
+        self.cc = np.einsum("nd,nd->n", Cc, Cc)[:, None]
+        # -0.5/s2 is -inf only for atoms at t below 2.8e-309, which take the
+        # shared-variance softmax; only the mutual information reads it, and
+        # its t is 1/gamma
+        with np.errstate(over="ignore"):
+            self.scale = (-0.5 / s2)[:, None]
+        self.log_w = log_w = np.log(weights)[:, None]
+        self.bias = log_w - 0.5 * self.dim * np.log(s2)[:, None]
+        self.shared = not np.any(variances != variances[0])
+        if self.shared:
+            self.half_cc = 0.5 * self.cc
+            with np.errstate(over="ignore"):
+                inv = 1.0 / s2[0]
+            self.scale_by = (np.multiply, inv) if math.isfinite(inv) else (np.true_divide, s2[0])
+        self.a = variances / s2
+        self._work = np.empty(0)
+
+    def workspace(self, k: int, rows: int) -> np.ndarray:
+        """A (k, rows) view of the call's one weighting buffer, grown first if smaller."""
+        if self._work.size < k * rows:
+            self._work = np.empty(k * rows)
+        return self._work[: k * rows].reshape(k, rows)
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        return (self.t / self.s2)[:, None] * self.Cc
+
+    @cached_property
+    def tilt(self):
+        if self.shared:
+            return None
+        g = self.a[:, None] - self.a[None, :]
+        return g, g * g
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        # row by row, so no (n, n, d) array of differences is built
+        e = self.e
+        E = np.empty((self.n, self.n))
+        for row, ei in zip(E, e):
+            diff = e - ei
+            np.einsum("nd,nd->n", diff, diff, out=row)
+        return E
+
+    @cached_property
+    def mean_weights(self) -> np.ndarray:
+        b = (self.t / self.s2)[:, None] * self.centers
+        return np.vstack([b.T, self.a, np.ones(self.n)])
+
+    @cached_property
+    def trace_weights(self) -> np.ndarray:
+        return np.vstack([self.E, self.a * self.t, np.ones(self.n)])
+
+
+def _component_logits(table: _KernelTable, XT) -> np.ndarray:
     """(n, m) logits log w_i - |x - c_i|^2 / (2 s2_i) - (d/2) log s2_i.
 
     These are the log-weights of the components N(c_i, s2_i I) at each column
     of ``XT`` (d, m), one point per column, up to the shared -(d/2) log 2 pi.
-    ``terms`` is :func:`_logit_terms` of (weights, centers, s2), which holds
-    every term that does not depend on x, so a caller builds it once.
+    ``table`` is the :class:`_KernelTable` of (target, t), s2_i = v_i + t,
+    which holds every term that does not depend on x, so a caller builds it
+    once.
     The squared distances come from one matrix product, |x|^2 - 2 x.c + |c|^2
     clipped at 0, so no (m, n, d) array is built. The expansion cancels its
     terms against each other and so rounds at about eps (|x|^2 + |c|^2); X and
@@ -126,13 +215,13 @@ def _component_logits(terms: _LogitTerms, XT) -> np.ndarray:
     way, and |x~|^2 is summed over d = 0, 1, ... in turn for every layout,
     since ``order="F"`` makes einsum loop over the points innermost.
     """
-    Xc = XT - terms.mu[:, None]
-    sq = terms.m2Cc @ Xc
+    Xc = XT - table.mu[:, None]
+    sq = table.m2Cc @ Xc
     sq += np.einsum("dm,dm->m", Xc, Xc, order="F")
-    sq += terms.cc
+    sq += table.cc
     np.maximum(sq, 0.0, out=sq)
-    sq *= terms.scale
-    sq += terms.bias
+    sq *= table.scale
+    sq += table.bias
     return sq
 
 
@@ -233,7 +322,8 @@ class GaussianMixture:
     def log_prob(self, x) -> np.ndarray:
         """Exact log-density at points ``x`` of shape (m, d) or (d,).
 
-        The log-sum-exp of :func:`_component_logits`, with the largest logit
+        The log-sum-exp of :func:`_component_logits` over the
+        :class:`_KernelTable` of (self, t = 0), with the largest logit
         factored out so far-tail points stay finite, minus (d/2) log 2 pi.
         A point whose every logit overflows to -inf (|x~|^2 / (2 sigma^2)
         past float64, as for circle8 at (1e160, 0)) gets -inf, the limit,
@@ -241,12 +331,12 @@ class GaussianMixture:
         (m,) result it holds one block's (n, rows) logits.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        terms = _logit_terms(self.weights, self.means, self.sigmas**2)
+        table = _KernelTable(self, 0.0)
         log_norm = 0.5 * self.dim * math.log(2.0 * math.pi)
 
         def block(XT):
             with np.errstate(over="ignore", divide="ignore"):
-                logits = _component_logits(terms, XT)
+                logits = _component_logits(table, XT)
                 # a finite shift for an all -inf column, whose log(0) is then -inf
                 top = np.maximum(logits.max(axis=0), _LOWEST)
                 logits -= top

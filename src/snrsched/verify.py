@@ -22,7 +22,6 @@ import numpy as np
 
 from .channel import (
     MmseCurve,
-    _KernelTable,
     _responsibilities,
     mmse,
     mmse_derivative,
@@ -30,7 +29,7 @@ from .channel import (
 )
 from .functionals import disc_error
 from .schedules import grid_geometric
-from .targets import FiniteDiscrete, fit_subexponential, renyi_half_entropy, shannon_entropy
+from .targets import FiniteDiscrete, _KernelTable, fit_subexponential, renyi_half_entropy, shannon_entropy
 
 __all__ = ["run_checks"]
 

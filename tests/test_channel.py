@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -43,7 +43,7 @@ from snrsched.channel import (
 )
 from snrsched import _gauss_hermite, targets
 from snrsched.functionals import disc_error
-from snrsched.targets import _component_logits, _logit_terms, build_toy, shannon_entropy, toy_discrete
+from snrsched.targets import _component_logits, build_toy, shannon_entropy, toy_discrete
 
 TWO = FiniteDiscrete(points=[[-1.0], [1.0]], probs=[0.5, 0.5])
 POINT = FiniteDiscrete(points=[[2.0, -1.0]], probs=[1.0])
@@ -175,7 +175,7 @@ def test_shared_variance_softmax_matches_exact_logits(dist):
         assert np.all(np.isfinite(r))
         np.testing.assert_allclose(r.sum(axis=0), 1.0, rtol=0, atol=4 * eps)
         with np.errstate(all="ignore"):
-            g = _component_logits(_logit_terms(weights, centers, variances + t), X.T)
+            g = _component_logits(_KernelTable(dist, t), X.T)
             g -= g.max(axis=0)
             np.exp(g, out=g)
             g /= g.sum(axis=0)
@@ -231,14 +231,15 @@ def test_posterior_mean_batched_matches_pointwise():
 @pytest.mark.parametrize("dist", [
     build_toy("circle8"), GaussianMixture([0.5, 0.5], [[-1.0, 0.5], [1.5, -0.5]], [1.0, 2.0]),
 ], ids=["circle8", "two_sigmas"])
-def test_posterior_mean_written_over_its_input(dist, order):
-    # each block must read its points before it writes over them; a kernel
-    # that wrote the center term first was up to 0.70 off here on circle8
-    # and 8.6 off on the two-sigma mixture
+def test_posterior_mean_rejects_its_input_as_out(dist, order):
+    # an in-place denoise that rejected a point in a later block would leave
+    # the earlier blocks of X already denoised, so out=X is refused up front
     X = np.asarray(3.0 * np.random.default_rng(4).normal(size=(300, 2)), order=order)
-    want = posterior_mean(dist, 0.5, X)
-    assert posterior_mean(dist, 0.5, X, out=X) is X
-    assert np.array_equal(X, want)
+    before = X.copy()
+    for out in (X, X.view()):
+        with pytest.raises(ValueError, match="overlaps"):
+            posterior_mean(dist, 0.5, X, out=out)
+    assert np.array_equal(X, before)
 
 
 def test_posterior_mean_rejects_an_out_that_partly_overlaps_x():
@@ -251,9 +252,6 @@ def test_posterior_mean_rejects_an_out_that_partly_overlaps_x():
         with pytest.raises(ValueError, match="overlaps"):
             posterior_mean(dist, 0.5, X, out=out)
     assert np.array_equal(X, before)
-    # a second view with X's own layout is X itself
-    want = posterior_mean(dist, 0.5, before)
-    assert np.array_equal(posterior_mean(dist, 0.5, X, out=X.view()), want)
 
 
 def test_posterior_dimension_free_under_isometric_embedding():
@@ -767,21 +765,38 @@ def _posterior_cases(draw):
     return dist, weights, centers, variances, t, np.asarray(X, order=draw(st.sampled_from("CF")))
 
 
+_ATOMS = np.array([[0.0, 2.0, -1.0], [1.0, -2.0, 2.0]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_posterior_cases())
+# the second atom's weight, 1.4e-316, is subnormal, and so is the trace,
+# 3.5e-315: the kernel and the oracle read 26 units of 2^-1074 apart
+@example((FiniteDiscrete(points=_ATOMS, probs=[0.5, 0.5]), np.array([0.5, 0.5]), _ATOMS,
+          np.zeros(2), 0.018434229924091106, np.array([[0.0, 2.0, -1.1357727142105185]])))
 def test_posterior_kernels_match_the_per_component_oracle_anywhere(case):
     # the kernels normalize only their per-point sums; checked at every t
     # from 1e-300 to 1e8 and in both memory orders, at the oracle test's
     # bands. The oracle takes each mu_i - m in difference form, so its trace
     # holds where the posterior means nearly coincide (t below about 1e-16
-    # on a mixture) and is compared with no absolute slack
+    # on a mixture) and is compared at rtol alone down to the subnormal range.
+    # There (atoms, every weight p_j but the top one below 2^-1022) each side
+    # rounds each p_j to the 2^-1074 grid, half a unit, and the trace weighs
+    # it by at most D = max |c_i - c_j|^2; each side also rounds every
+    # subnormal product it forms by half a unit: the kernel's n^2 in E p, n
+    # in p.(E p), its halving and two divisions by S, the oracle's n d in its
+    # deviations and n d on its diagonal. So the two differ by at most
+    # k = (n - 1) D + (n^2 + n + 3 + 2 n d) / 2 units of 2^-1074
     dist, weights, centers, variances, t, X = case
+    n, d = centers.shape
+    D = max(float(np.sum((ci - cj) ** 2)) for ci in centers for cj in centers)
+    k = (n - 1) * D + (n * n + n + 3 + 2 * n * d) / 2
     means = posterior_mean(dist, t, X)
     tr, fr = posterior_cov_stats(dist, t, X)
     for i, x in enumerate(X):
         _, mean, o_tr, o_fr = mixture_posterior_moments(weights, centers, variances, t, x)
         np.testing.assert_allclose(means[i], mean, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(tr[i], o_tr, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(tr[i], o_tr, rtol=1e-10, atol=k * 2.0**-1074)
         np.testing.assert_allclose(fr[i], o_fr, rtol=1e-10, atol=1e-14)
 
 
@@ -1154,13 +1169,13 @@ def test_posterior_mean_builds_one_table_without_pairs_over_many_blocks(table_bu
 
 def test_log_prob_builds_its_logit_terms_once_over_many_blocks(monkeypatch):
     builds = []
-    build = targets._logit_terms
+    build = targets._KernelTable
 
     def counting(*args):
         builds.append(1)
         return build(*args)
 
-    monkeypatch.setattr(targets, "_logit_terms", counting)
+    monkeypatch.setattr(targets, "_KernelTable", counting)
     monkeypatch.setattr(targets, "_BLOCK_ELEMS", 8 * 300)
     assert len(list(targets._row_blocks(1000, 8))) >= 3
     build_toy("grid8").log_prob(np.random.default_rng(5).normal(size=(1000, 2)))
@@ -1172,16 +1187,21 @@ def test_log_prob_builds_its_logit_terms_once_over_many_blocks(monkeypatch):
                          ids=["circle8_discrete", "circle8", "tilted"])
 def test_kernel_table_matches_per_call_terms_bit_for_bit(dist, t):
     # the shared-variance softmax (both circle8s) and the general one (tilted),
-    # against references that derive every x-free term inside the call
+    # against references that derive every x-free term inside the call; a
+    # mixture's t = 0 table holds the logits GaussianMixture.log_prob reads
     weights, centers, variances = _components(dist)
     X = np.concatenate([centers, centers[0] + 3.0 * np.random.default_rng(8).normal(size=(40, 2))])
     table = _KernelTable(dist, t)
+    density = _KernelTable(dist, 0.0) if isinstance(dist, GaussianMixture) else None
     for Xo in (np.ascontiguousarray(X), np.asfortranarray(X)):
         XT = Xo.T
+        if density is not None:
+            assert np.array_equal(_component_logits(density, XT),
+                                  per_call_logits(weights, centers, variances, XT))
         assert np.array_equal(_responsibilities(table, XT),
                               per_call_responsibilities(weights, centers, variances, t, XT))
         with np.errstate(over="ignore", invalid="ignore"):  # -0.5/s2 is -inf for atoms at 5e-324
-            assert np.array_equal(_component_logits(table.logits, XT),
+            assert np.array_equal(_component_logits(table, XT),
                                   per_call_logits(weights, centers, variances + t, XT), equal_nan=True)
         assert np.array_equal(posterior_mean(dist, t, Xo),
                               per_call_posterior_mean(weights, centers, variances, t, Xo))
@@ -1224,8 +1244,15 @@ def test_x_free_terms_are_derived_only_in_the_table_builders():
 
     found = _x_free_derivations(targets.__file__) + _x_free_derivations(channel.__file__)
     assert {what for _, what in found} == {"weights @ centers", "np.log(weights)", "equality test"}
-    # the table class builds its terms in __init__ and in its lazy pair terms
-    assert {where.split(".")[0] for where, _ in found} == {"_logit_terms", "_KernelTable"}
+    # one builder, targets._KernelTable, in its __init__ and its lazy pair terms
+    assert {where.split(".")[0] for where, _ in found} == {"_KernelTable"}
+    for gone in ("_LogitTerms", "_logit_terms"):
+        assert not hasattr(targets, gone), gone
+    # channel imports the table and _components; it defines neither
+    defs = [node for node in ast.parse(Path(channel.__file__).read_text()).body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
+    assert not [node.name for node in defs if isinstance(node, ast.ClassDef) and "Table" in node.name]
+    assert "_components" not in {node.name for node in defs}
 
 
 def _row_block_callers():

@@ -1342,7 +1342,7 @@ def test_simulate_rejects_overflowing_grid_before_sampling(tmp_path, capsys, mon
         assert main(argv) == 2
     assert calls == []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "step 1 of the grid" in capsys.readouterr().err
+    assert "gamma_0 = 1e-320" in capsys.readouterr().err
     assert not out.exists()
 
 

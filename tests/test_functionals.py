@@ -66,6 +66,9 @@ def test_grid_rejects_non_ascending():
         SnrGrid([-1.0, 1.0])
     with pytest.raises(ValueError):
         SnrGrid([1.0, math.inf])
+    # T = 1/gamma_0 would be inf, and so would the sampler's first step
+    with pytest.raises(ValueError, match=r"gamma_0 = 1e-320 puts T"):
+        SnrGrid([1e-320, 1.0])
 
 
 # ---------------------------------------------------------------------------
