@@ -403,7 +403,10 @@ def _mc_expect(dist: TargetDistribution, t: float, f, n_samples: int, seed):
     for done in range(0, n_samples, _CHUNK):
         m = min(_CHUNK, n_samples - done)
         Z = dist.sample(m, rng)
-        X = Z + math.sqrt(t) * rng.standard_normal(Z.shape)
+        # Z + sqrt(t) * noise, built in the noise array: two (m, d) arrays, not four
+        X = rng.standard_normal(Z.shape)
+        X *= math.sqrt(t)
+        X += Z
         chunks.append(f(X, None))
     return tuple(_mean_se(np.concatenate(col)) for col in zip(*chunks))
 

@@ -63,7 +63,10 @@ class SnrGrid:
     The endpoint data follow from the knots: T = 1/gamma_0, delta = 1/gamma_K
     and Lambda = gamma_K/gamma_0. A first knot whose 1/gamma_0 overflows
     (gamma_0 below about 5.6e-309) is rejected, so every noise scale 1/gamma_k
-    of the grid is finite.
+    of the grid is finite. A knot gamma_k whose noise scale 1/gamma_k rounds
+    to 1/gamma_{k-1}, as it can where 1/gamma is subnormal or for knots one
+    unit in the last place apart, is rejected too, naming k, so every step of
+    the sampler has 0 < t_next < t_prev.
     """
 
     gammas: np.ndarray
@@ -73,6 +76,13 @@ class SnrGrid:
         g0 = float(g[0])
         if math.isinf(1.0 / g0):  # Python floats overflow without a warning
             raise ValueError(f"an SNR grid's first knot gamma_0 = {g0!r} puts T = 1/gamma_0 at inf")
+        t = 1.0 / g
+        same = np.flatnonzero(t[1:] >= t[:-1])
+        if same.size:
+            k = int(same[0]) + 1
+            raise ValueError(f"an SNR grid's knots gamma_{k - 1} = {float(g[k - 1])!r} and "
+                             f"gamma_{k} = {float(g[k])!r} have the same noise scale "
+                             f"1/gamma = {float(t[k])!r}, so step {k} of the grid is empty")
         object.__setattr__(self, "gammas", g)
 
     @property

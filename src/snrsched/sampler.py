@@ -75,33 +75,50 @@ class SamplerConfig:
 def reverse_step(state, t_prev: float, t_next: float, anchor, noise, out=None):
     """One exact frozen-drift transition from noise scale t_prev down to t_next.
 
-    ``state``, ``anchor`` and ``noise`` broadcast together; ``noise`` should
-    be standard normal. Requires 0 < t_next < t_prev. The result
-    anchor + (t_next / t_prev) (state - anchor) + std * noise is built by the
-    operations of that expression in its order, in ``out``: by default a new
-    C-ordered array of the broadcast shape of all three inputs, else a float
+    ``state``, ``anchor`` and an array ``noise`` broadcast together; ``noise``
+    should be standard normal. ``noise`` may instead be a
+    ``numpy.random.Generator``, which advances by ``out.size`` draws: each row
+    block draws its normals in C order into one block buffer, reused across
+    the call, so the values and the generator's end state are those of
+    ``noise.standard_normal(out.shape)``. Requires 0 < t_next < t_prev. The
+    result anchor + (t_next / t_prev) (state - anchor) + std * noise is built
+    by the operations of that expression in its order, in ``out``: by default
+    a new C-ordered array of the broadcast shape of the inputs, else a float
     array of that shape, which is returned. ``out`` may be ``state`` itself
     (an in-place step) but must not overlap ``anchor`` or ``noise``; no input
     other than ``out`` is modified. The only temporary is std * noise, one
     row block of :func:`snrsched.targets._row_blocks` at a time. The
-    operations run in the memory order of ``out``, so a C-ordered noise array
+    operations run in the memory order of ``out``, so a C-ordered noise block
     steps a column-major state along its columns.
     """
     if not 0 < t_next < t_prev:
         raise ValueError("need 0 < t_next < t_prev")
     state = np.asarray(state, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    draw = isinstance(noise, np.random.Generator)
+    if not draw:
+        noise = np.asarray(noise, dtype=float)
     if out is None:
-        out = np.empty(np.broadcast_shapes(state.shape, anchor.shape, noise.shape))
+        out = np.empty(np.broadcast_shapes(state.shape, anchor.shape, () if draw else noise.shape))
     order = "F" if out.flags.f_contiguous else "K"
     np.subtract(state, anchor, out=out, order=order)
     np.multiply(out, t_next / t_prev, out=out, order=order)
     np.add(out, anchor, out=out, order=order)
     # std * noise one row block at a time, so the temporary stays small and in cache
-    std, noise = _step_std(t_prev, t_next), np.broadcast_to(noise, out.shape)
-    for rows in _row_blocks(out.shape[0], math.prod(out.shape[1:])) if out.ndim else [...]:
-        np.add(out[rows], std * noise[rows], out=out[rows], order=order)
+    std = _step_std(t_prev, t_next)
+    blocks = list(_row_blocks(out.shape[0], math.prod(out.shape[1:]))) if out.ndim else [...]
+    if draw:  # one C-ordered buffer for the largest block
+        buf = np.empty(max(out[rows].size for rows in blocks))
+    else:
+        noise = np.broadcast_to(noise, out.shape)
+    for rows in blocks:
+        if draw:  # the block's normals in the C order of standard_normal(out.shape)
+            term = buf[: out[rows].size].reshape(out[rows].shape)
+            noise.standard_normal(out=term)
+            term *= std
+        else:
+            term = std * noise[rows]
+        np.add(out[rows], term, out=out[rows], order=order)
     return out
 
 
@@ -149,6 +166,12 @@ def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:
 
 
 def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
+    """The chain's (m, d) state at t = delta, column-major.
+
+    Each step passes the step generator to :func:`reverse_step` as its noise,
+    which advances it by m d draws; the (m, d) error buffer exists only when
+    ``cfg.sigma_err > 0``.
+    """
     t = 1.0 / grid.gammas  # descending from T to delta
     ell = np.log(grid.gammas)  # ascending log-SNR along the run
     K = grid.K
@@ -159,18 +182,18 @@ def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
     # column-major, so the denoiser's row blocks transpose to contiguous
-    # (d, rows) arrays; the noise buffer is C-ordered, so draws keep their values
+    # (d, rows) arrays; the error buffer is C-ordered, so draws keep their values
     Y = np.asfortranarray(_init_state(dist, grid.T, cfg, init_rng))
-    noise = np.empty(Y.shape)
+    err = np.empty(Y.shape) if cfg.sigma_err > 0 else None
     # denoiser values; the second order keeps the previous one in the other
     # buffer and writes its extrapolated anchor over it
     evals = [np.empty_like(Y) for _ in range(2 if cfg.order == "second" else 1)]
     for k in range(1, K + 1):
         anchor = cur = posterior_mean(dist, t[k - 1], Y, out=evals[k % len(evals)])
-        if cfg.sigma_err > 0:
-            err_rng.standard_normal(out=noise)
-            noise *= cfg.sigma_err
-            np.add(cur, noise, out=cur, order="F")  # along cur's columns
+        if err is not None:
+            err_rng.standard_normal(out=err)
+            err *= cfg.sigma_err
+            np.add(cur, err, out=cur, order="F")  # along cur's columns
         if cfg.order == "second" and k > 1:
             # extrapolate to the interval midpoint in log-SNR: the slope,
             # times the step to the midpoint, plus cur, built over the
@@ -180,8 +203,7 @@ def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
             anchor /= ell[k - 1] - ell[k - 2]
             anchor *= 0.5 * (ell[k] + ell[k - 1]) - ell[k - 1]
             anchor += cur
-        step_rng.standard_normal(out=noise)
-        reverse_step(Y, t[k - 1], t[k], anchor, noise, out=Y)
+        reverse_step(Y, t[k - 1], t[k], anchor, step_rng, out=Y)
     return Y
 
 
@@ -225,11 +247,13 @@ def sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
 
     The (m, d) state is column-major (Fortran order) for the whole run, and
     so are the returned samples. Each step fills buffers made once per run:
-    the denoiser writes the anchor through ``posterior_mean(..., out=)``, the
-    noise is drawn into one C-ordered buffer, so each draw has the values of
-    a fresh ``standard_normal((m, d))``, and ``reverse_step(..., out=Y)``
-    steps the state in place. The samples are bit for bit those of the same
-    chain run on fresh C-ordered arrays.
+    the denoiser writes the anchor through ``posterior_mean(..., out=)``, and
+    ``reverse_step(..., out=Y)`` steps the state in place, drawing its noise
+    from the step generator, which advances by m d draws per step, one row
+    block at a time. Each step's noise, and the denoiser error of
+    ``cfg.sigma_err`` (drawn into one C-ordered buffer), has the values of a
+    fresh ``standard_normal((m, d))``, so the samples are bit for bit those
+    of the same chain run on fresh C-ordered arrays.
     """
     samples = _run(dist, grid, cfg)
     if not np.all(np.isfinite(samples)):

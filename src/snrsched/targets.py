@@ -327,8 +327,9 @@ class GaussianMixture:
         factored out so far-tail points stay finite, minus (d/2) log 2 pi.
         A point whose every logit overflows to -inf (|x~|^2 / (2 sigma^2)
         past float64, as for circle8 at (1e160, 0)) gets -inf, the limit,
-        and no warning. The rows run through :func:`_map_rows`, so beyond the
-        (m,) result it holds one block's (n, rows) logits.
+        and no warning. The rows run through :func:`_map_rows` at width
+        n + d, so beyond the (m,) result it holds one block's (n, rows)
+        logits and (d, rows) centered points.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         table = _KernelTable(self, 0.0)
@@ -343,7 +344,7 @@ class GaussianMixture:
                 np.exp(logits, out=logits)
                 return (top + np.log(logits.sum(axis=0)) - log_norm,)
 
-        return _map_rows(x, self.n_components, block)[0]
+        return _map_rows(x, self.n_components + self.dim, block)[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` exact samples, shape (n, d)."""

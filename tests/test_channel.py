@@ -390,6 +390,21 @@ def test_mmse_kernel_rows_are_the_pruned_grid(monkeypatch):
     assert rows == [2668] * 8
 
 
+@pytest.mark.parametrize("dist", [build_toy("grid8"), toy_discrete("circle8")], ids=["grid8", "circle8_discrete"])
+def test_monte_carlo_chunks_are_the_fresh_array_expression(monkeypatch, dist):
+    # each chunk's X is built in its noise array, bit for bit Z + sqrt(t) * noise
+    import snrsched.channel as channel
+
+    monkeypatch.setattr(channel, "_CHUNK", 100)
+    seen = []
+    channel._mc_expect(dist, 0.7, lambda X, i: seen.append(X.copy()) or (X[:, 0],), 250, 3)
+    rng = np.random.default_rng(3)
+    assert [X.shape for X in seen] == [(100, 2), (100, 2), (50, 2)]
+    for X in seen:
+        Z = dist.sample(X.shape[0], rng)
+        assert np.array_equal(X, Z + math.sqrt(0.7) * rng.standard_normal(Z.shape))
+
+
 def test_mmse_monte_carlo_rejects_empty():
     with pytest.raises(ValueError):
         mmse(TWO, 1.0, "monte_carlo", n_samples=0)
@@ -1272,7 +1287,9 @@ def _row_block_callers():
 def test_kernel_rows_run_through_one_driver():
     # every kernel that reduces a block to per-point values runs through
     # targets._map_rows; posterior_mean, which writes (d, rows) blocks in
-    # place, and reverse_step, which adds noise in place, keep their loops
+    # place, and reverse_step, which adds each block's std * noise in place
+    # (drawing the block's normals first when its noise is a Generator), keep
+    # their loops
     import inspect
 
     import snrsched.channel as channel

@@ -71,6 +71,19 @@ def test_grid_rejects_non_ascending():
         SnrGrid([1e-320, 1.0])
 
 
+@pytest.mark.parametrize("gammas, k", [
+    # 1/gamma is subnormal at both knots and rounds to one value
+    ([1.0, 1.7e308, float(np.nextafter(1.7e308, math.inf))], 2),
+    # normal noise scales: 1/gamma rounds to one value for knots one unit apart
+    ([1.0, 1.9999999999999996, 1.9999999999999998, 4.0], 2),
+])
+def test_grid_rejects_knots_with_equal_noise_scales(gammas, k):
+    # the sampler needs 0 < t_next < t_prev at every step; the grid names the step
+    assert gammas[k - 1] < gammas[k] and 1.0 / gammas[k - 1] == 1.0 / gammas[k]
+    with pytest.raises(ValueError, match=rf"gamma_{k - 1} = .* and gamma_{k} = .* same noise scale.* step {k} "):
+        SnrGrid(gammas)
+
+
 # ---------------------------------------------------------------------------
 # eps <-> x0 conversion
 

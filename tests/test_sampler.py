@@ -145,6 +145,34 @@ def test_reverse_step_in_place_and_in_row_blocks_matches_the_formula(monkeypatch
     assert np.array_equal(state, want)
 
 
+@pytest.mark.parametrize("shape, budget", [
+    ((11, 3), 1 << 17),  # one row block
+    ((11, 3), 12),  # blocks of 4, 4 and 3 rows
+    ((7,), 2),  # blocks of 2, 2, 2 and 1
+    ((), 1 << 17),
+], ids=["2d", "2d-blocks", "1d-blocks", "0d"])
+@pytest.mark.parametrize("out_kind", ["new", "like", "state"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_reverse_step_draws_from_a_generator_as_from_its_array(monkeypatch, shape, budget, out_kind, order):
+    # a Generator as noise gives the bits of the array call on
+    # standard_normal(out.shape) from the same seed, and leaves the generator
+    # where that draw leaves it
+    monkeypatch.setattr(targets, "_BLOCK_ELEMS", budget)
+    rng = np.random.default_rng(13)
+    state = np.asarray(rng.normal(size=shape), order=order)
+    anchor = np.asarray(rng.normal(size=shape), order=order)
+    reference = np.random.default_rng(5)
+    want = reverse_step(state, 0.9, 0.35, anchor, reference.standard_normal(shape))
+    out = {"new": None, "like": np.empty_like(state), "state": state}[out_kind]
+    gen = np.random.default_rng(5)
+    got = reverse_step(state, 0.9, 0.35, anchor, gen, out=out)
+    assert got.shape == shape
+    if out is not None:
+        assert got is out
+    assert np.array_equal(got, want)
+    assert gen.bit_generator.state == reference.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # whole chains
 
@@ -209,24 +237,31 @@ def test_seed_determinism_bitwise():
     assert not np.array_equal(out1, out3)
 
 
-@pytest.mark.parametrize("order, arrays", [("first", 4.25), ("second", 5.25)])
-def test_sample_peak_memory_is_a_few_state_arrays(order, arrays):
-    # the peak is a denoiser call's: the state, the noise buffer, the anchor
-    # it writes, plus the previous evaluation for the second order, and one
-    # row block of the kernel, the (8, 10,922) numerators of a block with its
-    # (2, rows) terms and the call's (4, rows) sums, about 0.77 of an (m, d)
-    # array more (3.77 and 4.77 arrays in all). reverse_step works in place and holds one row block
-    # of std * noise; an un-blocked kernel would hold (m, 8) logits, four
-    # arrays more
+@pytest.mark.parametrize("order, final_denoise, arrays",
+                         [("first", False, 3.25), ("second", False, 4.25), ("first", True, 3.5)],
+                         ids=["first", "second", "first-final_denoise"])
+def test_sample_peak_memory_is_a_few_state_arrays(order, final_denoise, arrays):
+    # the run's peak is a denoiser call's: the state, the anchor it writes,
+    # plus the previous evaluation for the second order, and one row block of
+    # the kernel, the (8, 10,922) numerators of a block with its (2, rows)
+    # terms and the call's (4, rows) sums, about 0.77 of an (m, d) array more
+    # (2.77 and 3.77 arrays in all). reverse_step works in place and draws one
+    # row block of noise at a time; an (m, d) noise buffer would add one
+    # array, and an un-blocked kernel would hold (m, 8) logits, four arrays
+    # more. The final denoise's peak is the NLL of the denoised samples: the
+    # samples, the denoised samples, the (m,) NLL and its negation, and one
+    # block of log_prob's (8, rows) logits and (2, rows) centered points
+    # (3.29 arrays)
     import tracemalloc
 
     m = 100_000
     dist = build_toy("circle8")
     grid = grid_geometric(1.0, 1e-3, 8)
-    sample(dist, grid, SamplerConfig(n_samples=10, order=order))  # numpy's first-use allocations
+    cfg = {"order": order, "final_denoise": final_denoise}
+    sample(dist, grid, SamplerConfig(n_samples=10, **cfg))  # numpy's first-use allocations
     tracemalloc.start()
     try:
-        sample(dist, grid, SamplerConfig(n_samples=m, seed=11, order=order))
+        sample(dist, grid, SamplerConfig(n_samples=m, seed=11, **cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
