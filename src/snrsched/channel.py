@@ -74,13 +74,16 @@ from functools import lru_cache
 import numpy as np
 
 from .targets import (
-    FiniteDiscrete,
     GaussianMixture,
     TargetDistribution,
+    _check_count,
     _component_logits,
     _components,
+    _entropy,
     _KernelTable,
     _map_rows,
+    _noisy_sample,
+    _require_discrete,
     _row_blocks,
     shannon_entropy,
 )
@@ -396,18 +399,11 @@ def _mean_se(v: np.ndarray):
 
 def _mc_expect(dist: TargetDistribution, t: float, f, n_samples: int, seed):
     """Monte-Carlo (E f_k(X), stderr) under X ~ p_t; ``f`` as in :func:`_quad_expect`, i = None."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_count(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
     chunks = []
     for done in range(0, n_samples, _CHUNK):
-        m = min(_CHUNK, n_samples - done)
-        Z = dist.sample(m, rng)
-        # Z + sqrt(t) * noise, built in the noise array: two (m, d) arrays, not four
-        X = rng.standard_normal(Z.shape)
-        X *= math.sqrt(t)
-        X += Z
-        chunks.append(f(X, None))
+        chunks.append(f(_noisy_sample(dist, min(_CHUNK, n_samples - done), t, rng), None))
     return tuple(_mean_se(np.concatenate(col)) for col in zip(*chunks))
 
 
@@ -485,8 +481,8 @@ def _info(dist: TargetDistribution, gamma: float, policy: str, n_samples: int, s
 
     ((cond, se),) = _expect(dist, t, pol, neg_log_r, table.n, n_samples, seed)
     weights, _, variances = _components(dist)
-    h_w = math.fsum(-p * math.log(p) for p in weights)
-    return h_w - cond + 0.5 * dist.dim * float(weights @ np.log1p(variances * gamma)), se
+    gauss = 0.5 * dist.dim * float(weights @ np.log1p(variances * gamma))
+    return _entropy(weights) - cond + gauss, se
 
 
 def mmse(
@@ -529,11 +525,12 @@ class MmseCurve:
     ``policy`` is "auto", "closed_form", "quadrature" or "monte_carlo";
     "auto" picks closed form for a single Gaussian, quadrature for dim <= 2
     and Monte Carlo otherwise. An unknown policy, "closed_form" for a target
-    that is not a single Gaussian, or ``n_samples < 1`` raises ValueError
-    here rather than at the first evaluation. :meth:`mmse` and
-    :meth:`integral` remember mmse and I at each gamma, since every
-    evaluation at one gamma uses the same seed and gives the same result;
-    the curve is frozen so those memos cannot go stale.
+    that is not a single Gaussian, or an ``n_samples`` that is not an
+    integer >= 1 raises ValueError here rather than at the first
+    evaluation. :meth:`mmse` and :meth:`integral` remember mmse and I at
+    each gamma, since every evaluation at one gamma uses the same seed and
+    gives the same result; the curve is frozen so those memos cannot go
+    stale.
     """
 
     dist: TargetDistribution
@@ -545,8 +542,7 @@ class MmseCurve:
 
     def __post_init__(self):
         _resolve_policy(self.dist, self.policy, 1.0)
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        _check_count(self.n_samples, "n_samples")
 
     def mmse(self, gamma: float):
         key = float(gamma)
@@ -605,8 +601,7 @@ def posterior_fourth_moment(dist: TargetDistribution, t: float, n_samples: int, 
     Raises ValueError unless ``t`` is positive and finite. Returns
     (value, stderr).
     """
-    if not isinstance(dist, FiniteDiscrete):
-        raise TypeError("posterior_fourth_moment requires a FiniteDiscrete target")
+    _require_discrete(dist, "posterior_fourth_moment")
     _check_noise(t)
     table = _KernelTable(dist, t)
     d4 = table.E**2
@@ -631,8 +626,7 @@ def derivative_ratio_constant(
     Requires a FiniteDiscrete target with positive Shannon entropy; a point
     mass makes the ratio 0/0 and raises instead.
     """
-    if not isinstance(dist, FiniteDiscrete):
-        raise TypeError("derivative_ratio_constant requires a FiniteDiscrete target")
+    _require_discrete(dist, "derivative_ratio_constant")
     H = shannon_entropy(dist)
     if H <= 0.0:
         raise ValueError("degenerate entropy: H = 0 (point mass), ratio undefined")

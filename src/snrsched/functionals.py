@@ -106,11 +106,12 @@ def eps_to_x0(loss_eps, gamma):
     """Convert an eps-prediction MSE to the x0-prediction MSE at SNR gamma.
 
     The two risks differ by the channel's SNR factor:
-    ||x0 error||^2 = ||eps error||^2 / gamma. Accepts scalars or arrays.
+    ||x0 error||^2 = ||eps error||^2 / gamma. Accepts scalars or arrays;
+    every gamma must be positive and finite.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0):
-        raise ValueError("gamma must be positive")
+    if not np.all((gamma > 0) & np.isfinite(gamma)):
+        raise ValueError("gamma must be positive and finite")
     out = np.asarray(loss_eps, dtype=float) / gamma
     return float(out) if out.ndim == 0 else out
 
@@ -244,11 +245,11 @@ def final_bounds(grid: SnrGrid, H: float, C_fit: float, eps_bar: float) -> dict:
     two-term KL control ``kl_total`` = log(Lambda) (C^2 H^2 log(Lambda)/K +
     eps_bar) with its two terms, ``kl_disc_term`` = log(Lambda)^2 C^2 H^2 / K
     and ``kl_stat_term`` = log(Lambda) eps_bar. The control needs
-    K >= log(Lambda), which ``kl_total_applicable`` records. H and C_fit must
-    be finite and >= 0, and a bound or term that overflows raises ValueError
-    naming it.
+    K >= log(Lambda), which ``kl_total_applicable`` records. H, C_fit and
+    eps_bar must be finite and >= 0, and a bound or term that overflows
+    raises ValueError naming it.
     """
-    _check_bound_constants(H=H, C_fit=C_fit)
+    _check_bound_constants(H=H, C_fit=C_fit, eps_bar=eps_bar)
     g = grid.gammas
     K = grid.K
     try:

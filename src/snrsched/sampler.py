@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import _mean_se, posterior_mean
 from .functionals import SnrGrid
-from .targets import GaussianMixture, TargetDistribution, _row_blocks
+from .targets import GaussianMixture, TargetDistribution, _check_count, _noisy_sample, _row_blocks
 
 __all__ = [
     "SamplerConfig",
@@ -62,8 +62,7 @@ class SamplerConfig:
     final_denoise: bool = False
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        _check_count(self.n_samples, "n_samples")
         if self.order not in _ORDERS:
             raise ValueError(f"order must be one of {_ORDERS}")
         if self.init not in _INITS:
@@ -153,14 +152,9 @@ def _nll_stats(dist, samples, what: str):
 
 
 def _init_state(dist, T: float, cfg: SamplerConfig, rng) -> np.ndarray:
-    d = dist.dim
     if cfg.init == "exact_forward":
-        Y = dist.sample(cfg.n_samples, rng)
-        noise = rng.standard_normal((cfg.n_samples, d))
-        noise *= math.sqrt(T)
-        Y += noise
-        return Y
-    Y = rng.standard_normal((cfg.n_samples, d))
+        return _noisy_sample(dist, cfg.n_samples, T, rng)
+    Y = rng.standard_normal((cfg.n_samples, dist.dim))
     Y *= np.sqrt(T + dist.axis_variances())
     return Y
 

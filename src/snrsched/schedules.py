@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import LossProfile, SnrGrid
+from .targets import _check_count
 
 __all__ = [
     "InfeasibleError",
@@ -65,12 +66,12 @@ def eta_axis(gamma, lam: float):
     1/lambda^2, which compresses the high-SNR end of the objective. In
     floats it need not increase: at lambda = 1.5, on 400 evenly spaced knots
     inside [g0, g0 (1 + 1e-9)], it decreases at 70, 173 and 158 of the 399
-    steps for g0 = 1e6, 1e10 and 1e16.
+    steps for g0 = 1e6, 1e10 and 1e16. Every gamma must be finite and >= 0.
     """
     _check_lam(lam)
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("gamma must be nonnegative")
+    if not np.all((g >= 0) & np.isfinite(g)):
+        raise ValueError("gamma must be finite and nonnegative")
     out = g / (1.0 + lam**2 * g)
     return float(out) if out.ndim == 0 else out
 
@@ -80,8 +81,7 @@ def _check_endpoints(T: float, delta: float, K: int) -> None:
         raise ValueError("need 0 < delta < T")
     if not math.isfinite(1.0 / float(delta)):  # a float quotient overflows without a warning
         raise ValueError(f"1/delta must be finite, got delta={delta!r}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_count(K, "K")
 
 
 def grid_time_uniform(T: float, delta: float, K: int) -> SnrGrid:
@@ -135,8 +135,7 @@ class LasConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        _check_count(self.K, "K")
         _check_lam(self.lam)
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and nonnegative")

@@ -22,14 +22,16 @@ into the (components x points) logits that ``GaussianMixture.log_prob`` (at
 t = 0) and :mod:`snrsched.channel` read, and :func:`_map_rows` runs a block
 kernel over the row blocks of a batch.
 
-Determinism policy: all sums over atoms are taken in ascending-probability
-order with exact compensated summation (``math.fsum``), so entropy values are
-bit-identical under atom permutations and across platforms.
+Determinism policy: every sum over atoms is taken with exact summation
+(``math.fsum``), which is correctly rounded and so does not depend on the
+order of its terms: entropy values are bit-identical under atom permutations
+and across platforms.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,6 +64,14 @@ _LOWEST = -sys.float_info.max
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} must be finite")
+
+
+def _check_count(n, what: str) -> None:
+    """Raise ValueError naming ``what`` unless ``n`` is an integer >= 1; a bool is not one."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1")
 
 
 def _check_weights(w: np.ndarray, what: str) -> None:
@@ -265,8 +275,20 @@ def _map_rows(X: np.ndarray, width: int, f) -> np.ndarray:
     return out
 
 
+class _Moments:
+    """The moments of a target, read off its :func:`_components` for both families."""
+
+    def axis_variances(self) -> np.ndarray:
+        """Per-axis marginal variances Var(Z_j), shape (d,): the centers' spread plus w.v."""
+        w, c, v = _components(self)
+        return w @ (c - w @ c) ** 2 + w @ v
+
+    def cov_trace(self) -> float:
+        return float(self.axis_variances().sum())
+
+
 @dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(_Moments):
     """Isotropic Gaussian mixture sum_i w_i N(mu_i, sigma_i^2 I_d).
 
     Parameters
@@ -354,21 +376,9 @@ class GaussianMixture:
         eps += self.means[idx]
         return eps
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.means
-
-    def axis_variances(self) -> np.ndarray:
-        """Per-axis marginal variances Var(Z_j), shape (d,)."""
-        m = self.mean()
-        centered = self.means - m
-        return self.weights @ (centered**2) + self.weights @ (self.sigmas**2)
-
-    def cov_trace(self) -> float:
-        return float(self.axis_variances().sum())
-
 
 @dataclass(frozen=True)
-class FiniteDiscrete:
+class FiniteDiscrete(_Moments):
     """Finitely supported distribution sum_i p_i delta_{z_i} on R^d.
 
     Atoms must be pairwise distinct; probabilities strictly positive and
@@ -408,16 +418,6 @@ class FiniteDiscrete:
         idx = rng.choice(self.n_atoms, size=n, p=self.probs)
         return self.points[idx]
 
-    def mean(self) -> np.ndarray:
-        return self.probs @ self.points
-
-    def axis_variances(self) -> np.ndarray:
-        centered = self.points - self.mean()
-        return self.probs @ (centered**2)
-
-    def cov_trace(self) -> float:
-        return float(self.axis_variances().sum())
-
 
 TargetDistribution = GaussianMixture | FiniteDiscrete
 
@@ -455,30 +455,39 @@ def toy_discrete(name: str) -> FiniteDiscrete:
     return FiniteDiscrete(points=_toy_means(name), probs=_TOY_WEIGHTS.copy())
 
 
-def _require_discrete(dist) -> FiniteDiscrete:
+def _noisy_sample(dist: TargetDistribution, n: int, t: float, rng) -> np.ndarray:
+    """``n`` exact draws of X_t = Z + sqrt(t) xi, shape (n, d).
+
+    Z comes first from ``rng``, then the (n, d) standard normals, which are
+    scaled and added into Z's array, so one draw holds two (n, d) arrays.
+    """
+    Z = dist.sample(n, rng)
+    noise = rng.standard_normal(Z.shape)
+    noise *= math.sqrt(t)
+    Z += noise
+    return Z
+
+
+def _require_discrete(dist, what: str) -> FiniteDiscrete:
+    """``dist`` if it is discrete, else TypeError naming ``what``, the function called."""
     if not isinstance(dist, FiniteDiscrete):
-        raise TypeError(
-            "entropy functionals are defined for FiniteDiscrete targets only, "
-            f"got {type(dist).__name__}"
-        )
+        raise TypeError(f"{what} requires a FiniteDiscrete target, got {type(dist).__name__}")
     return dist
 
 
-def _sorted_by_prob(dist: FiniteDiscrete) -> np.ndarray:
-    # stable ascending-probability order; the summation policy that makes
-    # entropy values permutation-invariant bit for bit
-    return np.sort(dist.probs, kind="stable")
+def _entropy(p) -> float:
+    """sum_i -p_i log p_i in nats, summed exactly, so it does not depend on the order of ``p``."""
+    return math.fsum(-pi * math.log(pi) for pi in p)
 
 
 def shannon_entropy(dist: TargetDistribution) -> float:
     """Shannon entropy H = sum_i p_i log(1/p_i) in nats."""
-    p = _sorted_by_prob(_require_discrete(dist))
-    return math.fsum(-pi * math.log(pi) for pi in p)
+    return _entropy(_require_discrete(dist, "shannon_entropy").probs)
 
 
 def renyi_half_entropy(dist: TargetDistribution) -> float:
     """Order-1/2 Renyi entropy H_{1/2} = 2 log sum_i sqrt(p_i) in nats."""
-    p = _sorted_by_prob(_require_discrete(dist))
+    p = _require_discrete(dist, "renyi_half_entropy").probs
     return 2.0 * math.log(math.fsum(math.sqrt(pi) for pi in p))
 
 
@@ -495,9 +504,8 @@ def fit_subexponential(dist: TargetDistribution) -> float:
     as on both toys; there the computed H_{1/2} can exceed it by an ulp
     (2.2e-16 on the toys), so a check needs a slack.
     """
-    d = _require_discrete(dist)
-    H = shannon_entropy(d)
-    p = _sorted_by_prob(d)
+    p = _require_discrete(dist, "fit_subexponential").probs
+    H = _entropy(p)
     iota = -np.log(p)
 
     half = np.linspace(0.0, 0.5, 21)  # mirrored below: 41 lambdas in all

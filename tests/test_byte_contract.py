@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import snrsched
-from snrsched import GaussianMixture
+from snrsched import FiniteDiscrete, GaussianMixture
 from snrsched.cli import main
 from snrsched.targets import target_to_json
 
@@ -32,6 +32,12 @@ CASES = {
                          "--samples", "64", "--seed", "3"],
     "simulate_unequal": ["simulate", "--target", "unequal.json", "--baseline", "edm", "--K", "4",
                          "--samples", "64", "--seed", "4", "--order", "second"],
+    "simulate_prior": ["simulate", "--target", "circle8", "--baseline", "geometric", "--K", "4",
+                       "--samples", "64", "--seed", "6", "--init", "gaussian_prior"],
+    "simulate_atoms_prior": ["simulate", "--target", "atoms.json", "--baseline", "edm", "--K", "4",
+                             "--samples", "64", "--seed", "7", "--init", "gaussian_prior"],
+    "simulate_atoms": ["simulate", "--target", "atoms.json", "--baseline", "geometric", "--K", "4",
+                       "--samples", "64", "--seed", "8"],
     "mmse_quadrature": ["mmse-table", "--target", "circle8", "--policy", "quadrature",
                         "--points", "5"],
     "mmse_quadrature_1d": ["mmse-table", "--target", "line.json", "--policy", "quadrature",
@@ -72,10 +78,25 @@ PINS = {
         "manifest.json": "59af157dbf78c852c7e153f2f4a42184e66890243862ed30b7500f62532040ec",
         "schedule.json": "f713a6c5b26095b8942f8c6614acd12338b3a53dade177078a12ea7712f83ce1",
     },
+    "simulate_atoms": {
+        "manifest.json": "5c9abf66a2767f074808bcbe075b5b32fd12710bf9a35da54281ed1e52c70094",
+        "sample_report.json": "ac81bbaf53f2194a50d2ec7c9c3f2b111267f2e8302fc6e66eda5566197d5ee4",
+        "samples.csv": "46b02e0902fd2015db9b473586c1aff989e827b2e21e78372a10059b6351d524",
+    },
+    "simulate_atoms_prior": {
+        "manifest.json": "aff8ee4e8e8664dcddd36fcca93067663556b98a9c471bb41d19991488835d33",
+        "sample_report.json": "e20b18bb49fb5d4d07feef22df5c334312e2abc763d9cc632fe8b682d8ba37eb",
+        "samples.csv": "abc5e939125e3766048c07e7b90ceddcf21cc11c0ba8510b06fd1737722e4a4d",
+    },
     "simulate_circle8": {
         "manifest.json": "bc6a17a2e74aea6a283f2fe13ff187ec58eb1f08f3519c8dfec698dca866b3fd",
         "sample_report.json": "1da64e39738403294e82140987273690446e90f08115f9c5104731358830bd24",
         "samples.csv": "50eb75f05cd2943c6c46b6e02651699516dd8a2a0c01e7177e6a3f9e76b3fc77",
+    },
+    "simulate_prior": {
+        "manifest.json": "75aaf00f8ecb1baaea3a4d36ac774c578ab45e89110d5300fa5abfc2aedd6d78",
+        "sample_report.json": "d41d054637fb00c32725b86f5a77af747b57b5d8543097f977e923d6be578134",
+        "samples.csv": "036f55ca60486ea131f41559eed01fa7993936de6280d12d4df97d0499aae356",
     },
     "simulate_unequal": {
         "manifest.json": "9189bcd28da1ae907a1eebe2f9220656cef61bdd434df552e34ff0f42ef58b3b",
@@ -102,6 +123,8 @@ def _write_inputs(d):
     (d / "unequal.json").write_text(json.dumps(target_to_json(dist)) + "\n")
     line = GaussianMixture(weights=[0.25, 0.75], means=[[-1.0], [2.0]], sigmas=[0.5, 0.2])
     (d / "line.json").write_text(json.dumps(target_to_json(line)) + "\n")
+    atoms = FiniteDiscrete(points=[[0.0, 0.0], [1.5, -0.5], [-1.0, 2.0]], probs=[0.5, 0.3, 0.2])
+    (d / "atoms.json").write_text(json.dumps(target_to_json(atoms)) + "\n")
 
 
 def _sha(data: bytes) -> str:

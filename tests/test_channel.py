@@ -392,7 +392,7 @@ def test_mmse_kernel_rows_are_the_pruned_grid(monkeypatch):
 
 @pytest.mark.parametrize("dist", [build_toy("grid8"), toy_discrete("circle8")], ids=["grid8", "circle8_discrete"])
 def test_monte_carlo_chunks_are_the_fresh_array_expression(monkeypatch, dist):
-    # each chunk's X is built in its noise array, bit for bit Z + sqrt(t) * noise
+    # each chunk's X is bit for bit Z + sqrt(t) * noise
     import snrsched.channel as channel
 
     monkeypatch.setattr(channel, "_CHUNK", 100)
@@ -449,8 +449,11 @@ def test_mmse_curve_monotone_and_bounded():
         {"policy": "monte_carlo", "n_samples": 0},
         {"policy": "quadrature", "n_samples": 0},
         {"policy": "auto", "n_samples": -5},
+        {"policy": "monte_carlo", "n_samples": 2.5},
+        {"policy": "auto", "n_samples": True},
     ],
-    ids=["unknown-policy", "closed-form-on-atoms", "mc-zero", "quad-zero", "auto-negative"],
+    ids=["unknown-policy", "closed-form-on-atoms", "mc-zero", "quad-zero", "auto-negative",
+         "mc-fraction", "auto-bool"],
 )
 def test_mmse_curve_rejects_bad_settings_at_construction(kwargs):
     # an unusable curve fails where it is built, not at its first evaluation

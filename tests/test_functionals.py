@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -103,6 +103,12 @@ def test_eps_to_x0_ddpm_alpha_bar():
 def test_eps_to_x0_vectorized():
     out = eps_to_x0(np.array([2.0, 3.0]), np.array([4.0, 3.0]))
     np.testing.assert_allclose(out, [0.5, 1.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, [4.0, math.nan]])
+def test_eps_to_x0_rejects_a_gamma_that_is_not_positive_and_finite(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        eps_to_x0(1.0, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +233,14 @@ def test_final_bounds_geo_term_81():
 def test_final_bounds_rejects_nonfinite_or_negative_constants(H, C_fit):
     with pytest.raises(ValueError):
         final_bounds(SnrGrid([1.0, 10.0, 100.0]), H=H, C_fit=C_fit, eps_bar=0.0)
+
+
+@pytest.mark.parametrize("eps_bar", [-1.0, math.nan, math.inf])
+def test_final_bounds_rejects_nonfinite_or_negative_eps_bar(eps_bar):
+    # a negative eps_bar pulled kl_total below kl_disc_term; a non-finite one
+    # was blamed on C_fit and H
+    with pytest.raises(ValueError, match="eps_bar"):
+        final_bounds(SnrGrid([1.0, 10.0, 100.0]), H=2.0, C_fit=1.0, eps_bar=eps_bar)
 
 
 @pytest.mark.parametrize("H, C_fit, eps_bar, name", [
@@ -466,14 +480,26 @@ def test_loss_profile_rejects_non_finite_property(fields, in_gammas, pos, bad):
         LossProfile(gammas, losses)
 
 
+def _distinct_noise_scales(knots: list) -> list:
+    """The sorted knots, each raised where needed so that 1/gamma strictly decreases."""
+    grid = []
+    for g in sorted(knots):
+        if grid and not 1.0 / g < 1.0 / grid[-1]:
+            g = grid[-1] * (1.0 + 2.0**-48)  # about 16 ulps: 1/g drops by at least one
+        grid.append(g)
+    return grid
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=2, max_size=8, unique=True),
     st.integers(0, 10**6),
     _NON_FINITE,
 )
+# two knots one ulp apart with the same noise scale 1/gamma = 1e-300
+@example([9.999999999999999e299, 1e300], 0, math.nan)
 def test_snr_grid_rejects_non_finite_property(knots, pos, bad):
-    knots = sorted(knots)
+    knots = _distinct_noise_scales(knots)
     SnrGrid(knots)
     knots[pos % len(knots)] = bad
     with pytest.raises(ValueError):

@@ -389,8 +389,10 @@ def test_second_order_terminal_variance_is_law_faithful():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(n_samples=0)
+    for bad in (0, 2.5, np.float64(3.0), True):
+        with pytest.raises(ValueError, match="n_samples"):
+            SamplerConfig(n_samples=bad)
+    assert SamplerConfig(n_samples=np.int64(3)).n_samples == 3
     with pytest.raises(ValueError):
         SamplerConfig(n_samples=10, order="third")
     with pytest.raises(ValueError):

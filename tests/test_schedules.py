@@ -76,8 +76,19 @@ def test_lambda_whose_square_overflows_is_rejected(lam):
 
 
 def test_eta_rejects_negative_gamma():
-    with pytest.raises(ValueError):
-        eta_axis(-0.5, 1.0)
+    # and a non-finite one, for which eta would be nan (inf also warned)
+    for gamma in (-0.5, math.inf, math.nan, [1.0, math.inf]):
+        with pytest.raises(ValueError, match="gamma"):
+            eta_axis(gamma, 1.0)
+
+
+@pytest.mark.parametrize("K", [2.5, np.float64(3.0), True])
+def test_counts_must_be_integers(K):
+    with pytest.raises(ValueError, match="K"):
+        LasConfig(K=K)
+    with pytest.raises(ValueError, match="K"):
+        grid_geometric(1.0, 1e-3, K)
+    assert LasConfig(K=np.int64(3)).K == 3
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from oracles import (
 from snrsched import (
     FiniteDiscrete,
     GaussianMixture,
+    derivative_ratio_constant,
     fit_subexponential,
+    posterior_fourth_moment,
     renyi_half_entropy,
     shannon_entropy,
 )
@@ -46,7 +48,6 @@ def test_gaussian_mixture_fields():
     )
     assert gm.dim == 2
     assert gm.n_components == 2
-    np.testing.assert_allclose(gm.mean(), [1.5, 0.75])
 
 
 def test_weights_must_normalize():
@@ -193,6 +194,22 @@ def test_cov_trace_two_atoms():
 # entropies
 
 
+_DISCRETE_ONLY = {
+    "shannon_entropy": shannon_entropy,
+    "renyi_half_entropy": renyi_half_entropy,
+    "fit_subexponential": fit_subexponential,
+    "posterior_fourth_moment": lambda d: posterior_fourth_moment(d, 1.0, 10, 0),
+    "derivative_ratio_constant": lambda d: derivative_ratio_constant(d, [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", _DISCRETE_ONLY)
+def test_discrete_only_functions_reject_a_mixture_naming_themselves(name):
+    with pytest.raises(TypeError, match=f"^{name} requires a FiniteDiscrete target, "
+                                        "got GaussianMixture$"):
+        _DISCRETE_ONLY[name](build_toy("circle8"))
+
+
 def test_shannon_uniform8():
     assert shannon_entropy(uniform8()) == pytest.approx(LN8, abs=1e-12)
 
@@ -237,11 +254,14 @@ def test_entropy_matches_oracle_on_random_dists():
         assert renyi_half_entropy(d) <= math.log(n) + 1e-10
 
 
-def test_permutation_leaves_info_profile_unchanged():
-    rng = np.random.default_rng(77)
-    p = random_probs(rng, 7)
-    pts = np.arange(7.0)[:, None]
-    perm = rng.permutation(7)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 59), st.integers(0, 2**32 - 1))
+def test_permutation_leaves_info_profile_unchanged(n, seed):
+    # exact summation, not an order of the atoms, makes the values permutation-invariant
+    rng = np.random.default_rng(seed)
+    p = random_probs(rng, n)
+    pts = np.arange(float(n))[:, None]
+    perm = rng.permutation(n)
     a = FiniteDiscrete(points=pts, probs=p)
     b = FiniteDiscrete(points=pts[perm], probs=p[perm])
     assert shannon_entropy(a) == shannon_entropy(b)  # bit for bit
