@@ -381,8 +381,6 @@ def _quad_expect(dist: TargetDistribution, t: float, f):
     all but 1e-20 of the weight. The offsets are column-major, and so is
     each node batch, whose row blocks transpose to contiguous (d, rows) arrays.
     """
-    if dist.dim > 2:
-        raise ValueError("quadrature policy supports dim <= 2 only")
     offsets, qw = _standard_normal_nodes(dist.dim)
     probs, centers, variances = _components(dist)
     acc = 0.0
@@ -419,6 +417,8 @@ def _resolve_policy(dist, policy: str, gamma: float):
         raise ValueError(f"unknown evaluation policy {policy!r}")
     elif policy == "closed_form" and not single:
         raise ValueError("closed_form policy applies to single-Gaussian targets only")
+    elif policy == "quadrature" and dist.dim > 2:
+        raise ValueError("quadrature policy supports dim <= 2 only")
     return policy, 1.0 / gamma
 
 
@@ -525,8 +525,9 @@ class MmseCurve:
     ``policy`` is "auto", "closed_form", "quadrature" or "monte_carlo";
     "auto" picks closed form for a single Gaussian, quadrature for dim <= 2
     and Monte Carlo otherwise. An unknown policy, "closed_form" for a target
-    that is not a single Gaussian, or an ``n_samples`` that is not an
-    integer >= 1 raises ValueError here rather than at the first
+    that is not a single Gaussian, "quadrature" for one with dim > 2, an
+    ``n_samples`` that is not an integer >= 1 or a ``seed`` that is not an
+    integer >= 0 raises ValueError here rather than at the first
     evaluation. :meth:`mmse` and :meth:`integral` remember mmse and I at
     each gamma, since every evaluation at one gamma uses the same seed and
     gives the same result; the curve is frozen so those memos cannot go
@@ -543,6 +544,7 @@ class MmseCurve:
     def __post_init__(self):
         _resolve_policy(self.dist, self.policy, 1.0)
         _check_count(self.n_samples, "n_samples")
+        _check_count(self.seed, "seed", least=0)
 
     def mmse(self, gamma: float):
         key = float(gamma)

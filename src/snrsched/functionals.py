@@ -143,6 +143,8 @@ class LossProfile:
     def x0_at(self, gamma):
         """x0 risk at gamma, interpolated linearly in log(gamma) between knots."""
         g = np.asarray(gamma, dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gamma must be finite")
         if np.any(g < self.gammas[0] * (1 - 1e-12)) or np.any(g > self.gammas[-1] * (1 + 1e-12)):
             raise ValueError(
                 f"gamma outside profile range [{self.gammas[0]:g}, {self.gammas[-1]:g}]; "

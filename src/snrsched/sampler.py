@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import _mean_se, posterior_mean
 from .functionals import SnrGrid
-from .targets import GaussianMixture, TargetDistribution, _check_count, _noisy_sample, _row_blocks
+from .targets import GaussianMixture, TargetDistribution, _add_normals, _check_count, _noisy_sample
 
 __all__ = [
     "SamplerConfig",
@@ -43,6 +43,8 @@ _INITS = ("exact_forward", "gaussian_prior")
 class SamplerConfig:
     """Sampler settings.
 
+    n_samples : an integer >= 1. seed : an integer >= 0, the root of all
+        of the run's randomness. Anything else raises ValueError.
     order : "first" freezes the newest denoiser value; "second" extrapolates
         the anchor linearly in log-SNR from the last two evaluations.
     init : "exact_forward" draws Z ~ p and adds variance-T noise (isolates
@@ -63,6 +65,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         _check_count(self.n_samples, "n_samples")
+        _check_count(self.seed, "seed", least=0)
         if self.order not in _ORDERS:
             raise ValueError(f"order must be one of {_ORDERS}")
         if self.init not in _INITS:
@@ -76,22 +79,22 @@ def reverse_step(state, t_prev: float, t_next: float, anchor, noise, out=None):
 
     ``state``, ``anchor`` and an array ``noise`` broadcast together; ``noise``
     should be standard normal. ``noise`` may instead be a
-    ``numpy.random.Generator``, which advances by ``out.size`` draws: each row
-    block draws its normals in C order into one block buffer, reused across
-    the call, so the values and the generator's end state are those of
-    ``noise.standard_normal(out.shape)``. Requires 0 < t_next < t_prev. The
-    result anchor + (t_next / t_prev) (state - anchor) + std * noise is built
-    by the operations of that expression in its order, in ``out``: by default
-    a new C-ordered array of the broadcast shape of the inputs, else a float
-    array of that shape, which is returned. ``out`` may be ``state`` itself
-    (an in-place step) but must not overlap ``anchor`` or ``noise``; no input
-    other than ``out`` is modified. The only temporary is std * noise, one
-    row block of :func:`snrsched.targets._row_blocks` at a time. The
-    operations run in the memory order of ``out``, so a C-ordered noise block
-    steps a column-major state along its columns.
+    ``numpy.random.Generator``, which advances by ``out.size`` draws:
+    :func:`snrsched.targets._add_normals` adds them one row block at a time,
+    with the values and the generator's end state of
+    ``noise.standard_normal(out.shape)``. Requires 0 < t_next < t_prev < inf.
+    The result anchor + (t_next / t_prev) (state - anchor) + std * noise is
+    built by the operations of that expression in its order, in ``out``: by
+    default a new C-ordered array of the broadcast shape of the inputs, else
+    a float array of that shape, which is returned. ``out`` may be ``state``
+    itself (an in-place step) but must not overlap ``anchor`` or ``noise``;
+    no input other than ``out`` is modified. The only temporary is std *
+    noise: one row block with a Generator, the size of ``noise`` with an
+    array. The operations run in the memory order of ``out``, so a C-ordered
+    noise block steps a column-major state along its columns.
     """
-    if not 0 < t_next < t_prev:
-        raise ValueError("need 0 < t_next < t_prev")
+    if not (0 < t_next < t_prev and math.isfinite(t_prev)):
+        raise ValueError("need 0 < t_next < t_prev < inf")
     state = np.asarray(state, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     draw = isinstance(noise, np.random.Generator)
@@ -103,22 +106,10 @@ def reverse_step(state, t_prev: float, t_next: float, anchor, noise, out=None):
     np.subtract(state, anchor, out=out, order=order)
     np.multiply(out, t_next / t_prev, out=out, order=order)
     np.add(out, anchor, out=out, order=order)
-    # std * noise one row block at a time, so the temporary stays small and in cache
     std = _step_std(t_prev, t_next)
-    blocks = list(_row_blocks(out.shape[0], math.prod(out.shape[1:]))) if out.ndim else [...]
-    if draw:  # one C-ordered buffer for the largest block
-        buf = np.empty(max(out[rows].size for rows in blocks))
-    else:
-        noise = np.broadcast_to(noise, out.shape)
-    for rows in blocks:
-        if draw:  # the block's normals in the C order of standard_normal(out.shape)
-            term = buf[: out[rows].size].reshape(out[rows].shape)
-            noise.standard_normal(out=term)
-            term *= std
-        else:
-            term = std * noise[rows]
-        np.add(out[rows], term, out=out[rows], order=order)
-    return out
+    if draw:
+        return _add_normals(out, std, noise)
+    return np.add(out, std * noise, out=out, order=order)
 
 
 def _step_std(t_prev: float, t_next: float) -> float:
@@ -163,8 +154,9 @@ def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     """The chain's (m, d) state at t = delta, column-major.
 
     Each step passes the step generator to :func:`reverse_step` as its noise,
-    which advances it by m d draws; the (m, d) error buffer exists only when
-    ``cfg.sigma_err > 0``.
+    which advances it by m d draws; with ``cfg.sigma_err > 0`` the denoiser
+    error is added into the step's denoiser value the same way, by
+    :func:`snrsched.targets._add_normals`, so no (m, d) noise array exists.
     """
     t = 1.0 / grid.gammas  # descending from T to delta
     ell = np.log(grid.gammas)  # ascending log-SNR along the run
@@ -175,19 +167,15 @@ def _run(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     init_rng, step_rng, err_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
-    # column-major, so the denoiser's row blocks transpose to contiguous
-    # (d, rows) arrays; the error buffer is C-ordered, so draws keep their values
+    # column-major, so the denoiser's row blocks transpose to contiguous (d, rows) arrays
     Y = np.asfortranarray(_init_state(dist, grid.T, cfg, init_rng))
-    err = np.empty(Y.shape) if cfg.sigma_err > 0 else None
     # denoiser values; the second order keeps the previous one in the other
     # buffer and writes its extrapolated anchor over it
     evals = [np.empty_like(Y) for _ in range(2 if cfg.order == "second" else 1)]
     for k in range(1, K + 1):
         anchor = cur = posterior_mean(dist, t[k - 1], Y, out=evals[k % len(evals)])
-        if err is not None:
-            err_rng.standard_normal(out=err)
-            err *= cfg.sigma_err
-            np.add(cur, err, out=cur, order="F")  # along cur's columns
+        if cfg.sigma_err > 0:
+            _add_normals(cur, cfg.sigma_err, err_rng)
         if cfg.order == "second" and k > 1:
             # extrapolate to the interval midpoint in log-SNR: the slope,
             # times the step to the midpoint, plus cur, built over the
@@ -243,11 +231,11 @@ def sample(dist: TargetDistribution, grid: SnrGrid, cfg: SamplerConfig):
     so are the returned samples. Each step fills buffers made once per run:
     the denoiser writes the anchor through ``posterior_mean(..., out=)``, and
     ``reverse_step(..., out=Y)`` steps the state in place, drawing its noise
-    from the step generator, which advances by m d draws per step, one row
-    block at a time. Each step's noise, and the denoiser error of
-    ``cfg.sigma_err`` (drawn into one C-ordered buffer), has the values of a
-    fresh ``standard_normal((m, d))``, so the samples are bit for bit those
-    of the same chain run on fresh C-ordered arrays.
+    from the step generator, which advances by m d draws per step. Each
+    step's noise, and the denoiser error of ``cfg.sigma_err``, is drawn one
+    row block at a time with the values of a fresh
+    ``standard_normal((m, d))``, so the samples are bit for bit those of the
+    same chain run on fresh C-ordered arrays.
     """
     samples = _run(dist, grid, cfg)
     if not np.all(np.isfinite(samples)):

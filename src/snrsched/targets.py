@@ -66,12 +66,16 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _check_count(n, what: str) -> None:
-    """Raise ValueError naming ``what`` unless ``n`` is an integer >= 1; a bool is not one."""
+def _check_count(n, what: str, least: int = 1) -> None:
+    """Raise ValueError naming ``what`` unless ``n`` is an integer >= ``least``; a bool is not one.
+
+    Counts need at least 1; a seed (``least`` = 0) is any integer NumPy's
+    ``SeedSequence`` takes.
+    """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{what} must be >= 1")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}")
 
 
 def _check_weights(w: np.ndarray, what: str) -> None:
@@ -254,6 +258,27 @@ def _row_blocks(m: int, width: int):
     if len(starts) > 1 and m - starts[-1] <= step // 8:
         starts.pop()
     return (slice(i, j) for i, j in zip(starts, starts[1:] + [max(m, 1)]))
+
+
+def _add_normals(out: np.ndarray, scale: float, rng) -> np.ndarray:
+    """Add ``scale`` times standard normals from ``rng`` into ``out`` in place; returns ``out``.
+
+    The one Gaussian-noise writer. Each row block of :func:`_row_blocks`
+    draws its normals in C order into one buffer, sized for the largest block
+    and reused, scales them and adds them in the memory order of ``out``, so
+    the values and the generator's end state are those of
+    ``out += scale * rng.standard_normal(out.shape)``, with one block as the
+    only temporary.
+    """
+    blocks = list(_row_blocks(out.shape[0], math.prod(out.shape[1:]))) if out.ndim else [...]
+    buf = np.empty(max(out[rows].size for rows in blocks))
+    order = "F" if out.flags.f_contiguous else "K"
+    for rows in blocks:
+        term = buf[: out[rows].size].reshape(out[rows].shape)
+        rng.standard_normal(out=term)
+        term *= scale
+        np.add(out[rows], term, out=out[rows], order=order)
+    return out
 
 
 def _map_rows(X: np.ndarray, width: int, f) -> np.ndarray:
@@ -458,14 +483,11 @@ def toy_discrete(name: str) -> FiniteDiscrete:
 def _noisy_sample(dist: TargetDistribution, n: int, t: float, rng) -> np.ndarray:
     """``n`` exact draws of X_t = Z + sqrt(t) xi, shape (n, d).
 
-    Z comes first from ``rng``, then the (n, d) standard normals, which are
-    scaled and added into Z's array, so one draw holds two (n, d) arrays.
+    Z comes first from ``rng``, then the standard normals, which
+    :func:`_add_normals` scales and adds into Z's array one row block at a
+    time, so the noise holds one block, not an (n, d) array.
     """
-    Z = dist.sample(n, rng)
-    noise = rng.standard_normal(Z.shape)
-    noise *= math.sqrt(t)
-    Z += noise
-    return Z
+    return _add_normals(dist.sample(n, rng), math.sqrt(t), rng)
 
 
 def _require_discrete(dist, what: str) -> FiniteDiscrete:

@@ -451,14 +451,20 @@ def test_mmse_curve_monotone_and_bounded():
         {"policy": "auto", "n_samples": -5},
         {"policy": "monte_carlo", "n_samples": 2.5},
         {"policy": "auto", "n_samples": True},
+        {"policy": "monte_carlo", "n_samples": 10, "seed": -1},
+        {"policy": "monte_carlo", "seed": 2.5},
+        {"policy": "auto", "seed": True},
+        {"policy": "quadrature", "dist": GaussianMixture([0.5, 0.5], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                                          [1.0, 1.0])},
     ],
     ids=["unknown-policy", "closed-form-on-atoms", "mc-zero", "quad-zero", "auto-negative",
-         "mc-fraction", "auto-bool"],
+         "mc-fraction", "auto-bool", "mc-negative-seed", "mc-fractional-seed", "auto-bool-seed",
+         "quad-on-d3"],
 )
 def test_mmse_curve_rejects_bad_settings_at_construction(kwargs):
     # an unusable curve fails where it is built, not at its first evaluation
-    with pytest.raises(ValueError):
-        MmseCurve(TWO, **kwargs)
+    with pytest.raises(ValueError, match="seed" if "seed" in kwargs else None):
+        MmseCurve(**{"dist": TWO, **kwargs})
 
 
 def test_mmse_curve_integral_single_gaussian():
@@ -1273,8 +1279,8 @@ def test_x_free_terms_are_derived_only_in_the_table_builders():
     assert "_components" not in {node.name for node in defs}
 
 
-def _row_block_callers():
-    """(module, function) for each call of _row_blocks in the package's modules."""
+def _callers(matches):
+    """(module, function) for each call node in the package's modules that ``matches``."""
     import snrsched
 
     found = []
@@ -1282,36 +1288,54 @@ def _row_block_callers():
         tree = ast.parse(path.read_text())
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
-                found += [(path.stem, fn.name) for node in ast.walk(fn) if isinstance(node, ast.Call)
-                          and getattr(node.func, "id", None) == "_row_blocks"]
+                found += [(path.stem, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and matches(node)]
     return found
 
 
 def test_kernel_rows_run_through_one_driver():
     # every kernel that reduces a block to per-point values runs through
     # targets._map_rows; posterior_mean, which writes (d, rows) blocks in
-    # place, and reverse_step, which adds each block's std * noise in place
-    # (drawing the block's normals first when its noise is a Generator), keep
-    # their loops
+    # place, and targets._add_normals, which adds each block's scaled normals
+    # in place, keep their loops
     import inspect
 
     import snrsched.channel as channel
+    import snrsched.sampler as sampler
 
-    assert sorted(_row_block_callers()) == [
-        ("channel", "posterior_mean"), ("sampler", "reverse_step"), ("targets", "_map_rows")]
+    assert sorted(_callers(lambda node: getattr(node.func, "id", None) == "_row_blocks")) == [
+        ("channel", "posterior_mean"), ("targets", "_add_normals"), ("targets", "_map_rows")]
+    assert not hasattr(sampler, "_row_blocks")
     # the call's one weighting buffer belongs to its _KernelTable
     for gone in ("_cov_trace", "_row_buffer", "_weigh"):
         assert not hasattr(channel, gone), gone
     assert list(inspect.signature(channel._pair_spread).parameters) == ["table", "XT"]
 
 
+def test_gaussian_noise_has_one_writer():
+    # the sampler's step noise and denoiser error, the exact-forward init and
+    # the Monte-Carlo rule's draws all go through targets._add_normals, the
+    # one caller that draws normals into a buffer
+    def draws_into(node):
+        return (getattr(node.func, "attr", None) == "standard_normal"
+                and any(kw.arg == "out" for kw in node.keywords))
+
+    assert _callers(draws_into) == [("targets", "_add_normals")]
+
+
 @pytest.mark.parametrize("scale", [1e76, 1e100, 1e150])
 def test_dmmse_of_far_apart_components_squares_its_gram_without_overflow(scale):
     # at +-1e100 the Gram entries square past float64, and inf * 0 read nan
     # with a RuntimeWarning; scaled by a power of two first, every scale
-    # reads the one-hot value -tau (d tau) = -0.25
-    curve = MmseCurve(GaussianMixture([0.5, 0.5], [[-scale], [scale]], [1.0, 1.0]))
-    assert curve.tabulate([1.0]) == [(1.0, 0.5, 0.0, -0.25, 0.0)]
+    # reads the one-hot value, -tau (d tau) = -0.25 for equal variances. With
+    # unequal variances the Gram columns are refit with the tilt, and the
+    # limit is sum_i w_i v_i / (1 + v_i) = 0.65 and -sum_i w_i (v_i / (1 + v_i))^2
+    for sigmas, want_mmse, want_dmmse in [
+        ([1.0, 1.0], 0.5, -0.25),
+        ([1.0, 2.0], 0.65, pytest.approx(-0.445, rel=1e-15, abs=0)),
+    ]:
+        curve = MmseCurve(GaussianMixture([0.5, 0.5], [[-scale], [scale]], sigmas))
+        assert curve.tabulate([1.0]) == [(1.0, want_mmse, 0.0, want_dmmse, 0.0)]
 
 
 def test_dmmse_of_far_and_close_components_matches_the_oracle():

@@ -384,6 +384,10 @@ def test_loss_profile_no_silent_extrapolation():
         prof.x0_at(0.5)
     with pytest.raises(ValueError):
         prof.x0_at(5.0)
+    # nan compares false with both ends of the range, and read nan
+    for bad in (math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="gamma"):
+            prof.x0_at(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,9 @@ def test_reverse_step_rejects_bad_times():
         reverse_step(np.zeros(1), 0.5, 0.9, np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError):
         reverse_step(np.zeros(1), 0.5, -0.1, np.zeros(1), np.zeros(1))
+    # an infinite t_prev made the step std sqrt(0 * inf) = nan
+    with pytest.raises(ValueError):
+        reverse_step(np.zeros(1), math.inf, 0.5, np.zeros(1), np.zeros(1))
 
 
 _TIMES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
@@ -129,7 +132,7 @@ def test_reverse_step_broadcasts_and_leaves_its_inputs(state_shape, anchor_shape
     assert np.array_equal(out, anchor + (t_next / t_prev) * (state - anchor) + std * noise)
 
 
-@pytest.mark.parametrize("budget", [1 << 17, 12])  # one row block, or blocks of 4 rows
+@pytest.mark.parametrize("budget", [1 << 17, 12])  # an array noise adds in one pass at any block budget
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_reverse_step_in_place_and_in_row_blocks_matches_the_formula(monkeypatch, order, budget):
     monkeypatch.setattr(targets, "_BLOCK_ELEMS", budget)
@@ -237,27 +240,28 @@ def test_seed_determinism_bitwise():
     assert not np.array_equal(out1, out3)
 
 
-@pytest.mark.parametrize("order, final_denoise, arrays",
-                         [("first", False, 3.25), ("second", False, 4.25), ("first", True, 3.5)],
-                         ids=["first", "second", "first-final_denoise"])
-def test_sample_peak_memory_is_a_few_state_arrays(order, final_denoise, arrays):
+@pytest.mark.parametrize("order, final_denoise, sigma_err, arrays", [
+    ("first", False, 0.0, 3.25), ("second", False, 0.0, 4.25), ("first", True, 0.0, 3.5),
+    ("first", False, 0.1, 3.25), ("second", False, 0.1, 4.25),
+], ids=["first", "second", "first-final_denoise", "first-sigma_err", "second-sigma_err"])
+def test_sample_peak_memory_is_a_few_state_arrays(order, final_denoise, sigma_err, arrays):
     # the run's peak is a denoiser call's: the state, the anchor it writes,
     # plus the previous evaluation for the second order, and one row block of
     # the kernel, the (8, 10,922) numerators of a block with its (2, rows)
     # terms and the call's (4, rows) sums, about 0.77 of an (m, d) array more
-    # (2.77 and 3.77 arrays in all). reverse_step works in place and draws one
-    # row block of noise at a time; an (m, d) noise buffer would add one
-    # array, and an un-blocked kernel would hold (m, 8) logits, four arrays
-    # more. The final denoise's peak is the NLL of the denoised samples: the
-    # samples, the denoised samples, the (m,) NLL and its negation, and one
-    # block of log_prob's (8, rows) logits and (2, rows) centered points
-    # (3.29 arrays)
+    # (2.77 and 3.77 arrays in all). reverse_step works in place, and it and
+    # the denoiser error draw one row block of normals at a time; an (m, d)
+    # noise or error buffer would add one array, and an un-blocked kernel
+    # would hold (m, 8) logits, four arrays more. The final denoise's peak is
+    # the NLL of the denoised samples: the samples, the denoised samples, the
+    # (m,) NLL and its negation, and one block of log_prob's (8, rows) logits
+    # and (2, rows) centered points (3.29 arrays)
     import tracemalloc
 
     m = 100_000
     dist = build_toy("circle8")
     grid = grid_geometric(1.0, 1e-3, 8)
-    cfg = {"order": order, "final_denoise": final_denoise}
+    cfg = {"order": order, "final_denoise": final_denoise, "sigma_err": sigma_err}
     sample(dist, grid, SamplerConfig(n_samples=10, **cfg))  # numpy's first-use allocations
     tracemalloc.start()
     try:
@@ -393,6 +397,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="n_samples"):
             SamplerConfig(n_samples=bad)
     assert SamplerConfig(n_samples=np.int64(3)).n_samples == 3
+    for bad in (-1, 2.5, np.float64(3.0), True, None):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(n_samples=4, seed=bad)
+    assert SamplerConfig(n_samples=4, seed=np.int64(0)).seed == 0
     with pytest.raises(ValueError):
         SamplerConfig(n_samples=10, order="third")
     with pytest.raises(ValueError):
