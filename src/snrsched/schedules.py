@@ -207,6 +207,14 @@ def _feasible(profile: LossProfile, K: int) -> None:
         raise InfeasibleError(f"K = {K} needs at least K + 1 = {K + 1} candidates, got {profile.n}")
 
 
+def _check_optimum(best, profile: LossProfile, cfg: LasConfig) -> None:
+    if not math.isfinite(best):
+        raise ValueError(
+            f"no {cfg.K}-step schedule has a finite objective at alpha={cfg.alpha!r}, "
+            f"lambda={cfg.lam!r} and losses up to {float(profile.losses.max())!r}"
+        )
+
+
 def _make_schedule(profile, indices, cfg, tie_breaks=0) -> Schedule:
     return Schedule(
         indices=tuple(indices),
@@ -222,6 +230,10 @@ def _make_schedule(profile, indices, cfg, tie_breaks=0) -> Schedule:
 # in las_beam, whose block of one b holds that b's whole (c, a) plane,
 # whatever its size; (column, predecessor) costs per chunk in las_exact
 _BLOCK_CELLS = 2**15
+# las_beam runs its stages in groups of up to this many, which share one
+# penalty build per block and keep G + 1 stage tables alive; at n = 128 and
+# K = 20, 4 takes it from 27 to 19 ms and 8, with four more tables, to 17.5
+_GROUP = 4
 # las_exact fills at least this many targets per block, so the per-block bound
 # bookkeeping (some 30 numpy calls) is spread over enough columns at small K
 _MIN_TARGETS = 32
@@ -339,6 +351,8 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     a path cell with a tied predecessor). Time is O(K n^2) cells at worst,
     when no predecessor can be skipped, as for a constant risk; memory is
     the (K + 1, n) table, a (max(K, 32), n) step block and two chunk buffers.
+    A step that overflows costs inf, and a ValueError says so when no path
+    is finite.
     """
     if cfg.alpha != 0:
         raise ValueError("las_exact requires alpha = 0; use las_beam for alpha > 0")
@@ -346,14 +360,15 @@ def las_exact(profile: LossProfile, cfg: LasConfig) -> Schedule:
     _feasible(profile, K)
     eta = eta_axis(profile.gammas, cfg.lam)
     L = profile.losses
-    dp = _first_order_table(eta, L, K)
-
     indices, ties = [profile.n - 1], 0
-    for k in range(K, 0, -1):
-        j = indices[-1]
-        c = dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j]
-        indices.append(int(np.argmin(c)))
-        ties += int(np.count_nonzero(c == c[indices[-1]])) - 1
+    with np.errstate(over="ignore"):  # an overflowing step costs inf
+        dp = _first_order_table(eta, L, K)
+        _check_optimum(dp[K, -1], profile, cfg)
+        for k in range(K, 0, -1):
+            j = indices[-1]
+            c = dp[k - 1, :j] + (eta[j] - eta[:j]) * L[:j]
+            indices.append(int(np.argmin(c)))
+            ties += int(np.count_nonzero(c == c[indices[-1]])) - 1
     indices.reverse()
     return _make_schedule(profile, indices, cfg, tie_breaks=ties)
 
@@ -368,18 +383,30 @@ def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
         V'[b, c] = min_a V[a, b] + (eta_c - eta_b) L_b
                    + alpha ((ell_c - ell_b) - (ell_b - ell_a))^2.
 
-    A stage runs over blocks of consecutive b, each one (b, c, a) array of
-    at most ``_BLOCK_CELLS`` costs (or one b's whole plane) in a reused
-    buffer, built by in-place passes in the float order above with a last,
-    so the first minimum along the contiguous axis is the smallest a. Pairs
-    with a >= b are inf in V and outputs with c <= b are reset to inf, so
-    the blocks' extra cells never win. Stage K is the same step with c
+    The penalty depends on (a, b, c) alone, so the stages run in groups of
+    G = max(1, min(``_GROUP``, K - 1)) that sweep one set of blocks of
+    consecutive b. A block covers the union of its group's a and c ranges:
+    at most ``_BLOCK_CELLS`` (b, c, a) cells, or one b's whole plane. Its
+    penalty is built once into a reused buffer, and then each stage of the
+    group in turn adds V + step and the penalty into a second buffer, in
+    the float order above with a last, so the first minimum along the
+    contiguous axis is the smallest a. This order is valid because stage
+    k + 1 reads V_k[a, b] only for a < b, which stage k has written from
+    this block or an earlier one; outputs with c <= b are reset to inf
+    before the next stage reads them, and pairs outside a stage's range are
+    inf, so the blocks' extra cells never win. V, and each predecessor
+    entry that a path can read, are those of a stage-by-stage sweep, bit
+    for bit, whatever G and the block size. Stage K is the same step with c
     pinned to the endpoint, so K = 1 needs no case of its own. Every pair
     is kept, so the result is exact. Ties go to the smallest a, and in the
-    final pick over V[:, end] to the smallest b. Time is O(K n^3) and
-    memory O(K n^2), the predecessor table at one byte per entry up to
-    n = 256 and two beyond: about 0.04 s at n = 128 and 19 s at n = 1024
-    with K = 20 on one Xeon thread. The name, and the "beam" that
+    final pick over V[:, end] to the smallest b. A step or penalty that
+    overflows costs inf, and a ValueError says so when no path is finite.
+    Time is O(K n^3), and memory is G + 1 float (n, n) stage tables and the
+    (n, n) table of log-steps, the (K + 1, n, n) predecessor table at one
+    byte per entry up to n = 256 and two beyond, and the cost and penalty
+    buffers of max(``_BLOCK_CELLS``, (n - K + G)^2 / 4) floats each: about
+    0.02 s at n = 128, 0.9-1.2 s at n = 512 and 9 s at n = 1024 with K = 20
+    on one Xeon thread. The name, and the "beam" that
     :attr:`Schedule.algorithm` reads for alpha > 0, are kept.
     """
     if not cfg.alpha > 0:
@@ -394,44 +421,59 @@ def las_beam(profile: LossProfile, cfg: LasConfig) -> Schedule:
     L = profile.losses
     alpha = cfg.alpha
 
-    # stage k holds pairs (a, b) at positions (k - 1, k); loop bounds keep
-    # every pair extendable to the pinned endpoint
-    V = np.full((n, n), np.inf)
-    V[0, 1 : end - (K - 1) + 1] = (eta[1 : end - (K - 1) + 1] - eta[0]) * L[0]
+    # stage k holds pairs (a, b) at positions (k - 1, k) in tab[k % (G + 1)],
+    # so a group's stages and the table it reads never share one; loop
+    # bounds keep every pair extendable to the pinned endpoint
+    G = max(1, min(_GROUP, K - 1))
+    tab = np.full((G + 1, n, n), np.inf)
     par = np.zeros((K + 1, n, n), dtype=np.min_scalar_type(end))
-    # one b's plane has A + C = n - K + 1, so at most (n - K + 1)^2 / 4 cells
-    size = max(_BLOCK_CELLS, (n - K + 1) ** 2 // 4)
-    cost_buf, dh_buf = np.empty(size), np.empty(size)
-    c_le_b = np.tri(n, dtype=bool)
-    for k in range(2, K + 1):
-        hi_c = end - (K - k)
-        nxt = np.full((n, n), np.inf)
-        b0 = k - 1
-        while b0 < hi_c:
-            c0 = end if k == K else b0 + 1
-            C = hi_c + 1 - c0
-            b1 = b0 + 1
-            while b1 < hi_c and (b1 + 2 - k) * (b1 + 1 - b0) * C <= _BLOCK_CELLS:
-                b1 += 1
-            A, B = b1 - k + 1, b1 - b0
-            ia, ib, ic = slice(k - 2, b1 - 1), slice(b0, b1), slice(c0, hi_c + 1)
-            cost = cost_buf[: A * B * C].reshape(B, C, A)
-            dh = dh_buf[: A * B * C].reshape(B, C, A)
-            step = (eta[ic] - eta[ib, None]) * L[ib, None]
-            np.add(V[ia, ib].T.copy()[:, None, :], step[:, :, None], out=cost)  # contiguous a
-            np.add(dl[ib, ic, None], dl[ib, None, ia], out=dh)  # dl[b, c] - dl[a, b]
-            dh *= dh
-            dh *= alpha
-            cost += dh
-            arg = cost.argmin(axis=2)
-            # flat offset of each (b, c) row's first minimum
-            nxt[ib, ic] = cost_buf.take(arg + np.arange(0, A * B * C, A).reshape(B, C))
-            par[k, ib, ic] = arg + (k - 2)
-            b0 = b1
-        nxt[c_le_b] = np.inf
-        V = nxt
-
+    # one b's plane has A + C <= n - K + G, so at most (n - K + G)^2 / 4 cells
+    size = max(_BLOCK_CELLS, (n - K + G) ** 2 // 4)
+    cost_buf, pen_buf = np.empty(size), np.empty(size)
+    c_le_b = np.tri(n, dtype=bool, k=-1)  # (b - b0, c - b0 - 1) with c <= b
+    with np.errstate(over="ignore"):  # an overflowing step or penalty costs inf
+        tab[1, 0, 1 : end - (K - 1) + 1] = (eta[1 : end - (K - 1) + 1] - eta[0]) * L[0]
+        for k0 in range(2, K + 1, G):
+            k1 = min(k0 + G, K + 1)  # the group's stages are k0 .. k1 - 1
+            tab[[k % (G + 1) for k in range(k0, k1)]] = np.inf
+            hi = end - (K - k1 + 1)  # the last stage's largest c
+            b0 = k0 - 1
+            while b0 < hi:
+                b1 = b0 + 1
+                while b1 < hi and (b1 + 2 - k0) * (b1 + 1 - b0) * (hi - b0) <= _BLOCK_CELLS:
+                    b1 += 1
+                # the union b0 <= b < b1, b0 < c <= hi and k0 - 2 <= a < b1 - 1
+                A, B = b1 - k0 + 1, b1 - b0
+                pen = pen_buf[: A * B * (hi - b0)].reshape(B, hi - b0, A)
+                np.add(dl[b0:b1, b0 + 1 : hi + 1, None], dl[b0:b1, None, k0 - 2 : b1 - 1], out=pen)
+                pen *= pen  # (dl[b, c] - dl[a, b])^2
+                pen *= alpha
+                step = ((eta[b0 + 1 : hi + 1] - eta[b0:b1, None]) * L[b0:b1, None])[:, :, None]
+                for k in range(k0, k1):
+                    hi_c = hi - (k1 - 1 - k)
+                    lo, up = max(b0, k - 1), min(b1, hi_c)  # stage k's planes in the block
+                    if lo >= up:
+                        continue
+                    # stage k runs over the whole union, so its buffer and
+                    # the penalty coalesce; the pinned stage K reads c = end
+                    c0 = end if k == K else b0 + 1
+                    C = hi + 1 - c0
+                    cost = cost_buf[: A * B * C].reshape(B, C, A)
+                    np.copyto(cost, step[:, c0 - b0 - 1 :])
+                    cost += tab[(k - 1) % (G + 1), k0 - 2 : b1 - 1, b0:b1].T.copy()[:, None, :]
+                    cost += pen[:, c0 - b0 - 1 :]
+                    arg = cost.argmin(axis=2)
+                    # flat offset of each (b, c) row's first minimum
+                    best = cost_buf.take(arg + np.arange(0, A * B * C, A).reshape(B, C))
+                    if k < K:  # stage k + 1 reads these rows before the group ends
+                        best[c_le_b[:B, :C]] = np.inf
+                    rows, cols = slice(lo, up), slice(c0, hi_c + 1)
+                    tab[k % (G + 1), rows, cols] = best[lo - b0 : up - b0, : hi_c + 1 - c0]
+                    par[k, rows, cols] = arg[lo - b0 : up - b0, : hi_c + 1 - c0] + (k0 - 2)
+                b0 = b1
+    V = tab[K % (G + 1)]
     b, c = int(np.argmin(V[:, end])), end
+    _check_optimum(V[b, end], profile, cfg)
     indices = [end, b]
     for k in range(K, 1, -1):
         b, c = int(par[k, b, c]), b

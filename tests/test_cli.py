@@ -203,6 +203,19 @@ def test_schedule_lambda_whose_square_overflows_exits_2(tmp_path, capsys, alpha)
     assert "lambda must be positive with a finite square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gammas, losses, flags", [
+    ([1.0, 2.0, 1000.0], [0.5, 0.4, 0.1], ["--alpha", "1e308"]),  # every penalty overflows
+    ([1.0, 10.0, 1e10], [1e300] * 3, ["--lambda", "1e-100"]),  # every step overflows
+], ids=["beam", "exact"])
+def test_schedule_with_no_finite_objective_exits_2(tmp_path, capsys, gammas, losses, flags):
+    loss = tmp_path / "p.csv"
+    write_loss_csv(loss, gammas, losses)
+    out = tmp_path / "run"
+    assert main(["schedule", "--loss", str(loss), "--K", "2", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "no 2-step schedule has a finite objective" in capsys.readouterr().err
+
+
 def test_schedule_trim_below_two_knots_names_the_trim(tmp_path, capsys):
     loss = tmp_path / "p128.csv"
     write_loss_csv(loss, np.geomspace(1.0, 1e4, 128), np.ones(128))

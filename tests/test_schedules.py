@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -460,11 +461,67 @@ def test_las_beam_matches_stage_major_pair_dp_indices():
 def test_las_beam_block_size_keeps_indices(monkeypatch, cells):
     # 1 makes every block one b; 7 splits stage K into several b per block
     # with a shorter last block, and 64 does so at the inner stages too;
-    # n <= 16 puts a whole stage in one block at the default
+    # n <= 16 puts a whole stage in one block at the default. Stage groups
+    # of 1 run stage by stage, 2 and 3 split the stages with a shorter last
+    # group, and K - 1 runs them all in one group
     monkeypatch.setattr(schedules, "_BLOCK_CELLS", cells)
     for gam, risks, K, lam, alpha in _pair_dp_instances(200):
-        sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam, alpha=alpha))
-        assert tuple(sched.indices) == pair_dp(gam, risks, K, lam, alpha), (cells, K, lam, alpha)
+        cands, cfg = LossProfile(gammas=gam, losses=risks), LasConfig(K=K, lam=lam, alpha=alpha)
+        want = pair_dp(gam, risks, K, lam, alpha)
+        objectives = set()
+        for group in (1, 2, 3, K - 1):
+            monkeypatch.setattr(schedules, "_GROUP", group)
+            sched = las_beam(cands, cfg)
+            assert sched.indices == want, (cells, group, K, lam, alpha)
+            objectives.add(sched.objective.hex())
+        assert len(objectives) == 1, (cells, K, lam, alpha)
+
+
+def test_las_beam_memory_stays_near_its_tables():
+    # G + 1 stage tables and the log-step table, n^2 floats each, the
+    # one-byte (K + 1, n, n) predecessor table, the cost and penalty
+    # buffers, and numpy's buffers for a broadcast add (8192 elements for
+    # each of three operands); keeping every stage's table would add K - G more
+    n, K, G = 128, 20, schedules._GROUP
+    gam = np.geomspace(0.1, 1e4, n)
+    risks = np.random.default_rng(2).uniform(0.01, 3.0, n)
+    cands, cfg = LossProfile(gammas=gam, losses=risks), LasConfig(K=K, alpha=1.0)
+    size = max(schedules._BLOCK_CELLS, (n - K + G) ** 2 // 4)
+    tracemalloc.start()
+    try:
+        las_beam(cands, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (8 * (G + 2) * n * n + (K + 1) * n * n + 2 * 8 * size + 3 * 8 * 8192)
+
+
+@pytest.mark.parametrize("gammas, losses, lam, alpha", [
+    ((1.0, 2.0, 1000.0), (0.5, 0.4, 0.1), 1.5, 1e308),  # every penalty overflows
+    ((1.0, 10.0, 1e10), (1e300,) * 3, 1e-100, 1.0),  # every last step overflows
+    ((1.0, 1e10, 1e20), (1e300,) * 3, 1e-100, 1.0),  # every first step overflows
+    ((1.0, 10.0, 1e10), (1e300,) * 3, 1e-100, 0.0),
+], ids=["beam-penalty", "beam-step", "beam-first-step", "exact-step"])
+def test_no_finite_schedule_is_an_error(gammas, losses, lam, alpha):
+    cands = LossProfile(gammas=np.array(gammas), losses=np.array(losses))
+    solve = las_exact if alpha == 0 else las_beam
+    with pytest.raises(ValueError, match=re.escape(
+        f"no 2-step schedule has a finite objective at alpha={alpha!r}, "
+        f"lambda={lam!r} and losses up to {max(losses)!r}"
+    )):
+        solve(cands, LasConfig(K=2, lam=lam, alpha=alpha))
+
+
+def test_las_beam_keeps_a_finite_optimum_where_other_paths_overflow():
+    # alpha = 1e308 overflows the penalty of every path whose two log steps
+    # differ by more than about 1.34; the optimum takes one knot fewer in
+    # its second step than in its first
+    gam = np.geomspace(0.01, 100.0, 40)
+    risks = 0.5 + 0.1 * np.sin(np.arange(40))
+    sched = las_beam(LossProfile(gammas=gam, losses=risks), LasConfig(K=2, alpha=1e308))
+    best_idx, best_obj = brute_second_order(gam, risks, 2, 1.5, 1e308)
+    assert sched.indices == best_idx == (0, 20, 39)
+    assert sched.objective == pytest.approx(best_obj, rel=1e-12)
 
 
 def test_las_beam_predecessors_past_255():
